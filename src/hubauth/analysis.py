@@ -4,7 +4,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from .errors import SizeLimitError
 from .linalg import DENSE_DIM_LIMIT, power_singular_pair
@@ -69,6 +68,10 @@ def compare(a, b, ks=(1, 3, 5, 10)):
     if np.array_equal(a.ranks, b.ranks):
         tau = 1.0
     else:
+        # imported here: scipy.stats takes about a second to load, and only
+        # this call needs it
+        from scipy.stats import kendalltau
+
         tau = float(kendalltau(a.ranks, b.ranks)[0])
         if math.isnan(tau):
             # one ranking is a single all-tied group: correlation is undefined,

@@ -51,18 +51,17 @@ def _run_method(g, method, side, args):
     elif method == "exp-exact":
         hub, auth = rankers.exp_centrality_exact(g)
     elif method == "exp-quad":
-        hub, auth = rankers.exp_centrality_quadrature(g, p_max=args.pmax, threads=threads)
+        return rankers.exp_centrality_quadrature(g, p_max=args.pmax, threads=threads, side=side)
     elif method == "spectral":
         hub, auth = rankers.truncated_spectral_scores(g, k=args.k if args.k else 1)
     elif method == "katz":
         hub, auth = rankers.katz_row_col(g, c=args.c)
     elif method == "resolvent":
-        hub, auth = rankers.resolvent_bipartite(g, c=args.c, p_max=args.pmax, threads=threads)
+        return rankers.resolvent_bipartite(g, c=args.c, p_max=args.pmax, threads=threads, side=side)
     elif method == "expsum":
         hub, auth = rankers.expA_row_col_sums(g)
     elif method == "pagerank":
-        sv = rankers.pagerank(g, alpha=args.alpha, reverse=(side == "hub"))
-        return sv
+        return rankers.pagerank(g, alpha=args.alpha, reverse=(side == "hub"))
     else:
         raise ParameterError(f"unknown method '{method}'")
     return hub if side == "hub" else auth

@@ -182,67 +182,25 @@ def lanczos(op, start_node, p_max):
     return run.jacobi(), run.breakdown
 
 
-def tridiag_eigen(J, max_sweeps=60):
+def tridiag_eigen(J):
     """Eigenvalues of a Jacobi matrix plus squared first eigenvector entries.
 
-    Implicit-shift QL sweeps rotate only the first-component row of the
-    eigenvector matrix, so quadrature weights come out without forming full
-    eigenvectors.  Nodes are returned ascending; weights sum to 1.
+    LAPACK ``dstev`` (implicit QL/QR) does the eigensolve.  Nodes are
+    returned ascending; weights sum to 1.
     """
-    p = J.order
-    d = np.array(J.alpha, dtype=float)
-    e = np.zeros(p)
-    if p > 1:
-        e[: p - 1] = J.beta
-    z = np.zeros(p)
-    z[0] = 1.0
-    eps = np.finfo(float).eps
-    for l in range(p):
-        sweeps = 0
-        while True:
-            m = l
-            while m < p - 1:
-                if abs(e[m]) <= eps * (abs(d[m]) + abs(d[m + 1])):
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise ConvergenceError(f"tridiagonal QL failed to converge at row {l}")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            accum = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= accum
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - accum
-                r = (d[i] - g) * s + 2.0 * c * b
-                accum = s * r
-                d[i + 1] = g + accum
-                g = c * r - b
-                f = z[i + 1]
-                z[i + 1] = s * z[i] + c * f
-                z[i] = c * z[i] - s * f
-            if underflow:
-                continue
-            d[l] -= accum
-            e[l] = g
-            e[m] = 0.0
-    order = np.argsort(d, kind="stable")
-    return d[order], z[order] ** 2
+    alpha = np.asarray(J.alpha, dtype=float)
+    beta = np.asarray(J.beta, dtype=float)
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+        raise ConvergenceError("tridiagonal eigensolve given non-finite entries")
+    if J.order <= 1:
+        return alpha.copy(), np.ones(J.order)
+    # imported here so that loading the package does not load scipy.linalg
+    from scipy.linalg.lapack import dstev
+
+    nodes, vectors, info = dstev(alpha, beta)
+    if info != 0:
+        raise ConvergenceError(f"LAPACK dstev failed (info={info})")
+    return nodes, vectors[0] ** 2
 
 
 # Pade degree-13 coefficients and its 1-norm threshold for scaling.
@@ -427,17 +385,21 @@ def spectral_radius(g, tol=1e-10, max_iter=5000):
     n = g.n
     if g.m == 0:
         return SpectralRadiusEstimate(0.0, True)
-    fallback = float(min(g.out_strengths().max(initial=0.0), power_singular_pair(g, tol, max_iter).sigma1))
+
+    def fallback():
+        bound = min(g.out_strengths().max(initial=0.0), power_singular_pair(g, tol, max_iter).sigma1)
+        return SpectralRadiusEstimate(float(bound), False)
+
     x = np.ones(n) / n
     for _ in range(max_iter):
         y = spmv(g, x)
         ny = float(np.linalg.norm(y, 1))
         if ny == 0.0:
-            return SpectralRadiusEstimate(fallback, False)
+            return fallback()
         y /= ny
         # the ratio alone can repeat while still oscillating (complex
         # subdominant eigenvalues); the iterate direction is the real signal
         if np.linalg.norm(y - x, np.inf) < tol:
             return SpectralRadiusEstimate(ny, True)
         x = y
-    return SpectralRadiusEstimate(fallback, False)
+    return fallback()

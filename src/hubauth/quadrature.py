@@ -172,9 +172,8 @@ def _radau_matrix(J, gamma_next, tau):
     return JacobiMatrix(alpha, beta)
 
 
-def _prescribed_estimate(J, gamma_next, tau, f, iv):
-    """Radau-modified estimate with one retry when tau hits a Ritz value."""
-    ritz, _ = tridiag_eigen(J)
+def _prescribed_estimate(J, ritz, gamma_next, tau, f, iv):
+    """Radau-modified estimate with one retry when tau hits a Ritz value of J."""
     span = max(iv.b - iv.a, 1.0)
     if np.min(np.abs(ritz - tau)) <= 1e-13 * span:
         # prescribed node collides with a Ritz value: push it outward once
@@ -198,8 +197,9 @@ def radau_bounds_from_run(run, p, iv, f):
         return NodeBounds(run.start_index, value, value, p=run.steps, exact=True)
     J = run.jacobi(p)
     gamma_next = run.next_offdiag(p)
-    lower = _prescribed_estimate(J, gamma_next, iv.a, f, iv)
-    upper = _prescribed_estimate(J, gamma_next, iv.b, f, iv)
+    ritz, _ = tridiag_eigen(J)
+    lower = _prescribed_estimate(J, ritz, gamma_next, iv.a, f, iv)
+    upper = _prescribed_estimate(J, ritz, gamma_next, iv.b, f, iv)
     if lower > upper:
         # only possible through roundoff once the bracket has collapsed
         lower, upper = min(lower, upper), max(lower, upper)

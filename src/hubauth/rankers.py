@@ -224,48 +224,54 @@ def _refine_bracket(run, iv, f, p_max, width_tol, p_start=3, p_step=2):
         p = min(p + p_step, p_max)
 
 
-def exp_centrality_quadrature(g, p_max=40, width_tol=1e-8, threads=1):
+def _sides(side):
+    if side is None:
+        return ("hub", "authority")
+    if side not in ("hub", "authority"):
+        raise ParameterError(f"side must be 'hub' or 'authority', got '{side}'")
+    return (side,)
+
+
+def _refine_sides(g, iv, f, p_max, width_tol, threads, sides):
+    """Refined brackets for every node on the given sides, one result list per side.
+
+    Hub i is bipartite index i and authority i is index n+i; only the
+    indices of the requested sides enter Lanczos.
+    """
+    n = g.n
+    op = bipartite_operator(g)
+
+    def solve(index):
+        return _refine_bracket(LanczosRun(op, index), iv, f, p_max, width_tol)
+
+    indices = [(0 if side == "hub" else n) + i for side in sides for i in range(n)]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(solve, indices))
+    else:
+        results = [solve(i) for i in indices]
+    return [results[k * n : (k + 1) * n] for k in range(len(sides))]
+
+
+def exp_centrality_quadrature(g, p_max=40, width_tol=1e-8, threads=1, side=None):
     """Exponential centrality scored by certified Gauss-Radau brackets.
 
     Per node the bracket is refined (p = 3, 5, ...) until its width falls
     below ``width_tol`` relative to the score or ``p_max`` is reached; the
     reported score is the bracket midpoint and the bracket itself lands in
     the diagnostics.  Nodes whose brackets stay wide are flagged, never
-    dropped.
+    dropped.  Returns (hub, authority), or with ``side`` set only that
+    side's ScoreVector, computed without touching the other half.
     """
-    n = g.n
-    op = bipartite_operator(g)
+    sides = _sides(side)
     iv = spectrum_interval(g)
-
-    def solve(index):
-        run = LanczosRun(op, index)
-        return _refine_bracket(run, iv, EXP, p_max, width_tol)
-
-    indices = range(2 * n)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, indices))
-    else:
-        results = [solve(i) for i in indices]
-    bounds = [r[0] for r in results]
-    resolved = [r[1] for r in results]
-    scores = np.array([b.midpoint for b in bounds])
     params = {"p_max": p_max, "width_tol": width_tol}
-    hub = ScoreVector(
-        "exp-quad",
-        "hub",
-        scores[:n],
-        params,
-        {"bounds": bounds[:n], "unresolved": [i for i in range(n) if not resolved[i]]},
-    )
-    authority = ScoreVector(
-        "exp-quad",
-        "authority",
-        scores[n:],
-        params,
-        {"bounds": bounds[n:], "unresolved": [i for i in range(n) if not resolved[n + i]]},
-    )
-    return hub, authority
+    vectors = []
+    for name, results in zip(sides, _refine_sides(g, iv, EXP, p_max, width_tol, threads, sides)):
+        bounds = [r[0] for r in results]
+        diag = {"bounds": bounds, "unresolved": [i for i, r in enumerate(results) if not r[1]]}
+        vectors.append(ScoreVector("exp-quad", name, np.array([b.midpoint for b in bounds]), params, diag))
+    return tuple(vectors) if side is None else vectors[0]
 
 
 def truncated_spectral_scores(g, k, tol=TIE_REL_TOL):
@@ -375,14 +381,17 @@ def katz_row_col(g, c=None, tol=1e-10, max_iter=200000):
     )
 
 
-def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, threads=1):
+def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, threads=1, side=None):
     """Diagonals of (I - c^2 A A^T)^{-1} (hubs) and (I - c^2 A^T A)^{-1} (authorities).
 
     These are the diagonal blocks of the bipartite resolvent (I - c op)^{-1},
     so the quadrature path runs the Radau machinery with the resolvent
     kernel; the dense path solves directly.  Requires 0 < c < 1/sigma_1.
+    Returns (hub, authority), or with ``side`` set only that side's
+    ScoreVector, computed without touching the other half.
     """
     n = g.n
+    sides = _sides(side)
     est = power_singular_pair(g)
     if c is None:
         c = 0.9 / est.sigma1 if est.sigma1 > 0 else 0.5
@@ -395,35 +404,23 @@ def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, thread
     if mode == "auto":
         mode = "dense" if 2 * n <= DENSE_DIM_LIMIT else "quadrature"
     params = {"c": c, "mode": mode}
+    vectors = []
     if mode == "dense":
         if 2 * n > DENSE_DIM_LIMIT:
             raise SizeLimitError(f"dense path limited to 2n <= {DENSE_DIM_LIMIT}")
         A = g.forward.toarray()
-        hub = np.diag(np.linalg.inv(np.eye(n) - c**2 * (A @ A.T)))
-        authority = np.diag(np.linalg.inv(np.eye(n) - c**2 * (A.T @ A)))
-        return (
-            ScoreVector("resolvent", "hub", hub.copy(), params),
-            ScoreVector("resolvent", "authority", authority.copy(), params),
-        )
-    op = bipartite_operator(g)
-    iv = spectrum_interval(g, estimate=est)
-    kernel = ResolventKernel(c)
-
-    def solve(index):
-        return _refine_bracket(LanczosRun(op, index), iv, kernel, p_max, width_tol)
-
-    indices = range(2 * n)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, indices))
+        for name in sides:
+            gram = A @ A.T if name == "hub" else A.T @ A
+            scores = np.diag(np.linalg.inv(np.eye(n) - c**2 * gram)).copy()
+            vectors.append(ScoreVector("resolvent", name, scores, params))
     else:
-        results = [solve(i) for i in indices]
-    scores = np.array([r[0].midpoint for r in results])
-    diag = {"bounds": [r[0] for r in results]}
-    return (
-        ScoreVector("resolvent", "hub", scores[:n], params, dict(diag)),
-        ScoreVector("resolvent", "authority", scores[n:], params, dict(diag)),
-    )
+        iv = spectrum_interval(g, estimate=est)
+        kernel = ResolventKernel(c)
+        for name, results in zip(sides, _refine_sides(g, iv, kernel, p_max, width_tol, threads, sides)):
+            bounds = [r[0] for r in results]
+            scores = np.array([b.midpoint for b in bounds])
+            vectors.append(ScoreVector("resolvent", name, scores, params, {"bounds": bounds}))
+    return tuple(vectors) if side is None else vectors[0]
 
 
 def expA_row_col_sums(g):

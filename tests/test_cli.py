@@ -1,11 +1,13 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import hubauth
 from hubauth.cli import main
 
 EX1_TEXT = "1 2\n1 3\n2 1\n2 3\n3 2\n3 4\n4 2\n"
@@ -274,6 +276,29 @@ def test_console_script_entry_point(ex1_file):
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "node,score,rank"
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    src = os.path.dirname(os.path.dirname(hubauth.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, hubauth.cli; print(sorted({'scipy.stats', 'scipy.linalg'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_rank_exp_quad_side_matches_both_sides(ex1_file, capsys):
+    from hubauth import exp_centrality_quadrature, load_edge_list
+
+    hub, auth = exp_centrality_quadrature(load_edge_list(ex1_file, index_base=1))
+    for side, sv in (("hub", hub), ("authority", auth)):
+        code, out, _ = run_cli(
+            ["rank", "--input", ex1_file, "--base", "1", "--method", "exp-quad", "--side", side, "--json"],
+            capsys,
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert {r["node"] - 1: r["score"] for r in rows} == dict(enumerate(sv.scores.tolist()))
 
 
 def test_runs_are_byte_identical(ex1_file, capsys):

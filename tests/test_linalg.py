@@ -7,6 +7,7 @@ import pytest
 
 import hubauth.linalg
 from hubauth import (
+    ConvergenceError,
     JacobiMatrix,
     LanczosRun,
     SizeLimitError,
@@ -90,16 +91,33 @@ def test_tridiag_eigen_scalar():
 
 def test_tridiag_eigen_matches_dense_solver():
     rng = np.random.default_rng(3)
+    cases = []
     for _ in range(25):
         p = int(rng.integers(2, 9))
+        cases.append((rng.normal(size=p), np.abs(rng.normal(size=p - 1)) + 0.05))
+    for p in (2, 5, 17, 41):
+        # graded: entries fall by a decade every two rows
+        cases.append((10.0 ** (-np.arange(p) / 2.0), 10.0 ** (-(np.arange(p - 1) + 0.5) / 2.0)))
+        # near-deflating: some couplings down to 1e-14 of the diagonal scale
         alpha = rng.normal(size=p)
         beta = np.abs(rng.normal(size=p - 1)) + 0.05
+        tiny = rng.random(p - 1) < 0.3
+        beta[tiny] = np.abs(alpha).max() * 10.0 ** rng.uniform(-14, -8, size=int(tiny.sum()))
+        beta[-1] = 1e-14 * np.abs(alpha).max()
+        cases.append((alpha, beta))
+    for alpha, beta in cases:
         J = JacobiMatrix(alpha, beta)
         nodes, weights = tridiag_eigen(J)
         w, Q = np.linalg.eigh(J.dense())
-        assert np.allclose(nodes, w, atol=1e-12)
-        assert np.allclose(weights, Q[0] ** 2, atol=1e-12)
+        scale = np.abs(w).max()
+        assert np.abs(nodes - w).max() <= 1e-12 * scale
+        assert np.abs(weights - Q[0] ** 2).max() <= 1e-12
         assert abs(weights.sum() - 1.0) < 1e-12
+
+
+def test_tridiag_eigen_rejects_non_finite_entries():
+    with pytest.raises(ConvergenceError):
+        tridiag_eigen(JacobiMatrix(np.array([np.nan, 0.0]), np.array([1.0])))
 
 
 def test_tridiag_eigen_interlacing():

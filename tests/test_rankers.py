@@ -30,6 +30,7 @@ from conftest import (
     edgeless_graph,
     google_stationary_dense,
     path_graph,
+    random_digraph,
     scipy_expm,
     svd_block_oracle,
 )
@@ -216,6 +217,42 @@ def test_exp_quadrature_flags_unresolved_nodes(ex1):
     assert len(hub.diagnostics["unresolved"]) > 0
     for nb in hub.diagnostics["bounds"]:
         assert nb.lower <= nb.upper
+
+
+def _side_cases(ex1, ex2, ex3):
+    rng = np.random.default_rng(2024)
+    return [ex1, ex2, ex3, edgeless_graph(3)] + [random_digraph(rng) for _ in range(4)]
+
+
+def test_exp_quadrature_one_side_equals_half_of_both(ex1, ex2, ex3):
+    for g in _side_cases(ex1, ex2, ex3):
+        both = exp_centrality_quadrature(g)
+        for side, full in zip(("hub", "authority"), both):
+            one = exp_centrality_quadrature(g, side=side)
+            assert one.side == side
+            assert np.array_equal(one.scores, full.scores)
+            assert one.diagnostics == full.diagnostics
+
+
+def test_resolvent_one_side_equals_half_of_both(ex1, ex2, ex3):
+    for g in _side_cases(ex1, ex2, ex3):
+        for mode in ("quadrature", "dense"):
+            both = resolvent_bipartite(g, mode=mode)
+            for side, full in zip(("hub", "authority"), both):
+                one = resolvent_bipartite(g, mode=mode, side=side)
+                assert one.side == side
+                assert np.array_equal(one.scores, full.scores)
+                assert one.diagnostics == full.diagnostics
+                if mode == "quadrature":
+                    offset = 0 if side == "hub" else g.n
+                    assert [nb.node for nb in one.diagnostics["bounds"]] == list(range(offset, offset + g.n))
+
+
+def test_quadrature_rankers_reject_unknown_side(ex1):
+    with pytest.raises(ParameterError):
+        exp_centrality_quadrature(ex1, side="both")
+    with pytest.raises(ParameterError):
+        resolvent_bipartite(ex1, side="both")
 
 
 # ----------------------------------------------------------- spectral truncation
