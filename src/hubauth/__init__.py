@@ -2,9 +2,9 @@
 
 A directed graph is mirrored into the symmetric operator [[0, A], [A^T, 0]];
 diagonal entries of its exponential score every node's hub and authority
-roles.  Small graphs are scored exactly through the dense exponential; large
-ones through certified Gauss-Radau brackets that also drive a top-k
-selection without resolving all scores.  HITS, Katz, bipartite resolvent,
+roles.  Small graphs are scored exactly through the SVD of A; large ones
+through certified Gauss-Radau brackets that also drive a top-k selection
+without resolving all scores.  HITS, Katz, bipartite resolvent,
 exponential row/column sums, PageRank, and degree baselines ride along for
 comparison.
 """
@@ -36,7 +36,6 @@ from .linalg import (
     SpectralEstimate,
     dense_expm,
     expm_action,
-    expm_symmetric,
     lanczos,
     power_singular_pair,
     spectral_radius,

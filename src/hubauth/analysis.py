@@ -54,6 +54,54 @@ def _topk_weights(table, k):
     return weights
 
 
+def _tied_pairs(*keys):
+    """Pairs of positions that agree on every key."""
+    rows = np.stack(keys)[:, np.lexsort(keys)]
+    runs = np.diff(np.flatnonzero(np.r_[True, (rows[:, 1:] != rows[:, :-1]).any(axis=0), True]))
+    return int((runs * (runs - 1) // 2).sum())
+
+
+def _discordant_pairs(y):
+    """Pairs i < j with y[i] > y[j] for integers y >= 0, in O(n log max(y)) time.
+
+    From the top bit b down: within each run of values sharing the bits above
+    b (contiguous, in input order), an element with bit b clear is discordant
+    with every earlier one that has it set; a stable sort on y >> b then
+    forms the runs for the next bit.
+    """
+    k = np.arange(len(y))
+    count = 0
+    for b in reversed(range(int(y.max(initial=0)).bit_length())):
+        key = y >> b
+        bit = key & 1
+        first = np.concatenate([[0], np.cumsum(np.bincount(key))])  # first slot of each key once sorted
+        head = first[key - bit]  # start of the element's run
+        ones = np.cumsum(bit) - bit
+        before = ones - ones[head]  # set bits earlier in the same run
+        count += int(before[bit == 0].sum())
+        sorted_y = np.empty_like(y)
+        sorted_y[first[key] + np.where(bit == 1, before, k - head - before)] = y
+        y = sorted_y
+    return count
+
+
+def _kendall_tau_b(x, y):
+    """Kendall tau-b of two integer vectors, ties as in scipy.stats.kendalltau.
+
+    NaN when either vector is constant.  Knight's method, O(n log n) time and
+    O(n) memory: with the pairs sorted by (x, y), the discordant pairs are the
+    strict inversions of y.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    tot = len(x) * (len(x) - 1) // 2
+    xtie, ytie = _tied_pairs(x), _tied_pairs(y)
+    if xtie == tot or ytie == tot:
+        return math.nan
+    dis = _discordant_pairs(np.unique(y, return_inverse=True)[1][np.lexsort((y, x))])
+    tau = (tot - xtie - ytie + _tied_pairs(x, y) - 2 * dis) / math.sqrt(tot - xtie) / math.sqrt(tot - ytie)
+    return min(1.0, max(-1.0, tau))
+
+
 def compare(a, b, ks=(1, 3, 5, 10)):
     """Compare two RankTables over the same node set.
 
@@ -65,18 +113,11 @@ def compare(a, b, ks=(1, 3, 5, 10)):
     if len(a.ranks) != len(b.ranks):
         raise ValueError(f"rankings cover different node sets ({len(a.ranks)} vs {len(b.ranks)})")
     n = len(a.ranks)
-    if np.array_equal(a.ranks, b.ranks):
-        tau = 1.0
-    else:
-        # imported here: scipy.stats takes about a second to load, and only
-        # this call needs it
-        from scipy.stats import kendalltau
-
-        tau = float(kendalltau(a.ranks, b.ranks)[0])
-        if math.isnan(tau):
-            # one ranking is a single all-tied group: correlation is undefined,
-            # report 0 agreement strength
-            tau = 0.0
+    tau = 1.0 if np.array_equal(a.ranks, b.ranks) else _kendall_tau_b(a.ranks, b.ranks)
+    if math.isnan(tau):
+        # one ranking is a single all-tied group: correlation is undefined,
+        # report 0 agreement strength
+        tau = 0.0
     overlap = {}
     tops = {}
     for k in ks:

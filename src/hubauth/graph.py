@@ -97,8 +97,8 @@ class BipartiteOperator:
     """Symmetric operator [[0, A], [A^T, 0]] of dimension 2n, matvec only.
 
     Index i < n addresses node i in its hub role; index n + i addresses the
-    same node in its authority role.  The matrix itself is never formed for
-    large graphs; ``dense()`` materializes it for dense-path computations.
+    same node in its authority role.  The matrix itself is never formed:
+    dense methods work from the SVD of A (``linalg.dense_svd``).
     """
 
     graph: DirectedGraph
@@ -115,16 +115,6 @@ class BipartiteOperator:
         top = self.graph.forward @ x[n:]
         bottom = self.graph.reverse @ x[:n]
         return np.concatenate([top, bottom])
-
-    def dense(self):
-        n = self.graph.n
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, n:] = self.forward_dense()
-        out[n:, :n] = out[:n, n:].T
-        return out
-
-    def forward_dense(self):
-        return self.graph.forward.toarray()
 
 
 def from_edges(edges, n=None, index_base=0, weighted=False):

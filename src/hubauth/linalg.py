@@ -1,5 +1,5 @@
-"""Numerical kernels: Lanczos, tridiagonal eigensolver, matrix exponentials,
-and power-iteration spectral estimates.
+"""Numerical kernels: Lanczos, tridiagonal eigensolver, the shared dense SVD,
+matrix exponentials, and power-iteration spectral estimates.
 
 Everything here is deterministic: start vectors are fixed (unit vectors for
 Lanczos, normalized ones for power iterations) so repeated runs produce
@@ -23,7 +23,7 @@ __all__ = [
     "lanczos",
     "tridiag_eigen",
     "dense_expm",
-    "expm_symmetric",
+    "dense_svd",
     "expm_action",
     "power_singular_pair",
     "spectral_radius",
@@ -203,59 +203,31 @@ def tridiag_eigen(J):
     return nodes, vectors[0] ** 2
 
 
-# Pade degree-13 coefficients and its 1-norm threshold for scaling.
-_PADE13 = np.array(
-    [
-        64764752532480000.0,
-        32382376266240000.0,
-        7771770303897600.0,
-        1187353796428800.0,
-        129060195264000.0,
-        10559470521600.0,
-        670442572800.0,
-        33522128640.0,
-        1323241920.0,
-        40840800.0,
-        960960.0,
-        16380.0,
-        182.0,
-        1.0,
-    ]
-)
-_THETA13 = 5.371920351148152
-
-
 def dense_expm(M):
-    """Matrix exponential by scaling-and-squaring with diagonal Pade degree 13."""
+    """``scipy.linalg.expm`` of a square matrix of dimension at most DENSE_DIM_LIMIT."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
-    dim = M.shape[0]
-    if dim > DENSE_DIM_LIMIT:
-        raise SizeLimitError(f"dense exponential limited to dimension {DENSE_DIM_LIMIT}, got {dim}")
-    norm = np.linalg.norm(M, 1)
-    s = max(0, int(math.ceil(math.log2(norm / _THETA13)))) if norm > _THETA13 else 0
-    B = M / (2.0**s)
-    I = np.eye(dim)
-    b = _PADE13
-    B2 = B @ B
-    B4 = B2 @ B2
-    B6 = B2 @ B4
-    U = B @ (B6 @ (b[13] * B6 + b[11] * B4 + b[9] * B2) + b[7] * B6 + b[5] * B4 + b[3] * B2 + b[1] * I)
-    V = B6 @ (b[12] * B6 + b[10] * B4 + b[8] * B2) + b[6] * B6 + b[4] * B4 + b[2] * B2 + b[0] * I
-    F = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        F = F @ F
-    return F
-
-
-def expm_symmetric(M):
-    """Exponential of a symmetric matrix through its eigendecomposition."""
-    M = np.asarray(M, dtype=float)
     if M.shape[0] > DENSE_DIM_LIMIT:
-        raise SizeLimitError(f"dense exponential limited to dimension {DENSE_DIM_LIMIT}")
-    w, Q = np.linalg.eigh(M)
-    return (Q * np.exp(w)) @ Q.T
+        raise SizeLimitError(f"dense exponential limited to dimension {DENSE_DIM_LIMIT}, got {M.shape[0]}")
+    # imported here so that loading the package does not load scipy.linalg
+    from scipy.linalg import expm
+
+    return expm(M)
+
+
+def dense_svd(g):
+    """Full SVD (U, s, Vt) of the dense A, computed once per graph, read-only.
+
+    Every dense method is a function of s applied through U (hubs) or V (authorities).
+    """
+    svd = g.__dict__.get("_dense_svd")
+    if svd is None:
+        svd = np.linalg.svd(g.forward.toarray())
+        for part in svd:
+            part.flags.writeable = False
+        g.__dict__["_dense_svd"] = svd  # the dataclass is frozen; its __dict__ is not
+    return svd
 
 
 def expm_action(g, v, transpose=False, rel_tol=1e-10):

@@ -17,7 +17,7 @@ from .graph import bipartite_operator, degrees, spmv
 from .linalg import (
     DENSE_DIM_LIMIT,
     LanczosRun,
-    dense_expm,
+    dense_svd,
     expm_action,
     power_singular_pair,
     spectral_radius,
@@ -180,19 +180,16 @@ def hits(g, tol=1e-10, max_iter=1000, init=None):
 
 
 def exp_centrality_exact(g):
-    """Exponential hub/authority centrality from the dense bipartite exponential.
+    """Exponential hub/authority centrality: the diagonal of e^{[[0,A],[A^T,0]]}.
 
-    hub_i is the i-th diagonal entry of e^{[[0,A],[A^T,0]]} (equivalently of
-    cosh applied to the singular structure of A); authority_i is entry n+i.
+    With A = U diag(s) V^T the hub and authority blocks are U cosh(diag(s)) U^T
+    and V cosh(diag(s)) V^T: hub_i = sum_k cosh(s_k) U_ik^2, likewise with V.
     """
-    n = g.n
-    if 2 * n > DENSE_DIM_LIMIT:
+    if 2 * g.n > DENSE_DIM_LIMIT:
         raise SizeLimitError(f"dense path limited to 2n <= {DENSE_DIM_LIMIT}")
-    E = dense_expm(bipartite_operator(g).dense())
-    diag = np.diag(E)
-    hub = ScoreVector("exp-exact", "hub", diag[:n].copy())
-    authority = ScoreVector("exp-exact", "authority", diag[n:].copy())
-    return hub, authority
+    U, s, Vt = dense_svd(g)
+    cosh = np.cosh(s)
+    return ScoreVector("exp-exact", "hub", (U**2) @ cosh), ScoreVector("exp-exact", "authority", cosh @ (Vt**2))
 
 
 def _refine_bracket(run, iv, f, p_max, width_tol, p_start=3, p_step=2):
@@ -290,7 +287,7 @@ def truncated_spectral_scores(g, k, tol=TIE_REL_TOL):
     if not 1 <= k <= 2 * n:
         raise ParameterError(f"k must be in [1, {2 * n}], got {k}")
     if n <= DENSE_DIM_LIMIT:
-        U, s, Vt = np.linalg.svd(g.forward.toarray())
+        U, s, Vt = dense_svd(g)
         lams = np.concatenate([s, -s[::-1]])
     else:
         if k >= n - 8:
@@ -386,9 +383,9 @@ def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, thread
 
     These are the diagonal blocks of the bipartite resolvent (I - c op)^{-1},
     so the quadrature path runs the Radau machinery with the resolvent
-    kernel; the dense path solves directly.  Requires 0 < c < 1/sigma_1.
-    Returns (hub, authority), or with ``side`` set only that side's
-    ScoreVector, computed without touching the other half.
+    kernel; the dense path reads them off the SVD of A.  Requires
+    0 < c < 1/sigma_1.  Returns (hub, authority), or with ``side`` set only
+    that side's ScoreVector (quadrature then skips the other half).
     """
     n = g.n
     sides = _sides(side)
@@ -408,10 +405,11 @@ def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, thread
     if mode == "dense":
         if 2 * n > DENSE_DIM_LIMIT:
             raise SizeLimitError(f"dense path limited to 2n <= {DENSE_DIM_LIMIT}")
-        A = g.forward.toarray()
+        # the hub block is U diag(1/(1 - c^2 s^2)) U^T, the authority block uses V
+        U, s, Vt = dense_svd(g)
+        f = 1.0 / (1.0 - c**2 * s**2)
         for name in sides:
-            gram = A @ A.T if name == "hub" else A.T @ A
-            scores = np.diag(np.linalg.inv(np.eye(n) - c**2 * gram)).copy()
+            scores = (U**2) @ f if name == "hub" else f @ (Vt**2)
             vectors.append(ScoreVector("resolvent", name, scores, params))
     else:
         iv = spectrum_interval(g, estimate=est)
@@ -486,27 +484,26 @@ def communicability(g, i, j, kind="hub_authority", mode="dense", p=20):
 
     kind selects the block: 'hub' compares i and j as hubs, 'authority'
     as authorities, 'hub_authority' couples i's hub role to j's authority
-    role.  Dense mode reads the entry off the full exponential; quadrature
-    mode estimates it by polarization.
+    role.  Dense mode reads the entry off the SVD of A (hub block
+    U cosh(S) U^T, authority block V cosh(S) V^T, coupling block
+    U sinh(S) V^T); quadrature mode estimates it by polarization.
     """
     n = g.n
     if not (0 <= i < n and 0 <= j < n):
         raise ParameterError("node ids out of range")
-    if kind == "hub":
-        a, b = i, j
-    elif kind == "authority":
-        a, b = n + i, n + j
-    elif kind == "hub_authority":
-        a, b = i, n + j
-    else:
+    offsets = {"hub": (0, 0), "authority": (n, n), "hub_authority": (0, n)}  # bipartite index of i, j
+    if kind not in offsets:
         raise ParameterError(f"unknown communicability kind '{kind}'")
-    if a == b and kind != "hub_authority":
+    if i == j and kind != "hub_authority":
         raise ParameterError("communicability needs two distinct nodes; use centrality for i == j")
-    op = bipartite_operator(g)
     if mode == "dense":
-        if op.dim > DENSE_DIM_LIMIT:
+        if 2 * n > DENSE_DIM_LIMIT:
             raise SizeLimitError(f"dense path limited to 2n <= {DENSE_DIM_LIMIT}")
-        return float(dense_expm(op.dense())[a, b])
+        U, s, Vt = dense_svd(g)
+        left = Vt.T if kind == "authority" else U
+        right = U if kind == "hub" else Vt.T
+        return float((left[i] * (np.sinh(s) if kind == "hub_authority" else np.cosh(s))) @ right[j])
     if mode == "quadrature":
-        return float(bilinear_estimate(op, a, b, p, EXP))
+        a, b = offsets[kind]
+        return float(bilinear_estimate(bipartite_operator(g), a + i, b + j, p, EXP))
     raise ParameterError(f"unknown mode '{mode}'")

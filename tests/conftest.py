@@ -75,7 +75,7 @@ def dense_bipartite(g):
 
 
 def scipy_expm(M):
-    """Third-party exponential used as an oracle against the in-package one."""
+    """Third-party exponential of the 2n x 2n matrix, independent of the SVD path."""
     return scipy.linalg.expm(M)
 
 

@@ -1,9 +1,14 @@
 """Ranking comparison, spectral gap, symmetry, and the trace index."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import kendalltau
 
 from hubauth import (
     ScoreVector,
@@ -17,6 +22,7 @@ from hubauth import (
     spectral_gap,
     symmetry_fraction,
 )
+from hubauth.analysis import _kendall_tau_b
 
 from conftest import dense_bipartite, edgeless_graph, path_graph, scipy_expm
 
@@ -62,6 +68,67 @@ def test_compare_tau_invariant_under_monotone_transform(ex1):
     warped = ScoreVector("t", "hub", np.exp(hub.scores))
     rep = compare(rank_table(hub), rank_table(warped), ks=[2])
     assert rep.kendall_tau_b == 1.0
+
+
+@st.composite
+def rank_pairs(draw):
+    """Two integer rank vectors of one length: tie-heavy, identical, reversed or all-tied."""
+    n = draw(st.integers(1, 200))
+    levels = draw(st.sampled_from([1, 2, 3, 5, 8, n]))
+    ints = st.lists(st.integers(1, levels), min_size=n, max_size=n)
+    x = np.array(draw(ints))
+    partner = draw(st.sampled_from(["random", "identical", "reversed", "tied"]))
+    if partner == "random":
+        y = np.array(draw(ints))
+    elif partner == "identical":
+        y = x.copy()
+    elif partner == "reversed":
+        y = levels + 1 - x
+    else:
+        y = np.ones(n, dtype=int)
+    return x, y
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rank_pairs())
+def test_kendall_tau_b_matches_scipy(pair):
+    x, y = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on samples shorter than 2
+        expected = float(kendalltau(x, y)[0])
+    got = _kendall_tau_b(x, y)
+    # scores -x, -y give competition ranks in the same order as x, y
+    ta, tb = table_of(-x), table_of(-y)
+    through_compare = compare(ta, tb, ks=[1]).kendall_tau_b
+    if math.isnan(expected):
+        assert math.isnan(got)
+        assert through_compare == (1.0 if np.array_equal(ta.ranks, tb.ranks) else 0.0)
+    else:
+        assert abs(got - expected) <= 1e-12
+        assert abs(through_compare - expected) <= 1e-12
+
+
+def test_kendall_tau_b_memory_is_linear():
+    # an n x n array of pair signs alone would take 900 MB at this size
+    rng = np.random.default_rng(5)
+    n = 30000
+    x = rng.permutation(n) + 1
+    y = rng.integers(1, 100, n)
+    tracemalloc.start()
+    try:
+        tau = _kendall_tau_b(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    assert abs(tau - float(kendalltau(x, y)[0])) <= 1e-12
+
+
+def test_compare_all_tied_table_reports_zero_tau():
+    flat = table_of([2.0, 2.0, 2.0])
+    ordered = table_of([3.0, 2.0, 1.0])
+    assert math.isnan(_kendall_tau_b(flat.ranks, ordered.ranks))
+    assert compare(flat, ordered, ks=[1]).kendall_tau_b == 0.0
 
 
 def test_compare_node_set_mismatch():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hubauth
@@ -278,13 +279,36 @@ def test_console_script_entry_point(ex1_file):
     assert result.stdout.splitlines()[0] == "node,score,rank"
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+def test_cli_import_leaves_heavy_scipy_modules_unloaded(ex1_file):
     src = os.path.dirname(os.path.dirname(hubauth.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, hubauth.cli; print(sorted({'scipy.stats', 'scipy.linalg'} & set(sys.modules)))"
+    # on ex1 the exp-exact and HITS hub rankings differ, so tau-b is computed
+    args = ["compare", "--input", ex1_file, "--base", "1", "--method", "exp-exact", "--method", "hits", "--side", "hub"]
+    probe = (
+        "import sys, hubauth.cli\n"
+        "print(sorted({'scipy.stats', 'scipy.linalg'} & set(sys.modules)))\n"
+        f"hubauth.cli.main({args!r})\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    lines = result.stdout.splitlines()
+    assert lines[0] == "[]"
+    tau = next(float(line.split(",")[1]) for line in lines if line.startswith("kendall_tau_b,"))
+    assert tau < 1.0
+    assert lines[-1] == "False"
+
+
+def test_compare_factors_a_once(ex1_file, capsys, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    code, _, _ = run_cli(
+        ["compare", "--input", ex1_file, "--base", "1", "--method", "exp-exact", "--method", "spectral", "--side", "hub"],
+        capsys,
+    )
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_rank_exp_quad_side_matches_both_sides(ex1_file, capsys):

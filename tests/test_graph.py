@@ -16,7 +16,7 @@ from hubauth import (
     write_edge_list,
 )
 
-from conftest import dense_adjacency, dense_bipartite, edgeless_graph, path_graph
+from conftest import dense_adjacency, edgeless_graph, path_graph
 
 EX1_TEXT = "1 2\n1 3\n2 1\n2 3\n3 2\n3 4\n4 2\n"
 
@@ -166,11 +166,6 @@ def test_bipartite_symmetry(ex2):
         x = rng.normal(size=op.dim)
         y = rng.normal(size=op.dim)
         assert abs(op.matvec(x) @ y - x @ op.matvec(y)) < 1e-14
-
-
-def test_bipartite_dense_assembly(ex3):
-    op = bipartite_operator(ex3)
-    assert np.array_equal(op.dense(), dense_bipartite(ex3))
 
 
 def test_spmv_row_sums(ex1):

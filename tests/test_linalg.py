@@ -14,7 +14,6 @@ from hubauth import (
     bipartite_operator,
     dense_expm,
     expm_action,
-    expm_symmetric,
     from_edges,
     lanczos,
     power_singular_pair,
@@ -154,13 +153,6 @@ def test_dense_expm_bipartite_diagonal_is_hub_table(ex1):
 def test_dense_expm_inverse_identity(ex1):
     M = dense_bipartite(ex1)
     assert np.allclose(dense_expm(M) @ dense_expm(-M), np.eye(8), atol=1e-10)
-
-
-def test_dense_expm_symmetric_paths_agree(ex2):
-    M = dense_bipartite(ex2)
-    E = dense_expm(M)
-    assert np.allclose(E, E.T, atol=1e-12)
-    assert np.allclose(E, expm_symmetric(M), atol=1e-12)
 
 
 def test_dense_expm_matches_scipy():

@@ -1,8 +1,11 @@
-"""Property tests of the exp-quad brackets against the SVD oracle.
+"""Property tests of the exp-quad brackets and the dense scores.
 
 Graphs are small random digraphs (n <= 12), edgeless and reducible ones
-included.  The oracle is hub_i = sum_k cosh(sigma_k) U_ik^2 (authorities:
-V), read straight off the full SVD of A.
+included.  The bracket oracle is hub_i = sum_k cosh(sigma_k) U_ik^2
+(authorities: V), read straight off the full SVD of A.  The dense scores,
+which are computed from that SVD, are checked against oracles that do not
+use it: scipy's expm of the 2n x 2n bipartite matrix and the inverse of the
+n x n Gram matrices.
 """
 
 import math
@@ -11,11 +14,20 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hubauth import EXP, bipartite_operator, exp_centrality_quadrature, from_edges, spectrum_interval
+from hubauth import (
+    EXP,
+    bipartite_operator,
+    communicability,
+    exp_centrality_exact,
+    exp_centrality_quadrature,
+    from_edges,
+    resolvent_bipartite,
+    spectrum_interval,
+)
 from hubauth.linalg import LanczosRun
 from hubauth.quadrature import radau_bounds_from_run
 
-from conftest import dense_adjacency
+from conftest import dense_adjacency, dense_bipartite, scipy_expm
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -29,6 +41,13 @@ def digraphs(draw):
         # reducible: keep only edges pointing from lower to higher ids (a DAG)
         edges = [(u, v) for u, v in edges if u < v]
     return from_edges(edges, n=n)
+
+
+@st.composite
+def weighted_digraphs(draw):
+    g = draw(digraphs())
+    weights = draw(st.lists(st.floats(0.1, 2.0), min_size=g.m, max_size=g.m))
+    return from_edges([(u, v, w) for (u, v, _), w in zip(g.edges(), weights)], n=g.n, weighted=True)
 
 
 def svd_oracle(g):
@@ -68,3 +87,30 @@ def test_radau_bracket_never_widens_on_a_reused_run(g, data):
         prev_width = nb.width
         if nb.exact:
             break
+
+
+def _assert_close(got, expected):
+    # 1e-12 relative; the absolute floor only matters for entries that are zero
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+@SETTINGS
+@given(st.one_of(digraphs(), weighted_digraphs()))
+def test_dense_scores_match_expm_and_gram_inverse(g):
+    n = g.n
+    E = scipy_expm(dense_bipartite(g))
+    hub, authority = exp_centrality_exact(g)
+    _assert_close(np.concatenate([hub.scores, authority.scores]), np.diag(E))
+
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    _assert_close([communicability(g, i, j, kind="hub_authority") for i, j in pairs], [E[i, n + j] for i, j in pairs])
+    pairs = [(i, j) for i, j in pairs if i != j]
+    _assert_close([communicability(g, i, j, kind="hub") for i, j in pairs], [E[i, j] for i, j in pairs])
+    _assert_close([communicability(g, i, j, kind="authority") for i, j in pairs], [E[n + i, n + j] for i, j in pairs])
+
+    A = dense_adjacency(g)
+    sigma1 = np.linalg.norm(A, 2)
+    c = 0.9 / sigma1 if sigma1 > 0 else 0.5
+    hub, authority = resolvent_bipartite(g, c=c, mode="dense")
+    _assert_close(hub.scores, np.diag(np.linalg.inv(np.eye(n) - c**2 * A @ A.T)))
+    _assert_close(authority.scores, np.diag(np.linalg.inv(np.eye(n) - c**2 * A.T @ A)))
