@@ -43,7 +43,6 @@ def _load_graph(args):
 
 def _run_method(g, method, side, args):
     """Dispatch a method name to its ranker and pull out the requested side."""
-    threads = max(1, args.threads)
     if method == "degree":
         hub, auth = rankers.degree_scores(g)
     elif method == "hits":
@@ -51,13 +50,13 @@ def _run_method(g, method, side, args):
     elif method == "exp-exact":
         hub, auth = rankers.exp_centrality_exact(g)
     elif method == "exp-quad":
-        return rankers.exp_centrality_quadrature(g, p_max=args.pmax, threads=threads, side=side)
+        return rankers.exp_centrality_quadrature(g, p_max=args.pmax, side=side)
     elif method == "spectral":
         hub, auth = rankers.truncated_spectral_scores(g, k=args.k if args.k else 1)
     elif method == "katz":
         hub, auth = rankers.katz_row_col(g, c=args.c)
     elif method == "resolvent":
-        return rankers.resolvent_bipartite(g, c=args.c, p_max=args.pmax, threads=threads, side=side)
+        return rankers.resolvent_bipartite(g, c=args.c, p_max=args.pmax, side=side)
     elif method == "expsum":
         hub, auth = rankers.expA_row_col_sums(g)
     elif method == "pagerank":
@@ -135,7 +134,6 @@ def cmd_topk(args):
         side=args.side,
         p_max=args.pmax,
         exclude_degree_one=args.exclude_degree_one,
-        threads=max(1, args.threads),
     )
     if args.m is not None:
         report = topk.rank_in_top_m(g, args.k, args.m, **kwargs)
@@ -285,7 +283,7 @@ def _add_common(parser):
     parser.add_argument("--out", default=None, help="write output to this file instead of stdout")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     parser.add_argument("--precision", choices=["default", "full"], default="default")
-    parser.add_argument("--threads", type=int, default=1, help="worker bound for per-node quadrature")
+    parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     parser.add_argument("--tol", type=float, default=1e-10)
     parser.add_argument("--pmax", type=int, default=40, help="maximum Lanczos steps per node")
     parser.add_argument("--max-iter", type=int, default=1000, dest="max_iter")

@@ -31,12 +31,14 @@ __all__ = [
     "gauss_estimate",
     "radau_bounds",
     "radau_bounds_from_run",
+    "BracketRun",
     "lobatto_bound",
     "bilinear_estimate",
 ]
 
-# Exactness tolerance for brackets produced by Lanczos breakdown.
-EXACT_RTOL = 1e-12
+# Bracket order schedule: P_START, then +P_STEP per refinement step.
+P_START = 3
+P_STEP = 2
 
 
 @dataclass(frozen=True)
@@ -204,6 +206,50 @@ def radau_bounds_from_run(run, p, iv, f):
         # only possible through roundoff once the bracket has collapsed
         lower, upper = min(lower, upper), max(lower, upper)
     return NodeBounds(run.start_index, lower, upper, p=p, exact=False)
+
+
+class BracketRun:
+    """One node's Lanczos run and the tightest Radau bracket seen so far.
+
+    Each ``refine`` step takes the next order of the schedule (P_START first,
+    then +P_STEP capped at p_max) and intersects the new bracket with the old
+    one, which keeps the bracket monotone under roundoff jitter.  Once the
+    run has broken down, the next step uses the whole Krylov space and is
+    exact, whatever p_max is.
+    """
+
+    def __init__(self, op, index, iv, f):
+        self.run = LanczosRun(op, index)
+        self.iv = iv
+        self.f = f
+        self.p = 0
+        self.bounds = None
+
+    def refinable(self, p_max):
+        """Whether a further ``refine`` step can tighten the bracket."""
+        if self.bounds is not None and self.bounds.exact:
+            return False
+        return self.run.breakdown or self.p < p_max
+
+    def refine(self, p_max):
+        """Take one schedule step and return the tightened bracket."""
+        if self.run.breakdown:
+            p = self.run.steps
+        elif self.p == 0:
+            p = P_START
+        else:
+            p = min(self.p + P_STEP, p_max)
+        nb = radau_bounds_from_run(self.run, p, self.iv, self.f)
+        old = self.bounds
+        if old is not None:
+            lower = max(old.lower, nb.lower)
+            upper = min(old.upper, nb.upper)
+            if lower > upper:
+                lower = upper = 0.5 * (lower + upper)
+            nb = NodeBounds(nb.node, lower, upper, nb.p, nb.exact)
+        self.p = p
+        self.bounds = nb
+        return nb
 
 
 def radau_bounds(op, node, p, iv, f):

@@ -7,7 +7,6 @@ the bipartite doubling is internal.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,19 +15,12 @@ from .errors import ConvergenceError, ParameterError, SizeLimitError
 from .graph import bipartite_operator, degrees, spmv
 from .linalg import (
     DENSE_DIM_LIMIT,
-    LanczosRun,
     dense_svd,
     expm_action,
     power_singular_pair,
     spectral_radius,
 )
-from .quadrature import (
-    EXP,
-    ResolventKernel,
-    bilinear_estimate,
-    radau_bounds_from_run,
-    spectrum_interval,
-)
+from .quadrature import EXP, BracketRun, ResolventKernel, bilinear_estimate, spectrum_interval
 
 __all__ = [
     "TIE_REL_TOL",
@@ -192,35 +184,6 @@ def exp_centrality_exact(g):
     return ScoreVector("exp-exact", "hub", (U**2) @ cosh), ScoreVector("exp-exact", "authority", cosh @ (Vt**2))
 
 
-def _refine_bracket(run, iv, f, p_max, width_tol, p_start=3, p_step=2):
-    """Grow a node's Lanczos run until its Radau bracket is narrow enough.
-
-    Brackets from successive orders are intersected, which keeps the
-    reported bracket monotone even under roundoff jitter.
-    """
-    best = None
-    p = p_start
-    while True:
-        nb = radau_bounds_from_run(run, p, iv, f)
-        if best is None:
-            best = nb
-        else:
-            lower = max(best.lower, nb.lower)
-            upper = min(best.upper, nb.upper)
-            if lower > upper:
-                lower = upper = 0.5 * (lower + upper)
-            best = type(nb)(nb.node, lower, upper, nb.p, nb.exact)
-        if best.exact or best.width <= width_tol * max(1.0, abs(best.lower)):
-            return best, True
-        if run.breakdown:
-            # Krylov space exhausted: one more pass at the full order is exact
-            p = run.steps
-            continue
-        if p >= p_max:
-            return best, best.exact
-        p = min(p + p_step, p_max)
-
-
 def _sides(side):
     if side is None:
         return ("hub", "authority")
@@ -229,28 +192,35 @@ def _sides(side):
     return (side,)
 
 
-def _refine_sides(g, iv, f, p_max, width_tol, threads, sides):
-    """Refined brackets for every node on the given sides, one result list per side.
+def _refine_sides(g, iv, f, p_max, width_tol, sides):
+    """Brackets for every node on the given sides: one (bounds, unresolved) pair per side.
 
     Hub i is bipartite index i and authority i is index n+i; only the
-    indices of the requested sides enter Lanczos.
+    indices of the requested sides enter Lanczos.  Each node is refined
+    until its bracket is exact, narrower than ``width_tol`` relative to the
+    score, or at ``p_max``; its run is dropped before the next node starts.
     """
     n = g.n
     op = bipartite_operator(g)
 
-    def solve(index):
-        return _refine_bracket(LanczosRun(op, index), iv, f, p_max, width_tol)
+    def settled(b):
+        return b.exact or b.width <= width_tol * max(1.0, abs(b.lower))
 
-    indices = [(0 if side == "hub" else n) + i for side in sides for i in range(n)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, indices))
-    else:
-        results = [solve(i) for i in indices]
-    return [results[k * n : (k + 1) * n] for k in range(len(sides))]
+    results = []
+    for side in sides:
+        offset = 0 if side == "hub" else n
+        bounds = []
+        for i in range(n):
+            node = BracketRun(op, offset + i, iv, f)
+            b = node.refine(p_max)
+            while not settled(b) and node.refinable(p_max):
+                b = node.refine(p_max)
+            bounds.append(b)
+        results.append((bounds, [i for i, b in enumerate(bounds) if not settled(b)]))
+    return results
 
 
-def exp_centrality_quadrature(g, p_max=40, width_tol=1e-8, threads=1, side=None):
+def exp_centrality_quadrature(g, p_max=40, width_tol=1e-8, side=None):
     """Exponential centrality scored by certified Gauss-Radau brackets.
 
     Per node the bracket is refined (p = 3, 5, ...) until its width falls
@@ -264,9 +234,8 @@ def exp_centrality_quadrature(g, p_max=40, width_tol=1e-8, threads=1, side=None)
     iv = spectrum_interval(g)
     params = {"p_max": p_max, "width_tol": width_tol}
     vectors = []
-    for name, results in zip(sides, _refine_sides(g, iv, EXP, p_max, width_tol, threads, sides)):
-        bounds = [r[0] for r in results]
-        diag = {"bounds": bounds, "unresolved": [i for i, r in enumerate(results) if not r[1]]}
+    for name, (bounds, unresolved) in zip(sides, _refine_sides(g, iv, EXP, p_max, width_tol, sides)):
+        diag = {"bounds": bounds, "unresolved": unresolved}
         vectors.append(ScoreVector("exp-quad", name, np.array([b.midpoint for b in bounds]), params, diag))
     return tuple(vectors) if side is None else vectors[0]
 
@@ -378,7 +347,7 @@ def katz_row_col(g, c=None, tol=1e-10, max_iter=200000):
     )
 
 
-def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, threads=1, side=None):
+def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, side=None):
     """Diagonals of (I - c^2 A A^T)^{-1} (hubs) and (I - c^2 A^T A)^{-1} (authorities).
 
     These are the diagonal blocks of the bipartite resolvent (I - c op)^{-1},
@@ -414,8 +383,7 @@ def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, thread
     else:
         iv = spectrum_interval(g, estimate=est)
         kernel = ResolventKernel(c)
-        for name, results in zip(sides, _refine_sides(g, iv, kernel, p_max, width_tol, threads, sides)):
-            bounds = [r[0] for r in results]
+        for name, (bounds, _) in zip(sides, _refine_sides(g, iv, kernel, p_max, width_tol, sides)):
             scores = np.array([b.midpoint for b in bounds])
             vectors.append(ScoreVector("resolvent", name, scores, params, {"bounds": bounds}))
     return tuple(vectors) if side is None else vectors[0]

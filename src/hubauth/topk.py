@@ -4,26 +4,23 @@ Every candidate node carries a Gauss-Radau bracket for its exponential
 centrality.  In each round the k-th largest lower bound is the survival
 threshold: any node whose upper bound falls below it can never reach the
 top k and is discarded for good (upper bounds only move down as the
-bracket order grows).  Survivors get two more Lanczos steps and the round
-repeats.  Nodes with no out-edges (hub side) or no in-edges (authority
-side) score exactly cosh(0) = 1 and never enter Lanczos at all.
+bracket order grows).  Survivors take one step of their bracket engine,
+``quadrature.BracketRun``: two more Lanczos steps, or the exact
+full-Krylov step once a run has broken down.  Then the round repeats.
+Nodes with no out-edges (hub side) or no in-edges (authority side) score
+exactly cosh(0) = 1 and never enter Lanczos at all.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError
 from .graph import bipartite_operator, degrees
-from .linalg import LanczosRun
-from .quadrature import EXP, NodeBounds, radau_bounds_from_run, spectrum_interval
+from .quadrature import EXP, P_START, BracketRun, NodeBounds, spectrum_interval
 from .rankers import TIE_REL_TOL
 
 __all__ = ["TopKReport", "identify_top_k", "rank_in_top_m"]
-
-P_START = 3
-P_STEP = 2
 
 
 @dataclass
@@ -54,68 +51,38 @@ def _tied(a, b, tie_tol):
 
 
 class _BracketPool:
-    """Per-node Lanczos state plus the tightest bracket seen so far."""
+    """A bracket engine per eligible node; ``bounds`` holds each node's current bracket.
 
-    def __init__(self, g, side, exclude_degree_one, threads):
-        self.op = bipartite_operator(g)
-        self.iv = spectrum_interval(g)
-        self.threads = threads
+    Zero-degree nodes get their exact bracket up front and no engine.
+    """
+
+    def __init__(self, g, side, exclude_degree_one):
+        op = bipartite_operator(g)
+        iv = spectrum_interval(g)
         n = g.n
         out_deg, in_deg = degrees(g)
         relevant_deg = out_deg if side == "hub" else in_deg
         degree_one = (out_deg == 1) & (in_deg == 1)
-        self.offset = 0 if side == "hub" else n
+        offset = 0 if side == "hub" else n
         self.excluded_degree_one = int(np.count_nonzero(degree_one)) if exclude_degree_one else 0
         self.eligible = [
             v for v in range(n) if not (exclude_degree_one and degree_one[v])
         ]
         self.zero_degree = {v for v in self.eligible if relevant_deg[v] == 0}
-        self.runs = {}
-        self.bounds = {}
-        self.p = {}
-        for v in self.eligible:
-            if v in self.zero_degree:
-                self.bounds[v] = NodeBounds(v, 1.0, 1.0, p=0, exact=True)
-                self.p[v] = 0
-            else:
-                self.runs[v] = LanczosRun(self.op, self.offset + v)
-                self.p[v] = 0
-
-    def refinable(self, v, p_max):
-        run = self.runs.get(v)
-        if run is None:
-            return False
-        return not self.bounds.get(v, NodeBounds(v, 0, 1, 0)).exact and self.p[v] < p_max
+        self.bounds = {v: NodeBounds(v, 1.0, 1.0, p=0, exact=True) for v in self.zero_degree}
+        self.runs = {
+            v: BracketRun(op, offset + v, iv, EXP) for v in self.eligible if v not in self.zero_degree
+        }
 
     def refine(self, nodes, p_max):
-        """Push each node's bracket order up by one schedule step."""
-        todo = [v for v in sorted(nodes) if self.refinable(v, p_max)]
-
-        def work(v):
-            p_new = min(max(self.p[v] + P_STEP, P_START), p_max)
-            nb = radau_bounds_from_run(self.runs[v], p_new, self.iv, EXP)
-            return v, p_new, nb
-
-        if self.threads > 1 and len(todo) > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                results = list(pool.map(work, todo))
-        else:
-            results = [work(v) for v in todo]
-        for v, p_new, nb in results:
-            old = self.bounds.get(v)
-            if old is not None:
-                # brackets only tighten; intersect to wash out roundoff jitter
-                lower = max(old.lower, nb.lower)
-                upper = min(old.upper, nb.upper)
-                if lower > upper:
-                    lower = upper = 0.5 * (lower + upper)
-                nb = NodeBounds(nb.node, lower, upper, nb.p, nb.exact)
-            self.bounds[v] = nb
-            self.p[v] = max(p_new, self.p[v])
+        """Take one schedule step on each node that can still improve."""
+        todo = [v for v in sorted(nodes) if v in self.runs and self.runs[v].refinable(p_max)]
+        for v in todo:
+            self.bounds[v] = self.runs[v].refine(p_max)
         return len(todo) > 0
 
     def iterations(self):
-        return {v: (self.runs[v].steps if v in self.runs else 0) for v in self.eligible}
+        return {v: (self.runs[v].run.steps if v in self.runs else 0) for v in self.eligible}
 
 
 def _select_members(candidates, pool, k, tie_tol):
@@ -150,12 +117,12 @@ def _select_members(candidates, pool, k, tie_tol):
     return members, ties_note
 
 
-def _topk_engine(g, k, side, p_max, m, exclude_degree_one, order_members, threads, tie_tol):
+def _topk_engine(g, k, side, p_max, m, exclude_degree_one, order_members, tie_tol):
     if side not in ("hub", "authority"):
         raise ParameterError(f"side must be 'hub' or 'authority', got '{side}'")
     if p_max < P_START:
         raise ParameterError(f"p_max must be at least {P_START}")
-    pool = _BracketPool(g, side, exclude_degree_one, threads)
+    pool = _BracketPool(g, side, exclude_degree_one)
     eligible = pool.eligible
     if not 1 <= k <= len(eligible):
         raise ParameterError(f"k must be in [1, {len(eligible)}] (eligible nodes), got {k}")
@@ -229,7 +196,7 @@ def _topk_engine(g, k, side, p_max, m, exclude_degree_one, order_members, thread
     )
 
 
-def identify_top_k(g, k, side="hub", p_max=64, exclude_degree_one=False, order_members=True, threads=1, tie_tol=TIE_REL_TOL):
+def identify_top_k(g, k, side="hub", p_max=64, exclude_degree_one=False, order_members=True, tie_tol=TIE_REL_TOL):
     """Certified top-k nodes on one side, refining brackets only where needed.
 
     Round structure: prune candidates whose upper bound sits below the k-th
@@ -238,14 +205,14 @@ def identify_top_k(g, k, side="hub", p_max=64, exclude_degree_one=False, order_m
     bracket can improve, in which case near-identical scores are resolved by
     ascending node id and flagged in ``ties_note``.
     """
-    return _topk_engine(g, k, side, p_max, None, exclude_degree_one, order_members, threads, tie_tol)
+    return _topk_engine(g, k, side, p_max, None, exclude_degree_one, order_members, tie_tol)
 
 
-def rank_in_top_m(g, k, m, side="hub", p_max=64, exclude_degree_one=False, threads=1, tie_tol=TIE_REL_TOL):
+def rank_in_top_m(g, k, m, side="hub", p_max=64, exclude_degree_one=False, tie_tol=TIE_REL_TOL):
     """Relaxed selection: stop once the true top-k provably lies within top-m.
 
     Identical machinery to ``identify_top_k`` but rounds stop as soon as at
     most m candidates remain, which typically takes fewer Lanczos steps per
     node.  With m == k the two functions coincide.
     """
-    return _topk_engine(g, k, side, p_max, m, exclude_degree_one, False, threads, tie_tol)
+    return _topk_engine(g, k, side, p_max, m, exclude_degree_one, False, tie_tol)

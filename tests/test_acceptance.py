@@ -214,14 +214,14 @@ def test_criterion_10_pagerank(random_suite):
     print(f"\n[criterion 10] PASS - pagerank matches dense stationary vectors ({dangling_seen} dangling cases)")
 
 
-def _score_map(g, threads=1):
+def _score_map(g):
     out = {}
     out["degree-hub"], out["degree-auth"] = degree_scores(g)
     hh, ha = hits(g)
     out["hits-hub"], out["hits-auth"] = hh, ha
     eh, ea = exp_centrality_exact(g)
     out["exp-hub"], out["exp-auth"] = eh, ea
-    qh, qa = exp_centrality_quadrature(g, threads=threads)
+    qh, qa = exp_centrality_quadrature(g)
     out["quad-hub"], out["quad-auth"] = qh, qa
     sh, sa = truncated_spectral_scores(g, 1)
     out["spec-hub"], out["spec-auth"] = sh, sa

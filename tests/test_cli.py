@@ -299,6 +299,30 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded(ex1_file):
     assert lines[-1] == "False"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["topk", "--k", "2", "--side", "hub", "--json"], ["rank", "--method", "exp-quad", "--side", "hub", "--json"]],
+    ids=["topk", "exp-quad"],
+)
+def test_benchmark_tracer_runs_and_leaves_output_unchanged(ex1_file, tmp_path, args):
+    # perfbench/tracer.py wraps program functions by name; renaming one would otherwise break only the benchmark
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    argv = args[:1] + ["--input", ex1_file, "--base", "1"] + args[1:]
+    spans_path = tmp_path / "spans.json"
+    traced = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "tracer.py"), str(spans_path)] + argv,
+        capture_output=True, env=env,
+    )
+    plain = subprocess.run([sys.executable, "-m", "hubauth.cli"] + argv, capture_output=True, env=env)
+    assert traced.returncode == 0, traced.stderr
+    assert plain.returncode == 0, plain.stderr
+    assert traced.stdout == plain.stdout
+    names = [span[0] for span in json.loads(spans_path.read_text())["spans"]]
+    assert names.count("quadrature.radau") > 0
+    assert names.count("linalg.lanczos") > 0
+
+
 def test_compare_factors_a_once(ex1_file, capsys, monkeypatch):
     calls = []
     svd = np.linalg.svd

@@ -21,7 +21,7 @@ from hubauth import (
     tridiag_eigen,
 )
 
-from conftest import dense_adjacency, dense_bipartite, path_graph, scipy_expm
+from conftest import dense_adjacency, dense_bipartite, path_graph
 
 
 # --------------------------------------------------------------------- lanczos
@@ -156,10 +156,19 @@ def test_dense_expm_inverse_identity(ex1):
 
 
 def test_dense_expm_matches_scipy():
+    # dense_expm is scipy's expm; both oracles below are computed without it
     rng = np.random.default_rng(13)
     for scale in (0.5, 3.0, 20.0):
-        M = scale * rng.normal(size=(12, 12))
-        assert np.allclose(dense_expm(M), scipy_expm(M), rtol=1e-10, atol=1e-10)
+        X = rng.normal(size=(12, 12))
+        S = scale * (X + X.T) / 2
+        lam, Q = np.linalg.eigh(S)
+        assert np.allclose(dense_expm(S), (Q * np.exp(lam)) @ Q.T, rtol=1e-10, atol=1e-10)
+    M = 0.5 * rng.normal(size=(12, 12))
+    taylor = term = np.eye(12)
+    for j in range(1, 60):
+        term = term @ M / j
+        taylor = taylor + term
+    assert np.allclose(dense_expm(M), taylor, rtol=1e-10, atol=1e-10)
 
 
 def test_dense_expm_trace_identity(ex1):

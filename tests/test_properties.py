@@ -1,4 +1,4 @@
-"""Property tests of the exp-quad brackets and the dense scores.
+"""Property tests of the exp-quad brackets, top-k and the dense scores.
 
 Graphs are small random digraphs (n <= 12), edgeless and reducible ones
 included.  The bracket oracle is hub_i = sum_k cosh(sigma_k) U_ik^2
@@ -21,11 +21,14 @@ from hubauth import (
     exp_centrality_exact,
     exp_centrality_quadrature,
     from_edges,
+    identify_top_k,
+    rank_in_top_m,
     resolvent_bipartite,
     spectrum_interval,
 )
 from hubauth.linalg import LanczosRun
 from hubauth.quadrature import radau_bounds_from_run
+from hubauth.rankers import TIE_REL_TOL
 
 from conftest import dense_adjacency, dense_bipartite, scipy_expm
 
@@ -87,6 +90,34 @@ def test_radau_bracket_never_widens_on_a_reused_run(g, data):
         prev_width = nb.width
         if nb.exact:
             break
+
+
+@SETTINGS
+@given(digraphs(), st.data())
+def test_topk_brackets_certificate_and_relaxed_candidates_are_sound(g, data):
+    n = g.n
+    k = data.draw(st.integers(1, min(3, n)))
+    # p_max = 3 leaves wide brackets, so certification has something to decide
+    p_max = data.draw(st.sampled_from([3, 64]))
+    truth_both = svd_oracle(g)
+    sigma1 = np.linalg.norm(dense_adjacency(g), 2)
+    slack = 64 * np.finfo(float).eps * n * math.cosh(sigma1)
+    for offset, side in ((0, "hub"), (n, "authority")):
+        truth = truth_both[offset : offset + n]
+        report = identify_top_k(g, k, side=side, p_max=p_max)
+        relaxed = rank_in_top_m(g, k, min(2 * k, n), side=side, p_max=p_max)
+        for r in (report, relaxed):
+            for v, nb in r.bounds.items():
+                assert nb.lower - slack <= truth[v] <= nb.upper + slack
+        if report.certified:
+            worst = min(truth[v] for v in report.members)
+            worst_lower = min(report.bounds[v].lower for v in report.members)
+            for v in set(range(n)) - set(report.members):
+                assert truth[v] <= worst + TIE_REL_TOL * max(1.0, worst) + 2 * slack
+                # the certificate's own claim: the brackets separate
+                assert report.bounds[v].upper <= worst_lower + TIE_REL_TOL * max(1.0, abs(worst_lower))
+        kth = np.sort(truth)[::-1][k - 1]
+        assert {v for v in range(n) if truth[v] > kth} <= set(relaxed.candidates)
 
 
 def _assert_close(got, expected):

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import hubauth.quadrature
 from hubauth import (
     EXP,
     JacobiMatrix,
+    NodeBounds,
     ParameterError,
     ResolventKernel,
     bilinear_estimate,
@@ -20,7 +22,7 @@ from hubauth import (
     spectrum_interval,
 )
 from hubauth.linalg import LanczosRun
-from hubauth.quadrature import radau_bounds_from_run
+from hubauth.quadrature import P_START, P_STEP, BracketRun, radau_bounds_from_run
 
 from conftest import dense_bipartite, edgeless_graph, path_graph, scipy_expm
 
@@ -129,6 +131,59 @@ def test_radau_reused_run_matches_fresh(ex1):
         fresh = radau_bounds(op, 1, p, iv, EXP)
         assert incremental.lower == pytest.approx(fresh.lower, abs=1e-13)
         assert incremental.upper == pytest.approx(fresh.upper, abs=1e-13)
+
+
+# ------------------------------------------------------------------ BracketRun
+
+
+def test_bracket_run_schedule_tightens_to_the_exact_value(ex1):
+    op = bipartite_operator(ex1)
+    iv = spectrum_interval(ex1)
+    E = scipy_expm(dense_bipartite(ex1))
+    for index in range(op.dim):
+        node = BracketRun(op, index, iv, EXP)
+        orders, prev = [], None
+        while node.refinable(64):
+            nb = node.refine(64)
+            orders.append(node.p)
+            if prev is not None:
+                assert prev.lower <= nb.lower <= nb.upper <= prev.upper
+            prev = nb
+        assert nb.exact and nb.lower == nb.upper
+        assert nb.lower == pytest.approx(E[index, index], rel=1e-12)
+        scheduled = [P_START + P_STEP * j for j in range(len(orders))]
+        # every order follows the schedule, except a final exact step at the run's length
+        assert orders[:-1] == scheduled[:-1]
+        assert orders[-1] in (scheduled[-1], node.run.steps)
+
+
+def test_bracket_run_intersects_brackets_through_the_module_radau(ex1, monkeypatch):
+    # roundoff can move a later bracket outward or past the earlier one
+    scripted = iter([(1.0, 3.0), (1.5, 3.5), (3.2, 4.0)])
+
+    def radau(run, p, iv, f):
+        lower, upper = next(scripted)
+        return NodeBounds(run.start_index, lower, upper, p=p)
+
+    monkeypatch.setattr(hubauth.quadrature, "radau_bounds_from_run", radau)
+    node = BracketRun(bipartite_operator(ex1), 0, spectrum_interval(ex1), EXP)
+    for expected in ((1.0, 3.0), (1.5, 3.0), (3.1, 3.1)):
+        b = node.refine(64)
+        assert (b.lower, b.upper) == expected
+    assert node.p == P_START + 2 * P_STEP
+
+
+def test_bracket_run_stops_at_p_max(ex1):
+    # every run on ex1 breaks down only at step 8, so p_max = 4 ends it at order 4
+    op = bipartite_operator(ex1)
+    iv = spectrum_interval(ex1)
+    for index in range(op.dim):
+        node = BracketRun(op, index, iv, EXP)
+        node.refine(4)
+        node.refine(4)
+        assert node.p == 4
+        assert not node.bounds.exact
+        assert not node.refinable(4)
 
 
 # --------------------------------------------------------------- lobatto_bound

@@ -205,12 +205,6 @@ def test_exp_quadrature_brackets_contain_truth(ex1):
         assert nb.lower - 1e-10 <= E[i, i] <= nb.upper + 1e-10
 
 
-def test_exp_quadrature_threads_deterministic(ex1):
-    hub1, _ = exp_centrality_quadrature(ex1, threads=1)
-    hub4, _ = exp_centrality_quadrature(ex1, threads=4)
-    assert np.array_equal(hub1.scores, hub4.scores)
-
-
 def test_exp_quadrature_flags_unresolved_nodes(ex1):
     # a hopeless width target with almost no refinement budget
     hub, _ = exp_centrality_quadrature(ex1, p_max=3, width_tol=1e-15)

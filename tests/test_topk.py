@@ -134,16 +134,6 @@ def test_m_range_validated(ex1):
         rank_in_top_m(ex1, 1, 10, side="hub")
 
 
-def test_threads_do_not_change_report(ex1):
-    a = identify_top_k(ex1, 2, side="hub", threads=1)
-    b = identify_top_k(ex1, 2, side="hub", threads=4)
-    assert a.members == b.members
-    assert a.iterations == b.iterations
-    assert {v: (nb.lower, nb.upper) for v, nb in a.bounds.items()} == {
-        v: (nb.lower, nb.upper) for v, nb in b.bounds.items()
-    }
-
-
 def test_certification_separates_members_from_rest(ex1):
     report = identify_top_k(ex1, 2, side="authority")
     worst_member_lower = min(report.bounds[v].lower for v in report.members)
@@ -155,3 +145,26 @@ def test_certification_separates_members_from_rest(ex1):
 def test_side_validated(ex1):
     with pytest.raises(ParameterError):
         identify_top_k(ex1, 1, side="both")
+
+
+def test_breakdown_one_step_past_p_max_takes_the_exact_step():
+    # hub runs of nodes 0 and 2 break down at step 4 = p_max + 1: the exact
+    # full-Krylov bracket costs no further matvec, so it is taken
+    g = from_edges([(0, 3), (2, 0), (2, 1), (2, 3)], n=4)
+    report = identify_top_k(g, 3, side="hub", p_max=3)
+    hub, _ = exp_centrality_exact(g)
+    for v in (0, 2):
+        assert report.bounds[v].exact
+        assert report.bounds[v].lower == report.bounds[v].upper
+        assert report.bounds[v].lower == pytest.approx(hub.scores[v], rel=1e-12, abs=1e-12)
+    assert {v: report.iterations[v] for v in (0, 2)} == {0: 4, 2: 4}
+
+
+def test_overlapping_brackets_at_the_boundary_are_not_certified():
+    # hubs 1 and 2 mirror each other; at p_max = 3 their brackets overlap and are not exact
+    g = from_edges([(0, 1), (0, 2), (1, 2), (2, 1)], n=3)
+    report = identify_top_k(g, 2, side="hub", p_max=3)
+    assert report.members == [0, 1]
+    assert not report.certified
+    assert report.ties_note is not None
+    assert not report.bounds[2].exact
