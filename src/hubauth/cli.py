@@ -285,7 +285,11 @@ def _add_common(parser):
     parser.add_argument("--precision", choices=["default", "full"], default="default")
     parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     parser.add_argument("--tol", type=float, default=1e-10)
-    parser.add_argument("--pmax", type=int, default=40, help="maximum Lanczos steps per node")
+    parser.add_argument(
+        "--pmax", type=int, default=40,
+        help="maximum quadrature order per node for exp-quad, resolvent and topk (at least 3; one order "
+        "costs one product with A and one with A^T); for spectrum --ritz-out, the Lanczos steps",
+    )
     parser.add_argument("--max-iter", type=int, default=1000, dest="max_iter")
 
 

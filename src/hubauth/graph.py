@@ -1,4 +1,4 @@
-"""Directed-graph representation, file ingestion, and the bipartite operator.
+"""Directed-graph representation, file ingestion, and the operators built on A.
 
 A directed graph is stored in compressed sparse row form twice: once for the
 adjacency matrix A (``forward``) and once for its transpose (``reverse``), so
@@ -17,6 +17,7 @@ from .errors import GraphFormatError
 __all__ = [
     "DirectedGraph",
     "BipartiteOperator",
+    "GramOperator",
     "from_edges",
     "load_edge_list",
     "load_matrix_market",
@@ -115,6 +116,36 @@ class BipartiteOperator:
         top = self.graph.forward @ x[n:]
         bottom = self.graph.reverse @ x[:n]
         return np.concatenate([top, bottom])
+
+
+@dataclass(frozen=True)
+class GramOperator:
+    """A A^T (side "hub") or A^T A (side "authority") of dimension n, never formed.
+
+    These are the squares of the bipartite operator's diagonal blocks, so the
+    hub block of e^B is cosh(sqrt(A A^T)) and the authority block
+    cosh(sqrt(A^T A)).  ``matmat`` applies the operator to an n x b block as
+    two sparse products; each column gets the same arithmetic as on its own.
+    """
+
+    graph: DirectedGraph
+    side: str
+
+    def __post_init__(self):
+        if self.side not in ("hub", "authority"):
+            raise ValueError(f"side must be 'hub' or 'authority', got '{self.side}'")
+
+    @property
+    def dim(self):
+        return self.graph.n
+
+    def matmat(self, X):
+        g = self.graph
+        if self.side == "hub":
+            return g.forward @ (g.reverse @ X)
+        return g.reverse @ (g.forward @ X)
+
+    matvec = matmat
 
 
 def from_edges(edges, n=None, index_base=0, weighted=False):

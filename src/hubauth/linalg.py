@@ -1,4 +1,4 @@
-"""Numerical kernels: Lanczos, tridiagonal eigensolver, the shared dense SVD,
+"""Numerical kernels: batched Lanczos, tridiagonal eigensolver, the shared dense SVD,
 matrix exponentials, and power-iteration spectral estimates.
 
 Everything here is deterministic: start vectors are fixed (unit vectors for
@@ -61,7 +61,7 @@ class JacobiMatrix:
 
 
 class _DenseOperator:
-    """Adapter presenting a square ndarray through the matvec protocol."""
+    """Adapter presenting a square ndarray through the operator protocol."""
 
     def __init__(self, mat):
         self.mat = np.asarray(mat, dtype=float)
@@ -75,6 +75,8 @@ class _DenseOperator:
     def matvec(self, x):
         return self.mat @ x
 
+    matmat = matvec
+
 
 def _as_operator(op):
     if hasattr(op, "matvec") and hasattr(op, "dim"):
@@ -82,92 +84,143 @@ def _as_operator(op):
     return _DenseOperator(op)
 
 
+def _start_block(start, dim):
+    """(start vectors as the rows of a b x dim array, start_index) for LanczosRun."""
+    start = np.asarray(start)
+    if start.dtype.kind == "f":
+        if start.shape != (dim,):
+            raise ValueError(f"start vector must have length {dim}, got shape {start.shape}")
+        return start[None].copy(), -1
+    if start.dtype.kind not in "iu" or start.ndim > 1 or start.size == 0:
+        raise ValueError("start must be a node index, a sequence of node indices or a unit vector")
+    index = np.atleast_1d(start)
+    bad = index[(index < 0) | (index >= dim)]
+    if bad.size:
+        raise ValueError(f"start index {bad[0]} outside [0, {dim})")
+    block = np.zeros((index.size, dim))
+    block[np.arange(index.size), index] = 1.0
+    return block, (int(start) if start.ndim == 0 else index)
+
+
 class LanczosRun:
     """Incremental Lanczos tridiagonalization with full reorthogonalization.
 
-    The basis is retained so a run can be extended to a higher order later
-    without recomputation (the top-k refinement loop relies on this).  All
-    runs start from a unit coordinate vector.
+    A run advances b independent recurrences together, one column per start
+    vector: each step applies the operator once to the dim x b block of
+    current vectors (``op.matmat``; ``op.matvec`` for a one-column run),
+    reorthogonalizes every column against its own basis only (stacked
+    matrix products over the columns), and lets each column break down on
+    its own.  ``start`` is a node index (a one-column run from that unit
+    coordinate vector), a sequence of node indices (one column each) or a
+    unit float vector.
+
+    ``steps`` counts block steps; ``lengths`` and ``broken`` hold each
+    column's completed steps and breakdown flag.  The basis is retained so a
+    run can be extended to a higher order later without recomputation.
     """
 
-    def __init__(self, op, start_index):
+    def __init__(self, op, start):
         self.op = _as_operator(op)
-        if not 0 <= start_index < self.op.dim:
-            raise ValueError(f"start index {start_index} outside [0, {self.op.dim})")
-        self.start_index = start_index
-        v0 = np.zeros(self.op.dim)
-        v0[start_index] = 1.0
-        # basis grows by column; capacity doubles on demand
-        self._basis = np.zeros((self.op.dim, 8))
-        self._basis[:, 0] = v0
-        self._nvec = 1
-        self.alpha = []
+        block, self.start_index = _start_block(start, self.op.dim)
+        self.columns = block.shape[0]
+        self._basis = block[:, None]  # (b, vectors, dim): each column's basis is contiguous
+        self.alpha = []  # one length-b array per step
         self.beta = []
-        self.breakdown = False
-        self._scale = 0.0
+        self.lengths = np.zeros(self.columns, dtype=int)
+        self.broken = np.zeros(self.columns, dtype=bool)
+        self._scale = np.zeros(self.columns)
 
     @property
     def steps(self):
         return len(self.alpha)
 
-    def _push_vector(self, v):
-        if self._nvec == self._basis.shape[1]:
-            grown = np.zeros((self.op.dim, 2 * self._basis.shape[1]))
-            grown[:, : self._nvec] = self._basis[:, : self._nvec]
+    @property
+    def breakdown(self):
+        """Whether every column has broken down (the one column, for a one-column run)."""
+        return bool(self.broken.all())
+
+    def _reserve(self, count):
+        if self._basis.shape[1] < count:
+            grown = np.zeros((self.columns, count, self.op.dim))
+            grown[:, : self.steps + 1] = self._basis[:, : self.steps + 1]
             self._basis = grown
-        self._basis[:, self._nvec] = v
-        self._nvec += 1
+
+    def _apply(self, V):
+        """The operator applied to each row of V (b x dim), as a new b x dim array."""
+        if self.columns == 1:
+            return np.array(self.op.matvec(V[0]), dtype=float)[None]
+        return np.ascontiguousarray(self.op.matmat(V.T).T)
 
     def extend(self, p):
-        """Run Lanczos until p steps are complete or breakdown stops it.
+        """Run Lanczos until every column has p steps or has broken down.
 
         Requests beyond the operator dimension are capped there: once the
-        basis spans the whole space the factorization is exact and the run
-        reports breakdown.
+        basis spans the whole space the factorization is exact and the
+        column reports breakdown.  A broken column carries zero vectors from
+        then on, so it changes no other column's arithmetic.
         """
         p = min(p, self.op.dim)
+        self._reserve(p + 1)
         while self.steps < p and not self.breakdown:
             j = self.steps
-            v = self._basis[:, j]
-            w = self.op.matvec(v)
-            a = float(v @ w)
-            w = w - a * v
+            V = self._basis[:, j]
+            W = self._apply(V)
+            a = np.einsum("ji,ji->j", V, W)
+            W -= a[:, None] * V
             if j > 0:
-                w = w - self.beta[j - 1] * self._basis[:, j - 1]
+                W -= self.beta[j - 1][:, None] * self._basis[:, j - 1]
             # full reorthogonalization, two passes (second pass scrubs the
             # residual left by cancellation in the first)
-            Q = self._basis[:, : self._nvec]
+            Q = self._basis[:, : j + 1]
             for _ in range(2):
-                w = w - Q @ (Q.T @ w)
-            b = float(np.linalg.norm(w))
+                W -= np.matmul(np.matmul(Q, W[:, :, None]).transpose(0, 2, 1), Q)[:, 0]
+            b = np.sqrt(np.einsum("ji,ji->j", W, W))
+            live = ~self.broken
+            self._scale = np.maximum(self._scale, np.maximum(np.abs(a), b))
+            self.lengths[live] += 1
+            self.broken |= live & (b <= BREAKDOWN_RTOL * self._scale)
             self.alpha.append(a)
-            self._scale = max(self._scale, abs(a), b)
-            if b <= BREAKDOWN_RTOL * self._scale:
-                self.breakdown = True
-            else:
-                self.beta.append(b)
-                self._push_vector(w / b)
-        if self.steps >= self.op.dim:
-            self.breakdown = True
+            self.beta.append(b)
+            self._basis[:, j + 1] = W / np.where(self.broken, np.inf, b)[:, None]
+        self.broken |= self.lengths >= self.op.dim
         return self
 
-    def jacobi(self, p=None):
-        """Jacobi matrix of the leading p completed steps."""
-        if p is None:
-            p = self.steps
+    def retain(self, keep):
+        """Keep only the columns listed in ``keep``, in that order."""
+        keep = np.asarray(keep, dtype=int)
+        self._basis = self._basis[keep]
+        self.alpha = [a[keep] for a in self.alpha]
+        self.beta = [b[keep] for b in self.beta]
+        self.lengths = self.lengths[keep]
+        self.broken = self.broken[keep]
+        self._scale = self._scale[keep]
+        self.start_index = np.atleast_1d(self.start_index)[keep]
+        self.columns = keep.size
+
+    def coefficients(self, p):
+        """alpha and beta of the leading p steps of every column, each (b, p).
+
+        Column c's entries are valid up to its own length; beta[c, p-1]
+        couples its order-p matrix to step p+1.
+        """
         if p > self.steps:
             raise ValueError(f"only {self.steps} steps available, asked for {p}")
-        return JacobiMatrix(np.array(self.alpha[:p]), np.array(self.beta[: p - 1] if p > 1 else []))
+        shape = (self.columns, p)
+        return np.array(self.alpha[:p]).T.reshape(shape), np.array(self.beta[:p]).T.reshape(shape)
 
-    def next_offdiag(self, p):
-        """The off-diagonal coupling the order-p matrix to step p+1."""
-        if len(self.beta) < p:
-            raise ValueError("run has not been extended past step p")
-        return self.beta[p - 1]
+    def jacobi(self, p=None, col=0):
+        """Jacobi matrix of the leading p completed steps of one column."""
+        if p is None:
+            p = int(self.lengths[col])
+        if p > self.lengths[col]:
+            raise ValueError(f"only {self.lengths[col]} steps available, asked for {p}")
+        alpha, beta = self.coefficients(p)
+        return JacobiMatrix(alpha[col], beta[col, : p - 1])
 
-    def basis(self):
-        """Orthonormal Lanczos vectors computed so far (columns)."""
-        return self._basis[:, : self._nvec].copy()
+    def basis(self, col=0):
+        """Orthonormal Lanczos vectors of one column computed so far (columns)."""
+        count = self.lengths[col] + (not self.broken[col])
+        return self._basis[col, :count].T.copy()
 
 
 def lanczos(op, start_node, p_max):
@@ -266,13 +319,18 @@ def expm_action(g, v, transpose=False, rel_tol=1e-10):
 
 @dataclass
 class SpectralEstimate:
-    """Leading two singular values of A with convergence diagnostics."""
+    """Leading two singular values of A with convergence diagnostics.
+
+    ``vector`` is the last iterate for the leading right singular vector
+    (None for an edgeless graph).
+    """
 
     sigma1: float
     sigma2: float
     iterations: int
     converged: bool
     residual: float
+    vector: np.ndarray = None
 
 
 @dataclass
@@ -344,7 +402,7 @@ def power_singular_pair(g, tol=1e-10, max_iter=5000):
             z = y
         sigma2 = float(np.linalg.norm(spmv(g, z)))
     sigma2 = min(sigma2, sigma1)
-    return SpectralEstimate(sigma1, sigma2, iterations, converged, residual)
+    return SpectralEstimate(sigma1, sigma2, iterations, converged, residual, x)
 
 
 def spectral_radius(g, tol=1e-10, max_iter=5000):

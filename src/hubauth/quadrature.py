@@ -7,27 +7,40 @@ Prescribing one endpoint of the spectrum (Radau) or both (Lobatto) turns the
 estimates into one-sided bounds for functions with sign-definite derivatives,
 which is what makes certified score brackets possible.
 
-Only the exponential and the resolvent are admitted: their derivatives are
-all positive on the relevant interval, so the bound directions are fixed
-(Gauss and Radau-at-a from below, Radau-at-b and Lobatto from above).
-Arbitrary callables are rejected because no bound direction is justified.
+The rankers integrate over the Gram matrices A A^T (hubs) and A^T A
+(authorities), whose spectra lie in [0, sigma_1^2]: the hub block of the
+bipartite exponential is cosh(sqrt(A A^T)), the resolvent's is
+(I - c^2 A A^T)^{-1}.  The left Radau node is then exactly 0, and the right
+one is the square of the proved bound from ``spectrum_interval``.
+
+Only the exponential, its Gram form cosh(sqrt(x)) and the resolvent are
+admitted: their derivatives are all positive on the relevant interval, so
+the bound directions are fixed (Gauss and Radau-at-a from below, Radau-at-b
+and Lobatto from above).  Arbitrary callables are rejected because no bound
+direction is justified.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
-from .graph import bipartite_operator
-from .linalg import LanczosRun, JacobiMatrix, tridiag_eigen, power_singular_pair
+from .errors import ConvergenceError, ParameterError
+from .graph import bipartite_operator, spmv
+from .linalg import LanczosRun, JacobiMatrix, power_singular_pair
 
 __all__ = [
     "EXP",
+    "COSH_SQRT",
     "ExpKernel",
+    "CoshSqrtKernel",
     "ResolventKernel",
     "SpectrumInterval",
     "NodeBounds",
     "spectrum_interval",
+    "gram_interval",
+    "block_width",
+    "check_p_max",
     "gauss_estimate",
     "radau_bounds",
     "radau_bounds_from_run",
@@ -39,6 +52,9 @@ __all__ = [
 # Bracket order schedule: P_START, then +P_STEP per refinement step.
 P_START = 3
 P_STEP = 2
+
+# A block run holds about this many vector entries per basis vector (4 MB).
+BLOCK_ENTRIES = 2**19
 
 
 @dataclass(frozen=True)
@@ -80,11 +96,31 @@ class ResolventKernel:
             )
 
 
+@dataclass(frozen=True)
+class CoshSqrtKernel:
+    """f(x) = cosh(sqrt(x)) = sum_k x^k / (2k)!: the exponential through a Gram matrix.
+
+    The series defines f on all of R (cos(sqrt(-x)) for x < 0), so a Ritz
+    value that roundoff puts just below 0 is still integrated exactly.
+    """
+
+    name = "cosh-sqrt"
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        root = np.sqrt(np.abs(x))
+        return np.where(x >= 0, np.cosh(root), np.cos(root))
+
+    def check_nodes(self, nodes):
+        return None
+
+
 EXP = ExpKernel()
+COSH_SQRT = CoshSqrtKernel()
 
 
 def _require_kernel(f):
-    if not isinstance(f, (ExpKernel, ResolventKernel)):
+    if not isinstance(f, (ExpKernel, CoshSqrtKernel, ResolventKernel)):
         raise ParameterError(
             "only the exponential and resolvent kernels carry certified bound directions"
         )
@@ -128,22 +164,44 @@ class NodeBounds:
         return 0.5 * (self.lower + self.upper)
 
 
-def spectrum_interval(g, estimate=None, pad=0.01):
-    """Symmetric interval [-b, b] containing the bipartite spectrum.
+def spectrum_interval(g, estimate=None):
+    """Symmetric interval [-b, b] proved to contain the bipartite spectrum.
 
-    b is the smaller of the padded singular-value estimate and the
-    Gershgorin row-sum bound of the bipartite matrix (which is always valid,
-    padding or not).
+    b^2 bounds sigma_1^2 = lambda_max(A^T A) by the smaller of two facts:
+    the Collatz-Wielandt bound max_i (A^T A x)_i / x_i, which holds for
+    every positive x because A^T A is nonnegative (x is the power iterate of
+    ``estimate``, floored at 1e-12), and ||A||_1 ||A||_inf.  Both are
+    computed from sums of at most d nonnegative terms (d = largest in-degree
+    plus largest out-degree), so roundoff understates them by at most about
+    d + 3 unit roundoffs; b^2 is inflated by four times that, which also
+    covers rounding b = sqrt(b^2) and squaring it back.
     """
     if estimate is None:
         estimate = power_singular_pair(g)
-    gersh = float(max(g.out_strengths().max(initial=0.0), g.in_strengths().max(initial=0.0)))
-    if estimate.sigma1 == 0.0 and gersh == 0.0:
+    norms = float(g.in_strengths().max(initial=0.0) * g.out_strengths().max(initial=0.0))
+    x = np.ones(g.n) if estimate.vector is None else np.maximum(np.abs(estimate.vector), 1e-12)
+    bound = min(float(np.max(spmv(g, spmv(g, x), transpose=True) / x)), norms)
+    if bound == 0.0:
         return SpectrumInterval(-1.0, 1.0)
-    b = min((1.0 + pad) * estimate.sigma1, gersh)
-    if b <= 0.0:
-        b = max(estimate.sigma1, gersh)
+    d = int(g.in_degrees().max() + g.out_degrees().max())
+    b = math.sqrt(bound * (1.0 + 2 * (d + 4) * np.finfo(float).eps))
     return SpectrumInterval(-b, b)
+
+
+def gram_interval(iv):
+    """[0, b^2]: contains the spectra of A A^T and A^T A when [-b, b] contains the bipartite one."""
+    return SpectrumInterval(0.0, iv.b**2)
+
+
+def block_width(dim):
+    """Columns per block run on operators of dimension ``dim``."""
+    return max(1, BLOCK_ENTRIES // dim)
+
+
+def check_p_max(p_max):
+    """Reject a maximum order below the schedule's first one."""
+    if p_max < P_START:
+        raise ParameterError(f"p_max must be at least {P_START}, got {p_max}")
 
 
 def gauss_estimate(J, f):
@@ -152,9 +210,7 @@ def gauss_estimate(J, f):
     For the exponential this is a lower bound on the true bilinear form.
     """
     f = _require_kernel(f)
-    nodes, weights = tridiag_eigen(J)
-    f.check_nodes(nodes)
-    return float(weights @ f(nodes))
+    return float(_gauss_stacked(J.alpha[None], J.beta[None], f)[0])
 
 
 def _solve_tridiagonal(J, tau, rhs):
@@ -163,93 +219,149 @@ def _solve_tridiagonal(J, tau, rhs):
     return np.linalg.solve(dense, rhs)
 
 
-def _radau_matrix(J, gamma_next, tau):
-    """Extend J by one row so that tau becomes an eigenvalue (prescribed node)."""
-    p = J.order
-    rhs = np.zeros(p)
-    rhs[-1] = gamma_next**2
-    delta = _solve_tridiagonal(J, tau, rhs)
-    alpha = np.append(J.alpha, tau + delta[-1])
-    beta = np.append(J.beta, gamma_next)
-    return JacobiMatrix(alpha, beta)
+def _stacked(alpha, beta):
+    """Dense symmetric tridiagonal matrices (m, p, p) from alpha (m, p) and beta (m, p-1)."""
+    m, p = alpha.shape
+    J = np.zeros((m, p, p))
+    i = np.arange(p)
+    J[:, i, i] = alpha
+    J[:, i[:-1], i[1:]] = beta
+    J[:, i[1:], i[:-1]] = beta
+    return J
 
 
-def _prescribed_estimate(J, ritz, gamma_next, tau, f, iv):
-    """Radau-modified estimate with one retry when tau hits a Ritz value of J."""
+def _gauss_stacked(alpha, beta, f):
+    """Gauss rule e_1^T f(J) e_1 for each of a stack of Jacobi matrices.
+
+    The nodes are J's eigenvalues and the weights the squared first
+    entries of its eigenvectors.
+    """
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+        raise ConvergenceError("Gauss rule given non-finite Jacobi entries")
+    nodes, vectors = np.linalg.eigh(_stacked(alpha, beta))
+    f.check_nodes(nodes.ravel())
+    return np.einsum("mk,mk->m", vectors[:, 0, :] ** 2, f(nodes))
+
+
+def _radau_stacked(alpha, beta, ritz, tau, f, iv):
+    """Radau-modified estimates with node tau prescribed; alpha, beta (m, p).
+
+    beta[:, p-1] is the coupling gamma_p to step p+1.  A column whose Ritz
+    values hit tau pushes its node outward once.
+    """
+    m, p = alpha.shape
     span = max(iv.b - iv.a, 1.0)
-    if np.min(np.abs(ritz - tau)) <= 1e-13 * span:
-        # prescribed node collides with a Ritz value: push it outward once
-        tau = tau + np.copysign(1e-8 * span, tau - np.mean(ritz))
-        if np.min(np.abs(ritz - tau)) <= 1e-13 * span:
-            raise ParameterError(f"prescribed node {tau} collides with a Ritz value")
-    return gauss_estimate(_radau_matrix(J, gamma_next, tau), f)
+    tau = np.full(m, float(tau))
+    for attempt in range(2):
+        hit = np.min(np.abs(ritz - tau[:, None]), axis=1) <= 1e-13 * span
+        if not hit.any():
+            break
+        if attempt:
+            raise ParameterError(f"prescribed node {tau[hit][0]} collides with a Ritz value")
+        tau[hit] += np.copysign(1e-8 * span, tau[hit] - ritz[hit].mean(axis=1))
+    shifted = _stacked(alpha - tau[:, None], beta[:, :-1])
+    rhs = np.zeros((m, p, 1))
+    rhs[:, -1, 0] = beta[:, -1] ** 2
+    delta = np.linalg.solve(shifted, rhs)[:, -1, 0]
+    return _gauss_stacked(np.column_stack([alpha, tau + delta]), beta, f)
 
 
 def radau_bounds_from_run(run, p, iv, f):
-    """Gauss-Radau bracket at order p from a (re-usable) Lanczos run.
+    """Gauss-Radau brackets at order p for every column of a (re-usable) Lanczos run.
 
     The run is extended to p+1 steps because the modification needs the
-    off-diagonal coupling gamma_p.  On breakdown at or before p the Gauss
-    value is exact and the bracket collapses.
+    off-diagonal coupling gamma_p.  A column that breaks down within those
+    steps has its whole Krylov space: its Gauss value is exact and the
+    bracket collapses.  The brackets of the other columns come from stacked
+    eigensolves and solves.  Returns one NodeBounds for a run started from
+    one index or vector, else a list in column order.
     """
     f = _require_kernel(f)
     run.extend(p + 1)
-    if run.breakdown and run.steps <= p:
-        value = gauss_estimate(run.jacobi(), f)
-        return NodeBounds(run.start_index, value, value, p=run.steps, exact=True)
-    J = run.jacobi(p)
-    gamma_next = run.next_offdiag(p)
-    ritz, _ = tridiag_eigen(J)
-    lower = _prescribed_estimate(J, ritz, gamma_next, iv.a, f, iv)
-    upper = _prescribed_estimate(J, ritz, gamma_next, iv.b, f, iv)
+    exact = run.broken & (run.lengths <= p + 1)
+    lower = np.empty(run.columns)
+    upper = np.empty(run.columns)
+    order = np.where(exact, run.lengths, p)
+    for length in np.unique(run.lengths[exact]):
+        cols = exact & (run.lengths == length)
+        alpha, beta = run.coefficients(length)
+        lower[cols] = upper[cols] = _gauss_stacked(alpha[cols], beta[cols, : length - 1], f)
+    if not exact.all():
+        alpha, beta = run.coefficients(p)
+        alpha, beta = alpha[~exact], beta[~exact]
+        ritz = np.linalg.eigvalsh(_stacked(alpha, beta[:, :-1]))
+        low = _radau_stacked(alpha, beta, ritz, iv.a, f, iv)
+        high = _radau_stacked(alpha, beta, ritz, iv.b, f, iv)
+        # the two can only cross through roundoff once the bracket has collapsed
+        lower[~exact] = np.minimum(low, high)
+        upper[~exact] = np.maximum(low, high)
+    nodes = np.atleast_1d(run.start_index)
+    bounds = [
+        NodeBounds(int(nodes[c]), float(lower[c]), float(upper[c]), p=int(order[c]), exact=bool(exact[c]))
+        for c in range(run.columns)
+    ]
+    return bounds[0] if np.ndim(run.start_index) == 0 else bounds
+
+
+def _intersect(old, new):
+    lower = max(old.lower, new.lower)
+    upper = min(old.upper, new.upper)
     if lower > upper:
-        # only possible through roundoff once the bracket has collapsed
-        lower, upper = min(lower, upper), max(lower, upper)
-    return NodeBounds(run.start_index, lower, upper, p=p, exact=False)
+        lower = upper = 0.5 * (lower + upper)
+    return NodeBounds(new.node, lower, upper, new.p, new.exact)
 
 
 class BracketRun:
-    """One node's Lanczos run and the tightest Radau bracket seen so far.
+    """Radau brackets for a block of start nodes, refined along one schedule.
 
-    Each ``refine`` step takes the next order of the schedule (P_START first,
-    then +P_STEP capped at p_max) and intersects the new bracket with the old
-    one, which keeps the bracket monotone under roundoff jitter.  Once the
-    run has broken down, the next step uses the whole Krylov space and is
-    exact, whatever p_max is.
+    ``start`` is what ``LanczosRun`` takes.  For one index, ``refine`` and
+    ``bounds`` give one NodeBounds; for a sequence, one per column.  Each
+    ``refine`` step takes the next order of the schedule (P_START first,
+    then +P_STEP capped at p_max) on every column and intersects each new
+    bracket with the node's old one, which keeps brackets monotone under
+    roundoff jitter; a crossed pair collapses to its midpoint.  A column
+    whose run breaks down takes the exact step, whatever p_max is.
+
+    ``bounds`` and ``p`` resume a rebuilt run: the brackets and the order
+    its nodes already reached (a run rebuilt from the same start vectors
+    repeats the same recurrence).  ``retain`` drops the columns that need
+    no further step.
     """
 
-    def __init__(self, op, index, iv, f):
-        self.run = LanczosRun(op, index)
+    def __init__(self, op, start, iv, f, bounds=None, p=0):
+        self.run = LanczosRun(op, start)
         self.iv = iv
         self.f = f
-        self.p = 0
-        self.bounds = None
+        self.p = p
+        self._bounds = bounds
+
+    @property
+    def bounds(self):
+        if self._bounds is not None and np.ndim(self.run.start_index) == 0:
+            return self._bounds[0]
+        return self._bounds
 
     def refinable(self, p_max):
-        """Whether a further ``refine`` step can tighten the bracket."""
-        if self.bounds is not None and self.bounds.exact:
+        """Whether a further ``refine`` step can tighten some bracket."""
+        if self._bounds is not None and all(b.exact for b in self._bounds):
             return False
-        return self.run.breakdown or self.p < p_max
+        return self.p < p_max
 
     def refine(self, p_max):
-        """Take one schedule step and return the tightened bracket."""
-        if self.run.breakdown:
-            p = self.run.steps
-        elif self.p == 0:
-            p = P_START
-        else:
-            p = min(self.p + P_STEP, p_max)
-        nb = radau_bounds_from_run(self.run, p, self.iv, self.f)
-        old = self.bounds
-        if old is not None:
-            lower = max(old.lower, nb.lower)
-            upper = min(old.upper, nb.upper)
-            if lower > upper:
-                lower = upper = 0.5 * (lower + upper)
-            nb = NodeBounds(nb.node, lower, upper, nb.p, nb.exact)
+        """Take one schedule step on every column and return the tightened brackets."""
+        p = P_START if self.p == 0 else min(self.p + P_STEP, p_max)
+        new = radau_bounds_from_run(self.run, p, self.iv, self.f)
+        new = [new] if isinstance(new, NodeBounds) else new
+        if self._bounds is not None:
+            new = [_intersect(old, nb) for old, nb in zip(self._bounds, new)]
         self.p = p
-        self.bounds = nb
-        return nb
+        self._bounds = new
+        return self.bounds
+
+    def retain(self, keep):
+        """Keep only the columns listed in ``keep``, in that order."""
+        self.run.retain(keep)
+        self._bounds = [self._bounds[j] for j in keep]
 
 
 def radau_bounds(op, node, p, iv, f):
@@ -304,14 +416,5 @@ def bilinear_estimate(op, u_node, v_node, p, f, graph=None):
 
 def _quadratic_form(op, w, p, f):
     norm_sq = float(w @ w)
-    run = _LanczosFromVector(op, w / np.sqrt(norm_sq)).extend(p)
+    run = LanczosRun(op, w / np.sqrt(norm_sq)).extend(p)
     return norm_sq * gauss_estimate(run.jacobi(), f)
-
-
-class _LanczosFromVector(LanczosRun):
-    """Lanczos run whose start vector is arbitrary instead of a coordinate axis."""
-
-    def __init__(self, op, v0):
-        super().__init__(op, 0)
-        self._basis[:, 0] = np.asarray(v0, dtype=float)
-        self.start_index = -1

@@ -7,12 +7,12 @@ the bipartite doubling is internal.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError, SizeLimitError
-from .graph import bipartite_operator, degrees, spmv
+from .graph import GramOperator, bipartite_operator, degrees, spmv
 from .linalg import (
     DENSE_DIM_LIMIT,
     dense_svd,
@@ -20,7 +20,17 @@ from .linalg import (
     power_singular_pair,
     spectral_radius,
 )
-from .quadrature import EXP, BracketRun, ResolventKernel, bilinear_estimate, spectrum_interval
+from .quadrature import (
+    COSH_SQRT,
+    EXP,
+    BracketRun,
+    ResolventKernel,
+    bilinear_estimate,
+    block_width,
+    check_p_max,
+    gram_interval,
+    spectrum_interval,
+)
 
 __all__ = [
     "TIE_REL_TOL",
@@ -195,46 +205,62 @@ def _sides(side):
 def _refine_sides(g, iv, f, p_max, width_tol, sides):
     """Brackets for every node on the given sides: one (bounds, unresolved) pair per side.
 
-    Hub i is bipartite index i and authority i is index n+i; only the
-    indices of the requested sides enter Lanczos.  Each node is refined
-    until its bracket is exact, narrower than ``width_tol`` relative to the
-    score, or at ``p_max``; its run is dropped before the next node starts.
+    Hub i is e_i^T f(A A^T) e_i and authority i is e_i^T f(A^T A) e_i, with
+    f the Gram form of the kernel and brackets on [0, b^2]; brackets carry
+    the bipartite index of their node (i for hub i, n + i for authority i).
+    Nodes are refined in blocks of ``block_width(n)`` start vectors; a node
+    leaves its block once its bracket is exact, narrower than ``width_tol``
+    relative to the score, or at ``p_max``, and each block's run is dropped
+    before the next block starts.
     """
     n = g.n
-    op = bipartite_operator(g)
+    iv = gram_interval(iv)
+    width = block_width(n)
 
     def settled(b):
         return b.exact or b.width <= width_tol * max(1.0, abs(b.lower))
 
     results = []
     for side in sides:
-        offset = 0 if side == "hub" else n
-        bounds = []
-        for i in range(n):
-            node = BracketRun(op, offset + i, iv, f)
-            b = node.refine(p_max)
-            while not settled(b) and node.refinable(p_max):
-                b = node.refine(p_max)
-            bounds.append(b)
-        results.append((bounds, [i for i, b in enumerate(bounds) if not settled(b)]))
+        op = GramOperator(g, side)
+        bounds = [None] * n
+        for first in range(0, n, width):
+            block = BracketRun(op, np.arange(first, min(first + width, n)), iv, f)
+            while True:
+                brackets = block.refine(p_max)
+                for b in brackets:
+                    bounds[b.node] = b
+                if not block.refinable(p_max):
+                    break
+                block.retain([j for j, b in enumerate(brackets) if not settled(b)])
+                if not block.run.columns:
+                    break
+        unresolved = [i for i, b in enumerate(bounds) if not settled(b)]
+        if side == "authority":
+            bounds = [replace(b, node=n + b.node) for b in bounds]
+        results.append((bounds, unresolved))
     return results
 
 
 def exp_centrality_quadrature(g, p_max=40, width_tol=1e-8, side=None):
     """Exponential centrality scored by certified Gauss-Radau brackets.
 
-    Per node the bracket is refined (p = 3, 5, ...) until its width falls
-    below ``width_tol`` relative to the score or ``p_max`` is reached; the
+    The hub block of e^B is cosh(sqrt(A A^T)) and the authority block
+    cosh(sqrt(A^T A)), so each score is a Radau integral over a Gram matrix.
+    Per node the bracket is refined (orders p = 3, 5, ..., where one order
+    costs one product with A and one with A^T) until its width falls below
+    ``width_tol`` relative to the score or ``p_max`` is reached; the
     reported score is the bracket midpoint and the bracket itself lands in
     the diagnostics.  Nodes whose brackets stay wide are flagged, never
     dropped.  Returns (hub, authority), or with ``side`` set only that
     side's ScoreVector, computed without touching the other half.
     """
     sides = _sides(side)
+    check_p_max(p_max)
     iv = spectrum_interval(g)
     params = {"p_max": p_max, "width_tol": width_tol}
     vectors = []
-    for name, (bounds, unresolved) in zip(sides, _refine_sides(g, iv, EXP, p_max, width_tol, sides)):
+    for name, (bounds, unresolved) in zip(sides, _refine_sides(g, iv, COSH_SQRT, p_max, width_tol, sides)):
         diag = {"bounds": bounds, "unresolved": unresolved}
         vectors.append(ScoreVector("exp-quad", name, np.array([b.midpoint for b in bounds]), params, diag))
     return tuple(vectors) if side is None else vectors[0]
@@ -351,8 +377,9 @@ def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, side=N
     """Diagonals of (I - c^2 A A^T)^{-1} (hubs) and (I - c^2 A^T A)^{-1} (authorities).
 
     These are the diagonal blocks of the bipartite resolvent (I - c op)^{-1},
-    so the quadrature path runs the Radau machinery with the resolvent
-    kernel; the dense path reads them off the SVD of A.  Requires
+    so the quadrature path runs the Radau machinery with the kernel
+    1/(1 - c^2 x) on the Gram matrices (orders up to ``p_max``); the dense
+    path reads them off the SVD of A.  Requires
     0 < c < 1/sigma_1.  Returns (hub, authority), or with ``side`` set only
     that side's ScoreVector (quadrature then skips the other half).
     """
@@ -381,8 +408,9 @@ def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, side=N
             scores = (U**2) @ f if name == "hub" else f @ (Vt**2)
             vectors.append(ScoreVector("resolvent", name, scores, params))
     else:
+        check_p_max(p_max)
         iv = spectrum_interval(g, estimate=est)
-        kernel = ResolventKernel(c)
+        kernel = ResolventKernel(c**2)
         for name, (bounds, _) in zip(sides, _refine_sides(g, iv, kernel, p_max, width_tol, sides)):
             scores = np.array([b.midpoint for b in bounds])
             vectors.append(ScoreVector("resolvent", name, scores, params, {"bounds": bounds}))

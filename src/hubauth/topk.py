@@ -1,14 +1,15 @@
 """Top-k hub/authority identification by pruning with certified brackets.
 
 Every candidate node carries a Gauss-Radau bracket for its exponential
-centrality.  In each round the k-th largest lower bound is the survival
+centrality, an integral of cosh(sqrt(x)) over A A^T (hubs) or A^T A
+(authorities).  In each round the k-th largest lower bound is the survival
 threshold: any node whose upper bound falls below it can never reach the
 top k and is discarded for good (upper bounds only move down as the
-bracket order grows).  Survivors take one step of their bracket engine,
-``quadrature.BracketRun``: two more Lanczos steps, or the exact
-full-Krylov step once a run has broken down.  Then the round repeats.
-Nodes with no out-edges (hub side) or no in-edges (authority side) score
-exactly cosh(0) = 1 and never enter Lanczos at all.
+bracket order grows).  Survivors take one step of the bracket schedule,
+``quadrature.BracketRun``: two more quadrature orders, each one product with
+A and one with A^T, or the exact value once a run has broken down.  Then the
+round repeats.  Nodes with no out-edges (hub side) or no in-edges
+(authority side) score exactly cosh(0) = 1 and never enter Lanczos at all.
 """
 
 from dataclasses import dataclass, field
@@ -16,8 +17,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .graph import bipartite_operator, degrees
-from .quadrature import EXP, P_START, BracketRun, NodeBounds, spectrum_interval
+from .graph import GramOperator, degrees
+from .quadrature import (
+    COSH_SQRT,
+    P_START,
+    BracketRun,
+    NodeBounds,
+    block_width,
+    check_p_max,
+    gram_interval,
+    spectrum_interval,
+)
 from .rankers import TIE_REL_TOL
 
 __all__ = ["TopKReport", "identify_top_k", "rank_in_top_m"]
@@ -25,7 +35,12 @@ __all__ = ["TopKReport", "identify_top_k", "rank_in_top_m"]
 
 @dataclass
 class TopKReport:
-    """Outcome of a top-k (or top-k-within-top-m) selection run."""
+    """Outcome of a top-k (or top-k-within-top-m) selection run.
+
+    ``iterations`` maps each eligible node to the Lanczos steps its last run
+    took on A A^T or A^T A (0 for a zero-degree node); a bracket of order p
+    takes p + 1 steps unless the run breaks down first.
+    """
 
     k: int
     side: str
@@ -51,38 +66,50 @@ def _tied(a, b, tie_tol):
 
 
 class _BracketPool:
-    """A bracket engine per eligible node; ``bounds`` holds each node's current bracket.
+    """Each eligible node's current bracket (``bounds``) and run length (``steps``).
 
-    Zero-degree nodes get their exact bracket up front and no engine.
+    Zero-degree nodes get their exact bracket up front and no run.  Every
+    ``refine`` rebuilds the runs of the nodes it refines from their start
+    vectors, block by block, takes each one schedule step further and keeps
+    only the brackets, so memory stays at one block's basis whatever n is.
+    Each call refines every inexact node it is given, and the nodes given
+    later are a subset of those given before, so every node still being
+    refined sits at the one order ``p``.
     """
 
     def __init__(self, g, side, exclude_degree_one):
-        op = bipartite_operator(g)
-        iv = spectrum_interval(g)
-        n = g.n
+        self.op = GramOperator(g, side)
+        self.iv = gram_interval(spectrum_interval(g))
+        self.width = block_width(g.n)
         out_deg, in_deg = degrees(g)
         relevant_deg = out_deg if side == "hub" else in_deg
         degree_one = (out_deg == 1) & (in_deg == 1)
-        offset = 0 if side == "hub" else n
         self.excluded_degree_one = int(np.count_nonzero(degree_one)) if exclude_degree_one else 0
         self.eligible = [
-            v for v in range(n) if not (exclude_degree_one and degree_one[v])
+            v for v in range(g.n) if not (exclude_degree_one and degree_one[v])
         ]
         self.zero_degree = {v for v in self.eligible if relevant_deg[v] == 0}
         self.bounds = {v: NodeBounds(v, 1.0, 1.0, p=0, exact=True) for v in self.zero_degree}
-        self.runs = {
-            v: BracketRun(op, offset + v, iv, EXP) for v in self.eligible if v not in self.zero_degree
-        }
+        self.steps = dict.fromkeys(self.eligible, 0)
+        self.p = 0
 
     def refine(self, nodes, p_max):
         """Take one schedule step on each node that can still improve."""
-        todo = [v for v in sorted(nodes) if v in self.runs and self.runs[v].refinable(p_max)]
-        for v in todo:
-            self.bounds[v] = self.runs[v].refine(p_max)
-        return len(todo) > 0
+        todo = [v for v in sorted(nodes) if not (v in self.bounds and self.bounds[v].exact)]
+        if not todo or self.p >= p_max:
+            return False
+        for first in range(0, len(todo), self.width):
+            chunk = todo[first : first + self.width]
+            resumed = [self.bounds[v] for v in chunk] if self.p else None
+            block = BracketRun(self.op, chunk, self.iv, COSH_SQRT, bounds=resumed, p=self.p)
+            for b, length in zip(block.refine(p_max), block.run.lengths):
+                self.bounds[b.node] = b
+                self.steps[b.node] = int(length)
+        self.p = block.p
+        return True
 
     def iterations(self):
-        return {v: (self.runs[v].run.steps if v in self.runs else 0) for v in self.eligible}
+        return dict(self.steps)
 
 
 def _select_members(candidates, pool, k, tie_tol):
@@ -120,8 +147,7 @@ def _select_members(candidates, pool, k, tie_tol):
 def _topk_engine(g, k, side, p_max, m, exclude_degree_one, order_members, tie_tol):
     if side not in ("hub", "authority"):
         raise ParameterError(f"side must be 'hub' or 'authority', got '{side}'")
-    if p_max < P_START:
-        raise ParameterError(f"p_max must be at least {P_START}")
+    check_p_max(p_max)
     pool = _BracketPool(g, side, exclude_degree_one)
     eligible = pool.eligible
     if not 1 <= k <= len(eligible):
@@ -200,9 +226,9 @@ def identify_top_k(g, k, side="hub", p_max=64, exclude_degree_one=False, order_m
     """Certified top-k nodes on one side, refining brackets only where needed.
 
     Round structure: prune candidates whose upper bound sits below the k-th
-    largest lower bound, then deepen the survivors' Lanczos runs by two
-    steps.  Stops when exactly k candidates survive (certified), or when no
-    bracket can improve, in which case near-identical scores are resolved by
+    largest lower bound, then raise the survivors' bracket order by two.
+    Stops when exactly k candidates survive (certified), or when no bracket
+    can improve, in which case near-identical scores are resolved by
     ascending node id and flagged in ``ties_note``.
     """
     return _topk_engine(g, k, side, p_max, None, exclude_degree_one, order_members, tie_tol)

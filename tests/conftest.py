@@ -39,6 +39,22 @@ def edgeless_graph(n):
     return from_edges([], n=n)
 
 
+def zipf_offset_graph(n, d, seed, a=1.5):
+    """Node u points at (u + Z) mod n for d distinct draws Z ~ Zipf(a), Z mod n != 0.
+
+    Mostly local edges with a few long ones and in-degrees near d: the
+    family the benchmark's top-k workload is drawn from.
+    """
+    rng = np.random.default_rng(seed)
+    edges = []
+    for u in range(n):
+        targets = set()
+        while len(targets) < d:
+            targets.add((u + (int(rng.zipf(a)) - 1) % (n - 1) + 1) % n)
+        edges.extend((u, v) for v in sorted(targets))
+    return from_edges(edges, n=n)
+
+
 def random_digraph(rng):
     """One random simple digraph: n <= 40, edge probability 0.1 to 0.5."""
     n = int(rng.integers(2, 41))

@@ -164,6 +164,25 @@ def test_topk_example1_authorities(ex1_file, capsys):
     assert lines[2].startswith("3,2,")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["rank", "--method", "exp-quad", "--side", "hub"],
+        ["rank", "--method", "resolvent", "--side", "authority"],
+        ["topk", "--k", "1", "--side", "hub"],
+    ],
+    ids=["exp-quad", "resolvent", "topk"],
+)
+def test_pmax_below_the_first_quadrature_order_exits_2(tmp_path, capsys, args):
+    # 2n > 4000, so resolvent takes its quadrature path too
+    path = tmp_path / "path.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(2001)))
+    code, out, err = run_cli(args[:1] + ["--input", str(path), "--pmax", "2"] + args[1:], capsys)
+    assert code == 2
+    assert out == ""
+    assert "p_max must be at least 3" in err
+
+
 def test_topk_k_too_large_exits_2(ex1_file, capsys):
     code, _, err = run_cli(
         ["topk", "--input", ex1_file, "--base", "1", "--k", "10", "--side", "hub"], capsys
@@ -180,7 +199,7 @@ def test_topk_with_m_relaxation(ex1_file, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["m"] == 2
-    assert payload["iterations"]["max"] <= 5
+    assert payload["iterations"]["max"] <= 4  # Gram steps: the order-3 first round
 
 
 def test_compare_exp_vs_hits_authority(ex1_file, capsys):

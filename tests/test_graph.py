@@ -15,6 +15,7 @@ from hubauth import (
     spmv,
     write_edge_list,
 )
+from hubauth.graph import GramOperator
 
 from conftest import dense_adjacency, edgeless_graph, path_graph
 
@@ -157,6 +158,18 @@ def test_bipartite_unit_vector_matvec(ex1):
     x[4] = 1.0  # node 0 in its authority role
     out = op.matvec(x)
     assert np.array_equal(out, np.array([0, 1, 0, 0, 0, 0, 0, 0], dtype=float))
+
+
+def test_gram_operator_applies_a_a_transpose_and_its_mirror(ex1):
+    A = dense_adjacency(ex1)
+    X = np.random.default_rng(3).normal(size=(ex1.n, 3))
+    for side, G in (("hub", A @ A.T), ("authority", A.T @ A)):
+        op = GramOperator(ex1, side)
+        assert op.dim == ex1.n
+        np.testing.assert_allclose(op.matmat(X), G @ X, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(op.matvec(X[:, 0]), G @ X[:, 0], rtol=1e-14, atol=1e-14)
+    with pytest.raises(ValueError, match="side"):
+        GramOperator(ex1, "both")
 
 
 def test_bipartite_symmetry(ex2):

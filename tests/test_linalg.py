@@ -21,7 +21,9 @@ from hubauth import (
     tridiag_eigen,
 )
 
-from conftest import dense_adjacency, dense_bipartite, path_graph
+from hubauth.graph import GramOperator
+
+from conftest import dense_adjacency, dense_bipartite, path_graph, zipf_offset_graph
 
 
 # --------------------------------------------------------------------- lanczos
@@ -63,6 +65,51 @@ def test_lanczos_basis_orthonormal_and_similar(ex1):
     M = dense_bipartite(ex1)
     J = run.jacobi().dense()
     assert np.allclose(Q.T @ M @ Q, J, atol=1e-10)
+
+
+def test_lanczos_block_columns_match_one_column_runs():
+    # node 30 has no edges: its column breaks down at the first step
+    g = from_edges(list(zipf_offset_graph(30, 3, 1).edges()), n=31)
+    op = GramOperator(g, "hub")
+    nodes = [30, 0, 17, 5]
+    block = LanczosRun(op, nodes).extend(6)
+    assert block.steps == 6
+    assert list(block.lengths) == [1, 6, 6, 6]
+    assert list(block.broken) == [True, False, False, False]
+    assert block.jacobi(col=0).alpha[0] == 0.0
+    for col, node in enumerate(nodes):
+        alone = LanczosRun(op, node).extend(6)
+        assert block.lengths[col] == alone.steps
+        assert bool(block.broken[col]) == alone.breakdown
+        np.testing.assert_allclose(block.jacobi(col=col).alpha, alone.jacobi().alpha, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(block.jacobi(col=col).beta, alone.jacobi().beta, rtol=1e-13)
+        np.testing.assert_allclose(block.basis(col), alone.basis(), atol=1e-13)
+
+
+def test_lanczos_retain_keeps_the_listed_columns():
+    op = GramOperator(from_edges([(0, 1), (1, 2), (2, 0), (0, 2), (3, 1)], n=4), "authority")
+    run = LanczosRun(op, [0, 1, 2]).extend(2)
+    run.retain([2, 0])
+    assert list(run.start_index) == [2, 0]
+    run.extend(3)
+    for col, node in enumerate([2, 0]):
+        alone = LanczosRun(op, node).extend(3)
+        np.testing.assert_allclose(run.jacobi(col=col).alpha, alone.jacobi().alpha, rtol=1e-13, atol=1e-15)
+
+
+def test_lanczos_from_a_unit_vector(ex1):
+    op = bipartite_operator(ex1)
+    v = np.zeros(op.dim)
+    v[2] = 1.0
+    from_vector = LanczosRun(op, v).extend(5)
+    from_index = LanczosRun(op, 2).extend(5)
+    assert from_vector.start_index == -1
+    assert np.array_equal(from_vector.jacobi().alpha, from_index.jacobi().alpha)
+    assert np.array_equal(from_vector.jacobi().beta, from_index.jacobi().beta)
+    with pytest.raises(ValueError, match="length"):
+        LanczosRun(op, np.ones(3))
+    with pytest.raises(ValueError, match="outside"):
+        LanczosRun(op, [0, op.dim])
 
 
 def test_lanczos_isolated_node_breaks_down_immediately():

@@ -22,15 +22,17 @@ from hubauth import (
     exp_centrality_quadrature,
     from_edges,
     identify_top_k,
+    power_singular_pair,
     rank_in_top_m,
     resolvent_bipartite,
     spectrum_interval,
 )
+from hubauth.graph import GramOperator
 from hubauth.linalg import LanczosRun
-from hubauth.quadrature import radau_bounds_from_run
+from hubauth.quadrature import COSH_SQRT, BracketRun, ResolventKernel, gram_interval, radau_bounds_from_run
 from hubauth.rankers import TIE_REL_TOL
 
-from conftest import dense_adjacency, dense_bipartite, scipy_expm
+from conftest import dense_adjacency, dense_bipartite, edgeless_graph, scipy_expm
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -145,3 +147,64 @@ def test_dense_scores_match_expm_and_gram_inverse(g):
     hub, authority = resolvent_bipartite(g, c=c, mode="dense")
     _assert_close(hub.scores, np.diag(np.linalg.inv(np.eye(n) - c**2 * A @ A.T)))
     _assert_close(authority.scores, np.diag(np.linalg.inv(np.eye(n) - c**2 * A.T @ A)))
+
+
+@SETTINGS
+@given(st.one_of(digraphs(), weighted_digraphs(), st.integers(1, 12).map(edgeless_graph)))
+def test_spectrum_interval_squared_bounds_sigma1_squared(g):
+    # the Gram brackets' right Radau node: random, DAG-only, weighted and edgeless
+    # graphs, from a converged power iterate and from one stopped after two steps
+    sigma1 = np.linalg.norm(dense_adjacency(g), 2)
+    for estimate in (power_singular_pair(g), power_singular_pair(g, max_iter=2)):
+        assert gram_interval(spectrum_interval(g, estimate)).b >= sigma1**2
+
+
+def _refine_to(block, p_max):
+    """Every bracket of a block run after each refine step, until p_max."""
+    steps = [block.refine(p_max)]
+    while block.refinable(p_max):
+        steps.append(block.refine(p_max))
+    return steps
+
+
+@SETTINGS
+@given(st.one_of(digraphs(), weighted_digraphs()), st.sampled_from([3, 5, 40]))
+def test_gram_brackets_contain_svd_oracle_for_exp_and_resolvent(g, p_max):
+    U, s, Vt = np.linalg.svd(dense_adjacency(g))
+    c = 0.9 / s[0] if s[0] > 0 else 0.5
+    iv = gram_interval(spectrum_interval(g))
+    for weights, kernel in ((np.cosh(s), COSH_SQRT), (1.0 / (1.0 - c**2 * s**2), ResolventKernel(c**2))):
+        for side, vectors in (("hub", U), ("authority", Vt.T)):
+            truth = (vectors**2) @ weights
+            block = BracketRun(GramOperator(g, side), np.arange(g.n), iv, kernel)
+            for brackets in _refine_to(block, p_max):
+                for nb in brackets:
+                    t = truth[nb.node]
+                    assert nb.lower - _slack(t) <= t <= nb.upper + _slack(t), (side, kernel, nb)
+
+
+@SETTINGS
+@given(digraphs(), st.sampled_from(["hub", "authority"]), st.data())
+def test_bracket_is_the_same_alone_and_in_a_block_with_zero_degree_columns(g, side, data):
+    # two appended isolated nodes break down at the first step in the block
+    g = from_edges(list(g.edges()), n=g.n + 2)
+    order = data.draw(st.permutations(range(g.n)))
+    iv = gram_interval(spectrum_interval(g))
+    op = GramOperator(g, side)
+    block = BracketRun(op, np.array(order), iv, COSH_SQRT)
+    in_block = {v: [] for v in range(g.n)}
+    while block.run.columns:
+        brackets = block.refine(9)
+        for nb in brackets:
+            in_block[nb.node].append(nb)
+        if not block.refinable(9):
+            break
+        # exact columns leave the block, as in the rankers
+        block.retain([j for j, nb in enumerate(brackets) if not nb.exact])
+    for v in range(g.n):
+        alone = _refine_to(BracketRun(op, v, iv, COSH_SQRT), 9)
+        assert len(alone) == len(in_block[v])
+        for a, b in zip(alone, in_block[v]):
+            assert (a.p, a.exact) == (b.p, b.exact)
+            assert abs(a.lower - b.lower) <= 1e-13 * abs(a.lower)
+            assert abs(a.upper - b.upper) <= 1e-13 * abs(a.upper)

@@ -22,7 +22,7 @@ from hubauth import (
     spectrum_interval,
 )
 from hubauth.linalg import LanczosRun
-from hubauth.quadrature import P_START, P_STEP, BracketRun, radau_bounds_from_run
+from hubauth.quadrature import COSH_SQRT, P_START, P_STEP, BracketRun, radau_bounds_from_run
 
 from conftest import dense_bipartite, edgeless_graph, path_graph, scipy_expm
 
@@ -33,15 +33,16 @@ from conftest import dense_bipartite, edgeless_graph, path_graph, scipy_expm
 def test_spectrum_interval_two_cycle():
     g = from_edges([(0, 1), (1, 0)])
     iv = spectrum_interval(g)
-    # Gershgorin row sum 1 beats the padded singular value 1.01
+    # A^T A = I: both bounds give sigma_1 = 1 up to the rounding slack
     assert iv.b == pytest.approx(1.0, abs=1e-10)
     assert iv.a == -iv.b
 
 
 def test_spectrum_interval_example3(ex3):
     iv = spectrum_interval(ex3)
-    # sigma_1 = 2 exactly (dense SVD oracle), Gershgorin bound is 4
-    assert iv.b == pytest.approx(2.02, abs=1e-6)
+    # sigma_1 = 2 exactly (dense SVD oracle) and ||A||_1 ||A||_inf = 4^2: the
+    # Collatz-Wielandt bound is sigma_1 up to its rounding slack, no padding
+    assert 2.0 <= iv.b <= 2.0 * (1 + 1e-13)
 
 
 def test_spectrum_interval_contains_dense_spectrum():
@@ -72,6 +73,13 @@ def test_gauss_estimate_lower_bounds_dense_truth(ex1):
     run = LanczosRun(bipartite_operator(ex1), 0).extend(3)
     value = gauss_estimate(run.jacobi(3), EXP)
     assert value <= truth + 1e-12
+
+
+def test_cosh_sqrt_kernel_is_its_series_on_both_sides_of_zero():
+    x = np.array([-3.0, -1e-20, 0.0, 1e-20, 0.5, 4.0])
+    series = sum(x**k / math.factorial(2 * k) for k in range(40))
+    np.testing.assert_allclose(COSH_SQRT(x), series, rtol=1e-15)
+    assert gauss_estimate(JacobiMatrix(np.array([4.0]), np.array([])), COSH_SQRT) == pytest.approx(math.cosh(2.0))
 
 
 def test_gauss_estimate_rejects_foreign_functions():

@@ -205,9 +205,11 @@ def test_exp_quadrature_brackets_contain_truth(ex1):
         assert nb.lower - 1e-10 <= E[i, i] <= nb.upper + 1e-10
 
 
-def test_exp_quadrature_flags_unresolved_nodes(ex1):
-    # a hopeless width target with almost no refinement budget
-    hub, _ = exp_centrality_quadrature(ex1, p_max=3, width_tol=1e-15)
+def test_exp_quadrature_flags_unresolved_nodes():
+    # a hopeless width target with almost no refinement budget (on ex1 every
+    # Gram run spans its whole 4-dimensional space by order 3, so n = 20 here)
+    g = random_digraph(np.random.default_rng(1))
+    hub, _ = exp_centrality_quadrature(g, p_max=3, width_tol=1e-15)
     assert len(hub.diagnostics["unresolved"]) > 0
     for nb in hub.diagnostics["bounds"]:
         assert nb.lower <= nb.upper
@@ -240,6 +242,16 @@ def test_resolvent_one_side_equals_half_of_both(ex1, ex2, ex3):
                 if mode == "quadrature":
                     offset = 0 if side == "hub" else g.n
                     assert [nb.node for nb in one.diagnostics["bounds"]] == list(range(offset, offset + g.n))
+
+
+def test_quadrature_rankers_reject_p_max_below_the_first_order(ex1):
+    # the first bracket is already at order P_START = 3
+    with pytest.raises(ParameterError, match="p_max"):
+        exp_centrality_quadrature(ex1, p_max=2)
+    with pytest.raises(ParameterError, match="p_max"):
+        resolvent_bipartite(ex1, mode="quadrature", p_max=2)
+    exp_centrality_quadrature(ex1, p_max=3)
+    resolvent_bipartite(ex1, mode="dense", p_max=2)  # no quadrature order on the dense path
 
 
 def test_quadrature_rankers_reject_unknown_side(ex1):

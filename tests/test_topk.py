@@ -1,6 +1,7 @@
 """Top-k identification: soundness against exact scores, pruning, relaxation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hubauth import (
     rank_table,
 )
 
-from conftest import edgeless_graph
+from conftest import edgeless_graph, zipf_offset_graph
 
 
 def exact_top(g, k, side):
@@ -102,12 +103,12 @@ def test_rank_in_top_m_equals_identify_when_m_is_k(ex1):
 def test_rank_in_top_m_certifies_at_small_p(ex1):
     report = rank_in_top_m(ex1, 1, 2, side="hub")
     assert 0 in report.members
-    assert report.max_iterations <= 5
+    assert report.max_iterations <= 4  # Gram steps: the order-3 first round
 
 
 def test_rank_in_top_m_full_relaxation_stops_immediately(ex1):
     report = rank_in_top_m(ex1, 1, ex1.n, side="hub")
-    assert report.max_iterations <= 4  # nothing to prune when m = n
+    assert report.max_iterations <= 4  # Gram steps of the first round: nothing to prune when m = n
 
 
 def test_rank_in_top_m_contains_true_topk(random_suite):
@@ -148,23 +149,41 @@ def test_side_validated(ex1):
 
 
 def test_breakdown_one_step_past_p_max_takes_the_exact_step():
-    # hub runs of nodes 0 and 2 break down at step 4 = p_max + 1: the exact
-    # full-Krylov bracket costs no further matvec, so it is taken
-    g = from_edges([(0, 3), (2, 0), (2, 1), (2, 3)], n=4)
+    # the A A^T runs of hubs 0, 1, 2 and 4 break down at step 4 = p_max + 1: the
+    # exact full-Krylov bracket costs no further product, so it is taken
+    g = from_edges([(0, 1), (0, 3), (1, 2), (2, 3), (4, 1), (4, 2)], n=5)
     report = identify_top_k(g, 3, side="hub", p_max=3)
     hub, _ = exp_centrality_exact(g)
-    for v in (0, 2):
+    for v in (0, 1, 2, 4):
         assert report.bounds[v].exact
         assert report.bounds[v].lower == report.bounds[v].upper
         assert report.bounds[v].lower == pytest.approx(hub.scores[v], rel=1e-12, abs=1e-12)
-    assert {v: report.iterations[v] for v in (0, 2)} == {0: 4, 2: 4}
+    assert {v: report.iterations[v] for v in (0, 1, 2, 4)} == {0: 4, 1: 4, 2: 4, 4: 4}
 
 
 def test_overlapping_brackets_at_the_boundary_are_not_certified():
-    # hubs 1 and 2 mirror each other; at p_max = 3 their brackets overlap and are not exact
-    g = from_edges([(0, 1), (0, 2), (1, 2), (2, 1)], n=3)
+    # hubs 1 and 2 mirror each other (swapping them maps every edge to an edge);
+    # at p_max = 3 their brackets overlap and are not exact
+    out = {
+        0: [1, 2, 5, 6, 7, 8], 1: [3, 4, 6, 7, 8], 2: [3, 4, 6, 7, 8], 3: [1, 2, 5, 8], 4: [1, 2, 9],
+        5: [1, 2, 3, 4], 6: [1, 2, 7, 9], 7: [4, 6], 8: [1, 2, 3, 7], 9: [5, 6, 7],
+    }
+    g = from_edges([(u, v) for u, vs in out.items() for v in vs], n=10)
     report = identify_top_k(g, 2, side="hub", p_max=3)
     assert report.members == [0, 1]
     assert not report.certified
     assert report.ties_note is not None
     assert not report.bounds[2].exact
+
+
+def test_topk_memory_stays_at_one_block_of_runs():
+    # the first round keeps brackets only; a basis per eligible node took about 2 GB here
+    g = zipf_offset_graph(4000, 5, 0)
+    tracemalloc.start()
+    try:
+        report = identify_top_k(g, 10, side="authority")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.certified
+    assert peak < 100 * 2**20
