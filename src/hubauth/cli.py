@@ -66,8 +66,12 @@ def _run_method(g, method, side, args):
     return hub if side == "hub" else auth
 
 
+def _score_spec(precision):
+    return ".12g" if precision == "full" else ".4f"
+
+
 def _fmt_score(x, precision):
-    return f"{x:.12g}" if precision == "full" else f"{x:.4f}"
+    return format(x, _score_spec(precision))
 
 
 def _jsonable(obj):
@@ -102,13 +106,12 @@ def cmd_rank(args):
     g = _load_graph(args)
     sv = _run_method(g, args.method, args.side, args)
     table = rankers.rank_table(sv)
-    rows = [
-        {"node": v + g.index_base, "score": float(sv.scores[v]), "rank": int(table.ranks[v])}
-        for v in table.order
-    ]
-    if args.top is not None:
-        rows = rows[: args.top]
+    order = np.asarray(table.order[: args.top], dtype=np.int64)
+    nodes = (order + g.index_base).tolist()
+    scores = sv.scores[order].tolist()
+    ranks = table.ranks[order].tolist()
     if args.json:
+        rows = [{"node": v, "score": x, "rank": r} for v, x, r in zip(nodes, scores, ranks)]
         payload = {
             "method": sv.method,
             "side": sv.side,
@@ -119,11 +122,9 @@ def cmd_rank(args):
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        buf = io.StringIO()
-        buf.write("node,score,rank\n")
-        for row in rows:
-            buf.write(f"{row['node']},{_fmt_score(row['score'], args.precision)},{row['rank']}\n")
-        text = buf.getvalue()
+        spec = _score_spec(args.precision)
+        lines = [f"{v},{x:{spec}},{r}\n" for v, x, r in zip(nodes, scores, ranks)]
+        text = "node,score,rank\n" + "".join(lines)
     _emit(text, args)
     return EXIT_OK
 

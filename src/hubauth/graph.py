@@ -7,6 +7,7 @@ are immutable after construction and safe to share across workers.
 """
 
 import io
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,32 +157,36 @@ def from_edges(edges, n=None, index_base=0, weighted=False):
     counted.  ``n`` may declare a node count larger than the largest id so
     isolated trailing nodes are preserved.
     """
-    us, vs, ws = [], [], []
-    dropped = 0
-    for e in edges:
-        if len(e) == 3:
-            u, v, w = e
-        else:
-            u, v = e
-            w = 1.0
-        if w < 0:
-            raise GraphFormatError(f"negative weight {w} on edge ({u}, {v})")
-        if u == v:
-            dropped += 1
-            continue
-        us.append(u)
-        vs.append(v)
-        ws.append(w)
-    max_id = max(max(us, default=-1), max(vs, default=-1))
+    edges = [e if len(e) == 3 else (e[0], e[1], 1.0) for e in edges]
+    us, vs, ws = zip(*edges) if edges else ((), (), ())
+    ws = np.asarray(ws, dtype=float)
+    negative = np.flatnonzero(ws < 0)
+    if negative.size:
+        u, v, w = edges[negative[0]]
+        raise GraphFormatError(f"negative weight {w} on edge ({u}, {v})")
+    return _graph_from_arrays(
+        np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64), ws, n, index_base, weighted
+    )
+
+
+def _graph_from_arrays(us, vs, ws, n, index_base, weighted):
+    """The DirectedGraph of edge arrays (0-based ids, non-negative weights).
+
+    Self-loops are dropped and counted, duplicates summed; ``n`` is checked
+    against the largest id of the kept edges.
+    """
+    loops = us == vs
+    dropped = int(np.count_nonzero(loops))
+    if dropped:
+        keep = ~loops
+        us, vs, ws = us[keep], vs[keep], ws[keep]
+    max_id = int(max(us.max(initial=-1), vs.max(initial=-1)))
     n_eff = max(n if n is not None else 0, max_id + 1)
     if n_eff < 1:
         raise GraphFormatError("graph has no edges and no declared node count")
     if n is not None and max_id >= n:
         raise GraphFormatError(f"node id {max_id} out of declared range [0, {n})")
-    coo = sp.coo_matrix(
-        (np.asarray(ws, dtype=float), (np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64))),
-        shape=(n_eff, n_eff),
-    )
+    coo = sp.coo_matrix((ws, (us, vs)), shape=(n_eff, n_eff))
     forward = coo.tocsr()
     forward.sum_duplicates()
     forward.sort_indices()
@@ -218,43 +223,93 @@ def load_edge_list(source, index_base=0, n=None):
     n : int, optional
         Declared node count; indices at or beyond it are rejected.
 
-    Lines starting with ``#`` and blank lines are skipped.  Duplicates are
+    Lines whose first non-blank character is ``#`` and blank lines are
+    skipped; a ``#`` after data on a line is an error.  Duplicates are
     merged with weights summed, self-loops dropped with a counter.
     """
     if index_base not in (0, 1):
         raise GraphFormatError(f"index base must be 0 or 1, got {index_base}")
     stream, owned = _open_text(source)
-    edges = []
     try:
-        for lineno, raw in enumerate(stream, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) not in (2, 3):
-                raise GraphFormatError(f"line {lineno}: expected 2 or 3 tokens, got {len(tokens)}")
-            try:
-                u = int(tokens[0])
-                v = int(tokens[1])
-                w = float(tokens[2]) if len(tokens) == 3 else 1.0
-            except ValueError as exc:
-                raise GraphFormatError(f"line {lineno}: {exc}") from None
-            if not np.isfinite(w):
-                raise GraphFormatError(f"line {lineno}: non-finite weight {tokens[2]}")
-            if w < 0:
-                raise GraphFormatError(f"line {lineno}: negative weight {w}")
-            u -= index_base
-            v -= index_base
-            if u < 0 or v < 0:
-                raise GraphFormatError(f"line {lineno}: node id below index base {index_base}")
-            if n is not None and (u >= n or v >= n):
-                raise GraphFormatError(f"line {lineno}: node id out of declared range")
-            edges.append((u, v, w))
+        text = stream.read()
     finally:
         if owned:
             stream.close()
-    weighted = any(w != 1.0 for _, _, w in edges)
-    return from_edges(edges, n=n, index_base=index_base, weighted=weighted)
+    us, vs, ws = _parse_array(text, index_base, n) or _parse_lines(text, index_base, n)
+    return _graph_from_arrays(us, vs, ws, n, index_base, weighted=bool(np.any(ws != 1.0)))
+
+
+_COMMENT_LINE = re.compile(r"^[^\S\n]*#[^\n]*", re.MULTILINE)
+_FIRST_DATA = re.compile(r"\S[^\n]*")
+_EDGE_FIELDS = [("u", np.int64), ("v", np.int64), ("w", np.float64)]
+
+
+def _parse_array(text, index_base, n):
+    """Edge arrays (u, v, w) of a well-formed edge list, read by NumPy's C parser.
+
+    Returns None when the text is anything else -- a lone carriage return,
+    mixed 2/3-token lines, a token NumPy does not parse, or a row that
+    fails a check -- and ``_parse_lines`` then decides, reporting the
+    first bad line in file order.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    if "#" in text:
+        text = _COMMENT_LINE.sub("", text)
+    first = _FIRST_DATA.search(text)
+    if first is None:
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+    columns = len(first.group().split())
+    if columns not in (2, 3):
+        return None
+    try:
+        rows = np.loadtxt(io.StringIO(text), dtype=_EDGE_FIELDS[:columns], comments=None, ndmin=1)
+    except ValueError:
+        return None
+    ws = rows["w"] if columns == 3 else np.ones(len(rows))
+    if not (np.isfinite(ws).all() and (ws >= 0).all()):
+        return None
+    # compare before subtracting the base: int64 ids wrap below the minimum
+    if min(rows["u"].min(), rows["v"].min()) < index_base:
+        return None
+    us = rows["u"] - index_base
+    vs = rows["v"] - index_base
+    if n is not None and max(us.max(), vs.max()) >= n:
+        return None
+    return us, vs, ws
+
+
+def _parse_lines(text, index_base, n):
+    """Edge arrays (u, v, w) parsed line by line, raising at the first bad line."""
+    edges = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) not in (2, 3):
+            raise GraphFormatError(f"line {lineno}: expected 2 or 3 tokens, got {len(tokens)}")
+        try:
+            u = int(tokens[0])
+            v = int(tokens[1])
+            w = float(tokens[2]) if len(tokens) == 3 else 1.0
+        except ValueError as exc:
+            raise GraphFormatError(f"line {lineno}: {exc}") from None
+        if not np.isfinite(w):
+            raise GraphFormatError(f"line {lineno}: non-finite weight {tokens[2]}")
+        if w < 0:
+            raise GraphFormatError(f"line {lineno}: negative weight {w}")
+        u -= index_base
+        v -= index_base
+        if u < 0 or v < 0:
+            raise GraphFormatError(f"line {lineno}: node id below index base {index_base}")
+        if n is not None and (u >= n or v >= n):
+            raise GraphFormatError(f"line {lineno}: node id out of declared range")
+        edges.append((u, v, w))
+    us, vs, ws = zip(*edges) if edges else ((), (), ())
+    return np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64), np.asarray(ws, dtype=float)
 
 
 _MM_FIELDS = {"real", "integer", "pattern"}

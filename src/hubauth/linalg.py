@@ -8,6 +8,7 @@ bit-identical results.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +19,7 @@ __all__ = [
     "DENSE_DIM_LIMIT",
     "JacobiMatrix",
     "LanczosRun",
+    "LeadingPair",
     "SpectralEstimate",
     "SpectralRadiusEstimate",
     "lanczos",
@@ -25,6 +27,7 @@ __all__ = [
     "dense_expm",
     "dense_svd",
     "expm_action",
+    "leading_singular_pair",
     "power_singular_pair",
     "spectral_radius",
 ]
@@ -348,18 +351,25 @@ def _ramp_start(n):
     return v / np.linalg.norm(v)
 
 
-def power_singular_pair(g, tol=1e-10, max_iter=5000):
-    """Estimate sigma_1 and sigma_2 of A by alternating power iteration.
+class LeadingPair(NamedTuple):
+    """sigma_1 of A, the power iterate for its right singular vector (None
+    for an edgeless graph), the iterations taken and whether they converged."""
 
-    sigma_1 comes from iterating x <- A^T A x from the normalized constant
-    vector; sigma_2 from the same iteration deflated against the converged
-    right singular vector (started from a ramp vector, which keeps a
-    component in the secondary eigenspace even when the constant vector is
-    orthogonal to it).
+    sigma1: float
+    vector: np.ndarray
+    iterations: int
+    converged: bool
+
+
+def leading_singular_pair(g, tol=1e-10, max_iter=5000):
+    """sigma_1 of A by power iteration on A^T A from the normalized constant vector.
+
+    This is the first half of ``power_singular_pair``, for callers that read
+    only sigma_1 and the iterate; both give them bit for bit alike.
     """
     n = g.n
     if g.m == 0:
-        return SpectralEstimate(0.0, 0.0, 0, True, 0.0)
+        return LeadingPair(0.0, None, 0, True)
     x = np.ones(n) / math.sqrt(n)
     iterations = 0
     converged = False
@@ -378,7 +388,22 @@ def power_singular_pair(g, tol=1e-10, max_iter=5000):
             converged = True
             break
         x = y
-    sigma1 = float(np.linalg.norm(spmv(g, x)))
+    return LeadingPair(float(np.linalg.norm(spmv(g, x))), x, iterations, converged)
+
+
+def power_singular_pair(g, tol=1e-10, max_iter=5000):
+    """Estimate sigma_1 and sigma_2 of A by alternating power iteration.
+
+    sigma_1 comes from iterating x <- A^T A x from the normalized constant
+    vector (``leading_singular_pair``); sigma_2 from the same iteration
+    deflated against the converged right singular vector (started from a
+    ramp vector, which keeps a component in the secondary eigenspace even
+    when the constant vector is orthogonal to it).
+    """
+    n = g.n
+    if g.m == 0:
+        return SpectralEstimate(0.0, 0.0, 0, True, 0.0)
+    sigma1, x, iterations, converged = leading_singular_pair(g, tol, max_iter)
     residual = float(np.linalg.norm(spmv(g, spmv(g, x), transpose=True) - sigma1**2 * x))
 
     # one-shot deflation for the gap diagnostic
@@ -417,7 +442,7 @@ def spectral_radius(g, tol=1e-10, max_iter=5000):
         return SpectralRadiusEstimate(0.0, True)
 
     def fallback():
-        bound = min(g.out_strengths().max(initial=0.0), power_singular_pair(g, tol, max_iter).sigma1)
+        bound = min(g.out_strengths().max(initial=0.0), leading_singular_pair(g, tol, max_iter).sigma1)
         return SpectralRadiusEstimate(float(bound), False)
 
     x = np.ones(n) / n

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError
 from .graph import bipartite_operator, spmv
-from .linalg import LanczosRun, JacobiMatrix, power_singular_pair
+from .linalg import LanczosRun, JacobiMatrix, leading_singular_pair
 
 __all__ = [
     "EXP",
@@ -169,15 +169,16 @@ def spectrum_interval(g, estimate=None):
 
     b^2 bounds sigma_1^2 = lambda_max(A^T A) by the smaller of two facts:
     the Collatz-Wielandt bound max_i (A^T A x)_i / x_i, which holds for
-    every positive x because A^T A is nonnegative (x is the power iterate of
-    ``estimate``, floored at 1e-12), and ||A||_1 ||A||_inf.  Both are
+    every positive x because A^T A is nonnegative (x is the power iterate
+    ``estimate.vector`` of a ``LeadingPair`` or ``SpectralEstimate``, floored
+    at 1e-12; ``leading_singular_pair(g)`` by default), and ||A||_1 ||A||_inf.  Both are
     computed from sums of at most d nonnegative terms (d = largest in-degree
     plus largest out-degree), so roundoff understates them by at most about
     d + 3 unit roundoffs; b^2 is inflated by four times that, which also
     covers rounding b = sqrt(b^2) and squaring it back.
     """
     if estimate is None:
-        estimate = power_singular_pair(g)
+        estimate = leading_singular_pair(g)
     norms = float(g.in_strengths().max(initial=0.0) * g.out_strengths().max(initial=0.0))
     x = np.ones(g.n) if estimate.vector is None else np.maximum(np.abs(estimate.vector), 1e-12)
     bound = min(float(np.max(spmv(g, spmv(g, x), transpose=True) / x)), norms)

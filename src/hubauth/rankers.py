@@ -17,6 +17,7 @@ from .linalg import (
     DENSE_DIM_LIMIT,
     dense_svd,
     expm_action,
+    leading_singular_pair,
     power_singular_pair,
     spectral_radius,
 )
@@ -91,29 +92,27 @@ class RankTable:
 
 
 def rank_table(sv, tie_tol=TIE_REL_TOL):
-    """Build the tie-aware ranking induced by a score vector."""
+    """Build the tie-aware ranking induced by a score vector.
+
+    Nodes are sorted by descending score, ids ascending on equal scores.  A
+    node joins its predecessor's tie group when the gap between them is at
+    most ``tie_tol * max(1, |predecessor's score|)``, so ties chain.
+    """
     scores = sv.scores
     n = len(scores)
-    order = sorted(range(n), key=lambda i: (-scores[i], i))
-    groups = []
-    current = [order[0]] if n else []
-    for prev, node in zip(order, order[1:]):
-        gap = scores[prev] - scores[node]
-        if gap <= tie_tol * max(1.0, abs(scores[prev])):
-            current.append(node)
-        else:
-            groups.append(sorted(current))
-            current = [node]
-    if current:
-        groups.append(sorted(current))
-    flat = [v for grp in groups for v in grp]
+    by_score = np.lexsort((np.arange(n), -scores))
+    s = scores[by_score]
+    heads = np.ones(n, dtype=bool)
+    heads[1:] = s[:-1] - s[1:] > tie_tol * np.maximum(1.0, np.abs(s[:-1]))
+    group = np.cumsum(heads) - 1
+    starts = np.flatnonzero(heads)
+    flat = by_score[np.lexsort((by_score, group))]
     ranks = np.zeros(n, dtype=int)
-    pos = 1
-    for grp in groups:
-        for v in grp:
-            ranks[v] = pos
-        pos += len(grp)
-    return RankTable(order=flat, ranks=ranks, groups=groups, source=sv)
+    ranks[flat] = starts[group] + 1
+    order = flat.tolist()
+    bounds = starts.tolist() + [n]
+    groups = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+    return RankTable(order=order, ranks=ranks, groups=groups, source=sv)
 
 
 def _sum_normalize(v):
@@ -385,7 +384,7 @@ def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, side=N
     """
     n = g.n
     sides = _sides(side)
-    est = power_singular_pair(g)
+    est = leading_singular_pair(g)
     if c is None:
         c = 0.9 / est.sigma1 if est.sigma1 > 0 else 0.5
     if c <= 0 or (est.sigma1 > 0 and c >= 1.0 / est.sigma1):

@@ -287,20 +287,26 @@ def test_spectrum_ritz_dump(ex1_file, tmp_path, capsys):
     assert len(values) >= 1
 
 
+def _child_env():
+    """This process's environment with the imported hubauth's source dir on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(hubauth.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_console_script_entry_point(ex1_file):
     result = subprocess.run(
         [sys.executable, "-m", "hubauth.cli", "rank", "--input", ex1_file, "--base", "1",
          "--method", "degree", "--side", "hub"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "node,score,rank"
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded(ex1_file):
-    src = os.path.dirname(os.path.dirname(hubauth.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     # on ex1 the exp-exact and HITS hub rankings differ, so tau-b is computed
     args = ["compare", "--input", ex1_file, "--base", "1", "--method", "exp-exact", "--method", "hits", "--side", "hub"]
     probe = (

@@ -1,9 +1,12 @@
 """Graph construction, file ingestion, degrees, and the bipartite operator."""
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hubauth import (
     GraphFormatError,
@@ -15,6 +18,7 @@ from hubauth import (
     spmv,
     write_edge_list,
 )
+from hubauth import graph
 from hubauth.graph import GramOperator
 
 from conftest import dense_adjacency, edgeless_graph, path_graph
@@ -62,11 +66,114 @@ def test_comments_and_blank_lines_skipped():
         ("0 x\n", "line 1"),
         ("0 1 -2\n", "negative weight"),
         ("0 1 nan\n", "line 1"),
+        ("0 1 1\n0 2 inf\n", "line 2: non-finite weight inf"),
     ],
 )
 def test_malformed_lines_report_position(text, fragment):
     with pytest.raises(GraphFormatError, match=fragment):
         load_edge_list(io.StringIO(text))
+
+
+def _outcome(text, index_base, n):
+    try:
+        g = load_edge_list(io.StringIO(text), index_base=index_base, n=n)
+    except (GraphFormatError, OverflowError) as exc:
+        # ids beyond int64 overflow when the parsed lines become arrays
+        return type(exc).__name__, str(exc)
+    csr = [(m.indptr.tolist(), m.indices.tolist(), m.data.tolist()) for m in (g.forward, g.reverse)]
+    return "graph", g.n, g.m, g.weighted, g.self_loops_dropped, csr
+
+
+_ODD_ID = st.sampled_from(
+    ["-1", "0", "9", "+2", "1_0", "007", "x", "1.0", "99999999999999999999", "-9223372036854775808"]
+)
+_WEIGHT = st.sampled_from(["1", "1.0", "2.5", "0", "-0.0", ".5", "1e2", "3"])
+_ODD_WEIGHT = st.one_of(
+    st.sampled_from(["-1", "nan", "inf", "-inf", "1e400", "w", "1_0"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_SEP = st.sampled_from([" ", "  ", "\t", " \t "])
+
+
+@st.composite
+def _data_line(draw, index_base, weighted, odd):
+    # an odd line may carry an unusual id or weight, the other token count,
+    # or a fourth token or a '#' after its data
+    def pick(plain, unusual):
+        return draw(st.one_of(plain, unusual) if odd else plain)
+
+    ids = st.integers(index_base, index_base + 5).map(str)
+    tokens = [pick(ids, _ODD_ID), pick(ids, _ODD_ID)]
+    if weighted != (odd and draw(st.booleans())):
+        tokens.append(pick(_WEIGHT, _ODD_WEIGHT))
+    if odd and draw(st.booleans()):
+        tokens.append(draw(st.sampled_from(["#", "# note", "3", "#3"])))
+    line = tokens[0]
+    for tok in tokens[1:]:
+        line += draw(_SEP) + tok
+    return draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", " ", "\t"]))
+
+
+_NON_DATA = st.sampled_from(["", "   ", "\t", "# header", "  # indented", "\t#", "#0 1"])
+
+
+@st.composite
+def _edge_list_text(draw):
+    """(text, index_base, n): mostly well-formed edge lists (2 or 3 tokens
+    throughout, LF or CRLF ends) with blank and comment lines, a few odd
+    lines and lone CRs, sometimes with a declared node count."""
+    index_base = draw(st.sampled_from([0, 1]))
+    weighted = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9))
+        lines.append(draw(_NON_DATA) if kind < 2 else draw(_data_line(index_base, weighted, odd=kind == 9)))
+    ends = st.sampled_from(["\n", "\r\n"] if draw(st.integers(0, 4)) else ["\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, index_base, draw(st.one_of(st.none(), st.integers(0, 8)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_edge_list_text())
+def test_loader_matches_the_per_line_loop(case):
+    # the per-line loop alone is the reference: the array parser must give the
+    # same graph, or the same error for the same first bad line
+    text, index_base, n = case
+    outcome = _outcome(text, index_base, n)
+    with mock.patch.object(graph, "_parse_array", return_value=None):
+        assert _outcome(text, index_base, n) == outcome
+
+
+@pytest.mark.parametrize(
+    "text,index_base,n,edges,weighted",
+    [
+        ("0 1\n1 2\n2 0\n", 0, None, {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0}, False),
+        ("0 1 0.5\n1 2 2\n0 1 1e-3\n", 0, None, {(0, 1): 0.501, (1, 2): 2.0}, True),
+        ("# source target\n  # another\n0 1\n", 0, None, {(0, 1): 1.0}, False),
+        ("\n0 1\n\n  \n1 2\n\n", 0, None, {(0, 1): 1.0, (1, 2): 1.0}, False),
+        ("0 1\r\n1 2\r\n", 0, None, {(0, 1): 1.0, (1, 2): 1.0}, False),
+        ("1 2\n2 3\n3 3\n", 1, None, {(0, 1): 1.0, (1, 2): 1.0}, False),
+        # a self-loop's weight marks the graph weighted although the loop is dropped
+        ("0 0 2.5\n0 1 1\n", 0, None, {(0, 1): 1.0}, True),
+        ("0\t1\n", 0, 5, {(0, 1): 1.0}, False),
+        ("# nothing but a comment\n", 0, 3, {}, False),
+    ],
+)
+def test_well_formed_files_never_reach_the_per_line_loop(monkeypatch, tmp_path, text, index_base, n, edges, weighted):
+    def refuse(*args):
+        raise AssertionError("well-formed input fell back to the per-line parser")
+
+    monkeypatch.setattr(graph, "_parse_lines", refuse)
+    path = tmp_path / "graph.txt"
+    path.write_bytes(text.encode())
+    for source in (io.StringIO(text), str(path)):
+        g = load_edge_list(source, index_base=index_base, n=n)
+        A = g.forward.tocoo()
+        assert dict(zip(zip(A.row.tolist(), A.col.tolist()), A.data.tolist())) == pytest.approx(edges)
+        assert g.n == (n if n is not None else max(max(e) for e in edges) + 1)
+        assert g.weighted == weighted
 
 
 def test_declared_range_enforced():
@@ -77,6 +184,9 @@ def test_declared_range_enforced():
 def test_one_based_zero_index_rejected():
     with pytest.raises(GraphFormatError, match="below index base"):
         load_edge_list(io.StringIO("0 1\n"), index_base=1)
+    # the lowest int64 id would wrap to the highest if the base were taken off first
+    with pytest.raises(GraphFormatError, match="line 2: node id below index base"):
+        load_edge_list(io.StringIO("1 2\n-9223372036854775808 2\n"), index_base=1)
 
 
 def test_empty_input_rejected():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import hubauth.linalg
 import hubauth.quadrature
 from hubauth import (
     EXP,
@@ -21,10 +22,11 @@ from hubauth import (
     radau_bounds,
     spectrum_interval,
 )
-from hubauth.linalg import LanczosRun
+from hubauth.graph import spmv
+from hubauth.linalg import LanczosRun, leading_singular_pair
 from hubauth.quadrature import COSH_SQRT, P_START, P_STEP, BracketRun, radau_bounds_from_run
 
-from conftest import dense_bipartite, edgeless_graph, path_graph, scipy_expm
+from conftest import dense_bipartite, edgeless_graph, path_graph, scipy_expm, zipf_offset_graph
 
 
 # ---------------------------------------------------------- spectrum_interval
@@ -50,6 +52,31 @@ def test_spectrum_interval_contains_dense_spectrum():
     iv = spectrum_interval(g)
     eigs = np.linalg.eigvalsh(dense_bipartite(g))
     assert iv.a <= eigs.min() and eigs.max() <= iv.b
+
+
+def test_spectrum_interval_runs_only_the_sigma1_iteration(monkeypatch):
+    # the deflated sigma_2 iteration of power_singular_pair feeds nothing here;
+    # the leading iterate, and so the bound, must be bit for bit the same
+    g = zipf_offset_graph(300, 4, seed=5)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return spmv(*args, **kwargs)
+
+    for module in (hubauth.linalg, hubauth.quadrature):
+        monkeypatch.setattr(module, "spmv", counted)
+    iv = spectrum_interval(g)
+    used = len(calls)
+    lead = leading_singular_pair(g)
+    # two products per power step, one for sigma_1, two for the Collatz-Wielandt bound
+    assert used == 2 * lead.iterations + 1 + 2
+    calls.clear()
+    est = power_singular_pair(g)
+    assert est.iterations > lead.iterations
+    assert used < len(calls)
+    assert est.sigma1 == lead.sigma1 and np.array_equal(est.vector, lead.vector)
+    assert spectrum_interval(g, est) == iv
 
 
 # -------------------------------------------------------------- gauss_estimate

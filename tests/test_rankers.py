@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hubauth import (
     ConvergenceError,
     ParameterError,
+    ScoreVector,
     bipartite_operator,
     communicability,
     degree_scores,
@@ -23,6 +26,7 @@ from hubauth import (
     resolvent_bipartite,
     truncated_spectral_scores,
 )
+from hubauth.rankers import TIE_REL_TOL
 
 from conftest import (
     dense_adjacency,
@@ -65,6 +69,64 @@ def test_rank_table_relative_tie_tolerance():
     scores = np.array([2.0, 2.0 + 1e-10, 1.0])
     table = rank_table(ScoreVector("t", "hub", scores))
     assert table.groups == [[0, 1], [2]]
+
+
+def _rank_table_loop(scores, tie_tol=TIE_REL_TOL):
+    """The element-by-element rank_table that the array version must match."""
+    n = len(scores)
+    order = sorted(range(n), key=lambda i: (-scores[i], i))
+    groups = []
+    current = [order[0]] if n else []
+    for prev, node in zip(order, order[1:]):
+        gap = scores[prev] - scores[node]
+        if gap <= tie_tol * max(1.0, abs(scores[prev])):
+            current.append(node)
+        else:
+            groups.append(sorted(current))
+            current = [node]
+    if current:
+        groups.append(sorted(current))
+    flat = [v for grp in groups for v in grp]
+    ranks = np.zeros(n, dtype=int)
+    pos = 1
+    for grp in groups:
+        for v in grp:
+            ranks[v] = pos
+        pos += len(grp)
+    return flat, groups, ranks
+
+
+# scores a few multiples of the tie tolerance away from one base (above, at
+# and below 1, negative), so that gaps fall on both sides of the cut and chain
+_NEAR_TIES = st.sampled_from([-3.0, -1e-3, 0.0, 1e-6, 0.25, 1.0, 2.0, 7.5, 1e5]).flatmap(
+    lambda base: st.lists(
+        st.builds(
+            lambda k, factor: base + k * factor * TIE_REL_TOL * max(1.0, abs(base)),
+            st.integers(-3, 3),
+            st.sampled_from([0.5, 1 - 1e-8, 1 - 5e-9, 1.0, 1 + 5e-9, 1.000001, 2.0]),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+_SCORES = st.one_of(
+    st.lists(st.sampled_from([0.0, 1.0, 2.0, -1.0]), min_size=0, max_size=40),
+    _NEAR_TIES,
+    st.builds(lambda x, n: [x] * n, st.floats(-1e6, 1e6), st.integers(1, 20)),
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_SCORES)
+@example([1e-8, 0.0])  # a gap of exactly the tolerance is a tie
+@example([2.0, 2.0 - (1 - 1e-8) * 2e-8])  # the scale is the predecessor's score
+def test_rank_table_matches_the_loop(scores):
+    table = rank_table(ScoreVector("t", "hub", np.array(scores, dtype=float)))
+    order, groups, ranks = _rank_table_loop(np.array(scores, dtype=float))
+    assert table.order == order
+    assert table.groups == groups
+    assert table.ranks.dtype == ranks.dtype and np.array_equal(table.ranks, ranks)
 
 
 # ------------------------------------------------------------------------ hits
