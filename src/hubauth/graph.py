@@ -157,16 +157,15 @@ def from_edges(edges, n=None, index_base=0, weighted=False):
     counted.  ``n`` may declare a node count larger than the largest id so
     isolated trailing nodes are preserved.
     """
-    edges = [e if len(e) == 3 else (e[0], e[1], 1.0) for e in edges]
-    us, vs, ws = zip(*edges) if edges else ((), (), ())
-    ws = np.asarray(ws, dtype=float)
+    edges = list(edges)
+    ws = np.array([e[2] if len(e) == 3 else 1.0 for e in edges], dtype=float)
     negative = np.flatnonzero(ws < 0)
     if negative.size:
         u, v, w = edges[negative[0]]
         raise GraphFormatError(f"negative weight {w} on edge ({u}, {v})")
-    return _graph_from_arrays(
-        np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64), ws, n, index_base, weighted
-    )
+    us = np.array([e[0] for e in edges], dtype=np.int64)
+    vs = np.array([e[1] for e in edges], dtype=np.int64)
+    return _graph_from_arrays(us, vs, ws, n, index_base, weighted)
 
 
 def _graph_from_arrays(us, vs, ws, n, index_base, weighted):
@@ -283,7 +282,7 @@ def _parse_array(text, index_base, n):
 
 def _parse_lines(text, index_base, n):
     """Edge arrays (u, v, w) parsed line by line, raising at the first bad line."""
-    edges = []
+    us, vs, ws = [], [], []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -307,9 +306,10 @@ def _parse_lines(text, index_base, n):
             raise GraphFormatError(f"line {lineno}: node id below index base {index_base}")
         if n is not None and (u >= n or v >= n):
             raise GraphFormatError(f"line {lineno}: node id out of declared range")
-        edges.append((u, v, w))
-    us, vs, ws = zip(*edges) if edges else ((), (), ())
-    return np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64), np.asarray(ws, dtype=float)
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
+    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), np.array(ws, dtype=float)
 
 
 _MM_FIELDS = {"real", "integer", "pattern"}
