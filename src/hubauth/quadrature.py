@@ -171,11 +171,12 @@ def spectrum_interval(g, estimate=None):
     the Collatz-Wielandt bound max_i (A^T A x)_i / x_i, which holds for
     every positive x because A^T A is nonnegative (x is the power iterate
     ``estimate.vector`` of a ``LeadingPair`` or ``SpectralEstimate``, floored
-    at 1e-12; ``leading_singular_pair(g)`` by default), and ||A||_1 ||A||_inf.  Both are
-    computed from sums of at most d nonnegative terms (d = largest in-degree
-    plus largest out-degree), so roundoff understates them by at most about
-    d + 3 unit roundoffs; b^2 is inflated by four times that, which also
-    covers rounding b = sqrt(b^2) and squaring it back.
+    at 1e-12; ``leading_singular_pair(g)`` by default), and
+    ||A||_1 ||A||_inf.  Both are computed from sums of at most d nonnegative
+    terms (d = largest in-degree plus largest out-degree), so roundoff
+    understates them by at most about d + 3 unit roundoffs; b^2 is inflated
+    by four times that, which also covers rounding b = sqrt(b^2) and
+    squaring it back.
     """
     if estimate is None:
         estimate = leading_singular_pair(g)
