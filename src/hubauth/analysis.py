@@ -156,8 +156,11 @@ def symmetry_fraction(g):
     """Fraction of directed edges whose reverse edge is also present."""
     if g.m == 0:
         return 0.0
-    pattern = g.forward.astype(bool)
-    mutual = pattern.multiply(g.reverse.astype(bool)).nnz
+    A = g.forward
+    rows = np.repeat(np.arange(g.n), np.diff(A.indptr))
+    present = A.data != 0  # a zero-weight edge is stored but not present
+    u, v = rows[present], A.indices[present]
+    mutual = np.count_nonzero(np.isin(v * g.n + u, u * g.n + v))
     return mutual / g.m
 
 

@@ -4,14 +4,17 @@ A directed graph is stored in compressed sparse row form twice: once for the
 adjacency matrix A (``forward``) and once for its transpose (``reverse``), so
 that both A.x and A^T.x are row-major products over contiguous rows.  Graphs
 are immutable after construction and safe to share across workers.
+
+The CSR arrays are plain NumPy; SciPy is loaded only when a block product
+first needs its sparse kernel, so reading a graph and the vector methods
+never import it.
 """
 
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import GraphFormatError
 
@@ -26,7 +29,85 @@ __all__ = [
     "degrees",
     "bipartite_operator",
     "spmv",
+    "CSRMatrix",
+    "NODE_LIMIT",
 ]
+
+# Node ids and Matrix Market dimensions at or above this are rejected while
+# parsing, so a node count never exceeds it: the sort keys u * n + v stay inside
+# int64, and an id such as 99999999999 fails before an O(n) array is allocated.
+NODE_LIMIT = 2**31 - 1
+
+
+class CSRMatrix:
+    """Read-only compressed sparse rows with sorted, duplicate-free indices.
+
+    Row i holds ``indices[indptr[i]:indptr[i+1]]`` (ascending) with weights
+    ``data[...]``.  ``M @ x`` for a vector adds each row's products in index
+    order, as SciPy's ``csr_matvec`` does; ``M @ X`` for an n x b block runs
+    SciPy's sparse kernel on the same arrays, wrapped once on first use.
+    """
+
+    def __init__(self, indptr, indices, data, shape):
+        self._rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
+        for a in (indptr, indices, data, self._rows):
+            a.flags.writeable = False
+        self.indptr, self.indices, self.data, self.shape = indptr, indices, data, shape
+        self._scipy = None
+
+    @property
+    def nnz(self):
+        return self.data.size
+
+    def toarray(self):
+        out = np.zeros(self.shape)
+        out[self._rows, self.indices] = self.data
+        return out
+
+    def row_sums(self):
+        """Sum of each row, by the same ``np.add.reduceat`` SciPy's ``sum(axis=1)`` uses."""
+        out = np.zeros(self.shape[0])
+        nonempty = np.flatnonzero(np.diff(self.indptr))
+        if nonempty.size:
+            out[nonempty] = np.add.reduceat(self.data, self.indptr[nonempty])
+        return out
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        if x.shape[:1] != self.shape[1:]:
+            raise ValueError(f"dimension mismatch: {self.shape} @ {x.shape}")
+        if x.ndim == 1:
+            return np.bincount(self._rows, weights=self.data * x[self.indices], minlength=self.shape[0])
+        if self._scipy is None:
+            import scipy.sparse as sp
+
+            self._scipy = sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+        return self._scipy @ x
+
+
+def _csr_pair(us, vs, ws, n):
+    """(A, A^T) as CSRMatrix from edge arrays; duplicates summed in input order.
+
+    The arrays equal what SciPy's coo -> csr, ``sum_duplicates`` and
+    ``sort_indices`` build: one stable sort on u * n + v orders A, and a
+    stable sort of A's columns orders A^T.
+    """
+    keys = us * n + vs
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    head = np.ones(keys.size, dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    # bincount adds each run of equal keys left to right, in input order
+    data = np.bincount(np.cumsum(head) - 1, weights=ws[order])
+    rows, cols = np.divmod(keys[head], n)
+    forward = CSRMatrix(_indptr(rows, n), cols, data, (n, n))
+    order = np.argsort(cols, kind="stable")
+    reverse = CSRMatrix(_indptr(cols, n), rows[order], data[order], (n, n))
+    return forward, reverse
+
+
+def _indptr(rows, n):
+    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
 
 
 @dataclass(frozen=True)
@@ -37,9 +118,9 @@ class DirectedGraph:
     ----------
     n : int
         Node count (>= 1).  Internal node ids are 0-based.
-    forward : scipy.sparse.csr_matrix
+    forward : CSRMatrix
         Adjacency matrix A; row i lists the out-neighbors of node i.
-    reverse : scipy.sparse.csr_matrix
+    reverse : CSRMatrix
         A^T; row i lists the in-neighbors of node i.
     m : int
         Number of directed edges after normalization.
@@ -53,8 +134,8 @@ class DirectedGraph:
     """
 
     n: int
-    forward: sp.csr_matrix
-    reverse: sp.csr_matrix
+    forward: CSRMatrix
+    reverse: CSRMatrix
     m: int
     weighted: bool = False
     self_loops_dropped: int = 0
@@ -69,10 +150,10 @@ class DirectedGraph:
 
     def out_strengths(self):
         """Weighted out-degree (row sums of A)."""
-        return np.asarray(self.forward.sum(axis=1)).ravel()
+        return self.forward.row_sums()
 
     def in_strengths(self):
-        return np.asarray(self.reverse.sum(axis=1)).ravel()
+        return self.reverse.row_sums()
 
     def reversed(self):
         """The graph with every edge direction flipped (A <-> A^T)."""
@@ -181,17 +262,13 @@ def _graph_from_arrays(us, vs, ws, n, index_base, weighted):
         us, vs, ws = us[keep], vs[keep], ws[keep]
     max_id = int(max(us.max(initial=-1), vs.max(initial=-1)))
     n_eff = max(n if n is not None else 0, max_id + 1)
+    if n_eff > NODE_LIMIT:
+        raise GraphFormatError(f"node count {n_eff} above the limit {NODE_LIMIT}")
     if n_eff < 1:
         raise GraphFormatError("graph has no edges and no declared node count")
     if n is not None and max_id >= n:
         raise GraphFormatError(f"node id {max_id} out of declared range [0, {n})")
-    coo = sp.coo_matrix((ws, (us, vs)), shape=(n_eff, n_eff))
-    forward = coo.tocsr()
-    forward.sum_duplicates()
-    forward.sort_indices()
-    reverse = coo.T.tocsr()
-    reverse.sum_duplicates()
-    reverse.sort_indices()
+    forward, reverse = _csr_pair(us, vs, ws, n_eff)
     # merged duplicates can leave non-unit weights even in unweighted input
     weighted = weighted or bool(forward.nnz and np.any(forward.data != 1.0))
     return DirectedGraph(
@@ -275,7 +352,8 @@ def _parse_array(text, index_base, n):
         return None
     us = rows["u"] - index_base
     vs = rows["v"] - index_base
-    if n is not None and max(us.max(), vs.max()) >= n:
+    bound = NODE_LIMIT if n is None else min(n, NODE_LIMIT)
+    if max(us.max(), vs.max()) >= bound:
         return None
     return us, vs, ws
 
@@ -306,6 +384,8 @@ def _parse_lines(text, index_base, n):
             raise GraphFormatError(f"line {lineno}: node id below index base {index_base}")
         if n is not None and (u >= n or v >= n):
             raise GraphFormatError(f"line {lineno}: node id out of declared range")
+        if max(u, v) >= NODE_LIMIT:
+            raise GraphFormatError(f"line {lineno}: node id {max(u, v) + index_base} at or above the limit {NODE_LIMIT}")
         us.append(u)
         vs.append(v)
         ws.append(w)
@@ -338,7 +418,7 @@ def load_matrix_market(source):
             raise GraphFormatError(f"unsupported MatrixMarket symmetry '{sym}'")
         pattern = fld == "pattern"
         dims = None
-        entries = []
+        us, vs, ws = [], [], []
         declared_nnz = 0
         entry_lines = 0
         for lineno, raw in enumerate(stream, start=2):
@@ -347,11 +427,14 @@ def load_matrix_market(source):
                 continue
             tokens = line.split()
             if dims is None:
-                if len(tokens) != 3:
-                    raise GraphFormatError(f"line {lineno}: bad size line")
-                nrows, ncols, declared_nnz = (int(t) for t in tokens)
+                try:
+                    nrows, ncols, declared_nnz = (int(t) for t in tokens)
+                except ValueError:
+                    raise GraphFormatError(f"line {lineno}: bad size line") from None
                 if nrows != ncols:
                     raise GraphFormatError(f"matrix is {nrows}x{ncols}, graphs require square")
+                if nrows >= NODE_LIMIT:
+                    raise GraphFormatError(f"line {lineno}: dimension {nrows} at or above the limit {NODE_LIMIT}")
                 dims = (nrows, ncols)
                 continue
             expected = 2 if pattern else 3
@@ -368,15 +451,20 @@ def load_matrix_market(source):
             if w < 0:
                 raise GraphFormatError(f"line {lineno}: negative weight {w}")
             entry_lines += 1
-            entries.append((u, v, w))
+            us.append(u)
+            vs.append(v)
+            ws.append(w)
             if sym == "symmetric" and u != v:
-                entries.append((v, u, w))
+                us.append(v)
+                vs.append(u)
+                ws.append(w)
         if dims is None:
             raise GraphFormatError("missing size line")
         if entry_lines != declared_nnz:
             raise GraphFormatError(f"size line declares {declared_nnz} entries, file has {entry_lines}")
-        weighted = not pattern and any(w != 1.0 for _, _, w in entries)
-        return from_edges(entries, n=dims[0], weighted=weighted)
+        ws = np.array(ws, dtype=float)
+        weighted = not pattern and bool(np.any(ws != 1.0))
+        return _graph_from_arrays(np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), ws, dims[0], 0, weighted)
     finally:
         if owned:
             stream.close()

@@ -286,10 +286,12 @@ def truncated_spectral_scores(g, k, tol=TIE_REL_TOL):
     else:
         if k >= n - 8:
             raise SizeLimitError("full singular spectrum of a large graph is out of reach")
+        import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
+        A = sp.csr_matrix((g.forward.data, g.forward.indices, g.forward.indptr), shape=g.forward.shape)
         try:
-            U, s, Vt = spla.svds(g.forward.astype(float), k=min(k + 8, n - 1))
+            U, s, Vt = spla.svds(A, k=min(k + 8, n - 1))
         except Exception as exc:  # pragma: no cover - solver specific
             raise ConvergenceError(f"singular-triplet solver failed: {exc}") from exc
         desc = np.argsort(-s)

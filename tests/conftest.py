@@ -4,6 +4,7 @@ digraph suite, and dense oracle helpers used to derive expected values."""
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from hubauth import from_edges
 
@@ -77,7 +78,9 @@ def random_suite():
 
 
 def dense_adjacency(g):
-    return g.forward.toarray()
+    """A from the CSR arrays through SciPy, not through the graph's own toarray."""
+    A = g.forward
+    return scipy.sparse.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape).toarray()
 
 
 def dense_bipartite(g):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hubauth
+from hubauth import graph
 from hubauth.cli import main
 
 EX1_TEXT = "1 2\n1 3\n2 1\n2 3\n3 2\n3 4\n4 2\n"
@@ -305,15 +306,45 @@ def test_console_script_entry_point(ex1_file):
     assert result.stdout.splitlines()[0] == "node,score,rank"
 
 
+@pytest.mark.parametrize(
+    "name,text,message",
+    [
+        ("beyond-int64.txt", "0 1\n99999999999999999999 2\n", "line 2: node id 99999999999999999999 at or above the limit"),
+        ("large-id.txt", "0 1\n99999999999 2\n", "line 2: node id 99999999999 at or above the limit"),
+        (
+            "large-size.mtx",
+            "%%MatrixMarket matrix coordinate pattern general\n% comment\n99999999999 99999999999 1\n1 2\n",
+            "line 3: dimension 99999999999 at or above the limit",
+        ),
+    ],
+)
+def test_huge_node_ids_exit_1_before_allocating(tmp_path, capsys, name, text, message):
+    # each input is rejected while parsing; none reaches an array of n entries
+    p = tmp_path / name
+    p.write_text(text)
+    fmt = "mtx" if name.endswith(".mtx") else "edgelist"
+    code, out, err = run_cli(["rank", "--input", str(p), "--format", fmt, "--method", "degree", "--side", "hub"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message} {graph.NODE_LIMIT}\n"
+
+
 def test_cli_import_leaves_heavy_scipy_modules_unloaded(ex1_file):
     env = _child_env()
     # on ex1 the exp-exact and HITS hub rankings differ, so tau-b is computed
     args = ["compare", "--input", ex1_file, "--base", "1", "--method", "exp-exact", "--method", "hits", "--side", "hub"]
+    # graphs are NumPy CSR; only a block product or svds loads scipy.sparse
+    vector_only = [
+        ["rank", "--input", ex1_file, "--base", "1", "--method", "pagerank", "--side", "authority"],
+        ["compare", "--input", ex1_file, "--base", "1", "--method", "exp-exact", "--method", "spectral", "--side", "hub"],
+    ]
     probe = (
         "import sys, hubauth.cli\n"
-        "print(sorted({'scipy.stats', 'scipy.linalg'} & set(sys.modules)))\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
         f"hubauth.cli.main({args!r})\n"
-        "print('scipy.stats' in sys.modules)\n"
+        "print('scipy.stats loaded:', 'scipy.stats' in sys.modules)\n"
+        f"for argv in {vector_only!r}: hubauth.cli.main(argv)\n"
+        "print('scipy.sparse loaded:', 'scipy.sparse' in sys.modules)\n"
     )
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
@@ -321,7 +352,9 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded(ex1_file):
     assert lines[0] == "[]"
     tau = next(float(line.split(",")[1]) for line in lines if line.startswith("kendall_tau_b,"))
     assert tau < 1.0
-    assert lines[-1] == "False"
+    assert "scipy.stats loaded: False" in lines
+    assert "method_b,spectral/hub" in lines
+    assert lines[-1] == "scipy.sparse loaded: False"
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hubauth import (
@@ -18,7 +19,7 @@ from hubauth import (
     spmv,
     write_edge_list,
 )
-from hubauth import graph
+from hubauth import graph, symmetry_fraction
 from hubauth.graph import GramOperator
 
 from conftest import dense_adjacency, edgeless_graph, path_graph
@@ -51,7 +52,7 @@ def test_self_loop_dropped_with_counter():
 def test_duplicate_edges_merge_weights():
     g = load_edge_list(io.StringIO("0 1\n0 1\n0 1 2.5\n"))
     assert g.m == 1
-    assert g.forward[0, 1] == pytest.approx(4.5)
+    assert g.forward.toarray()[0, 1] == pytest.approx(4.5)
 
 
 def test_comments_and_blank_lines_skipped():
@@ -74,14 +75,22 @@ def test_malformed_lines_report_position(text, fragment):
         load_edge_list(io.StringIO(text))
 
 
+def _csr(m):
+    return m.indptr.tolist(), m.indices.tolist(), m.data.tolist()
+
+
+def _entries(m):
+    """{(row, col): weight} of the stored entries of a CSR matrix."""
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    return dict(zip(zip(rows.tolist(), m.indices.tolist()), m.data.tolist()))
+
+
 def _outcome(text, index_base, n):
     try:
         g = load_edge_list(io.StringIO(text), index_base=index_base, n=n)
-    except (GraphFormatError, OverflowError) as exc:
-        # ids beyond int64 overflow when the parsed lines become arrays
+    except GraphFormatError as exc:
         return type(exc).__name__, str(exc)
-    csr = [(m.indptr.tolist(), m.indices.tolist(), m.data.tolist()) for m in (g.forward, g.reverse)]
-    return "graph", g.n, g.m, g.weighted, g.self_loops_dropped, csr
+    return "graph", g.n, g.m, g.weighted, g.self_loops_dropped, [_csr(m) for m in (g.forward, g.reverse)]
 
 
 _ODD_ID = st.sampled_from(
@@ -170,8 +179,7 @@ def test_well_formed_files_never_reach_the_per_line_loop(monkeypatch, tmp_path, 
     path.write_bytes(text.encode())
     for source in (io.StringIO(text), str(path)):
         g = load_edge_list(source, index_base=index_base, n=n)
-        A = g.forward.tocoo()
-        assert dict(zip(zip(A.row.tolist(), A.col.tolist()), A.data.tolist())) == pytest.approx(edges)
+        assert _entries(g.forward) == pytest.approx(edges)
         assert g.n == (n if n is not None else max(max(e) for e in edges) + 1)
         assert g.weighted == weighted
 
@@ -206,7 +214,7 @@ def test_edge_list_round_trip():
     reloaded = load_edge_list(io.StringIO(text), n=g.n)
     assert reloaded.n == g.n
     assert reloaded.m == g.m
-    assert (reloaded.forward != g.forward).nnz == 0
+    assert _csr(reloaded.forward) == _csr(g.forward)
     # canonical form: sorted, deduplicated
     assert text == write_edge_list(reloaded)
 
@@ -216,17 +224,14 @@ def test_matrix_market_pattern_matches_edge_list():
     g_mm = load_matrix_market(io.StringIO(mm))
     g_el = load_edge_list(io.StringIO(EX1_TEXT), index_base=1)
     assert g_mm.n == g_el.n
-    assert (g_mm.forward != g_el.forward).nnz == 0
+    assert _csr(g_mm.forward) == _csr(g_el.forward)
 
 
 def test_matrix_market_symmetric_expands():
     mm = "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 1.0\n3 1 2.0\n"
     g = load_matrix_market(io.StringIO(mm))
     assert g.m == 4
-    assert g.forward[0, 1] == 1.0
-    assert g.forward[1, 0] == 1.0
-    assert g.forward[2, 0] == 2.0
-    assert g.forward[0, 2] == 2.0
+    assert _entries(g.forward) == {(0, 1): 1.0, (0, 2): 2.0, (1, 0): 1.0, (2, 0): 2.0}
 
 
 @pytest.mark.parametrize(
@@ -317,6 +322,71 @@ def test_spmv_dimension_mismatch(ex1):
         spmv(ex1, np.ones(ex1.n + 1))
 
 
+@st.composite
+def _edge_arrays(draw):
+    """(edges, n, seed): up to 16 weighted edges on a few ids, so duplicates and
+    self-loops are common, with up to 3 trailing isolated nodes and empty rows.
+
+    At most 16 edges: SciPy orders a row's entries with std::sort, which keeps
+    equal indices in input order (as the graph does) only on rows that short,
+    and the summed duplicates are then compared bit for bit.
+    """
+    ids = draw(st.integers(1, 8))
+    node = st.integers(0, ids - 1)
+    weight = st.one_of(st.just(1.0), st.just(0.0), st.floats(0, 1e3))
+    edges = draw(st.lists(st.tuples(node, node, weight), max_size=16))
+    return edges, ids + draw(st.integers(0, 3)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_edge_arrays())
+@example(([], 3, 0))
+def test_csr_matches_scipy(case):
+    edges, n, seed = case
+    g = from_edges(edges, n=n)
+    kept = [(u, v, w) for u, v, w in edges if u != v]
+    us, vs, ws = (np.array([e[k] for e in kept], dtype=dtype) for k, dtype in enumerate((int, int, float)))
+    refs = []
+    for rows, cols in ((us, vs), (vs, us)):
+        ref = scipy.sparse.coo_matrix((ws, (rows, cols)), shape=(n, n)).tocsr()
+        ref.sum_duplicates()
+        ref.sort_indices()
+        refs.append(ref)
+    rng = np.random.default_rng(seed)
+    x, X = rng.standard_normal(n), rng.standard_normal((n, 3))
+    for mat, ref in zip((g.forward, g.reverse), refs):
+        for mine, theirs in ((mat.indptr, ref.indptr), (mat.indices, ref.indices), (mat.data, ref.data)):
+            assert np.array_equal(mine, theirs)
+        assert mat.shape == ref.shape and mat.nnz == ref.nnz
+        assert np.array_equal(mat.toarray(), ref.toarray())
+        assert np.array_equal(mat @ x, ref @ x)
+        assert np.array_equal(mat.row_sums(), np.asarray(ref.sum(axis=1)).ravel())
+        np.testing.assert_allclose(mat @ X, ref @ X, rtol=1e-14, atol=0)
+    forward = refs[0]
+    mutual = forward.astype(bool).multiply(refs[1].astype(bool)).nnz
+    assert symmetry_fraction(g) == (mutual / forward.nnz if forward.nnz else 0.0)
+
+
+def test_duplicates_sum_in_input_order_and_long_rows_match_scipy():
+    # long rows full of duplicates whose weights span 16 decades, so any other
+    # summation order or a row-product order other than SciPy's shows in the bits
+    rng = np.random.default_rng(7)
+    n = 50
+    edges = list(zip(rng.integers(0, 5, 2000).tolist(), rng.integers(0, n, 2000).tolist(), (10.0 ** rng.uniform(-8, 8, 2000)).tolist()))
+    g = from_edges(edges, n=n)
+    expected = {}
+    for u, v, w in edges:
+        if u != v:
+            expected[(u, v)] = expected.get((u, v), 0.0) + w
+    assert _entries(g.forward) == expected
+    assert _entries(g.reverse) == {(v, u): w for (u, v), w in expected.items()}
+    x = rng.standard_normal(n)
+    for mat in (g.forward, g.reverse):
+        ref = scipy.sparse.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+        assert np.array_equal(mat @ x, ref @ x)
+        assert np.array_equal(mat.row_sums(), np.asarray(ref.sum(axis=1)).ravel())
+
+
 def test_negative_weight_rejected_in_edges():
     with pytest.raises(GraphFormatError, match="negative"):
         from_edges([(0, 1, -1.0)])
@@ -325,7 +395,7 @@ def test_negative_weight_rejected_in_edges():
 def test_reversed_graph(ex1):
     rev = ex1.reversed()
     assert np.array_equal(rev.out_degrees(), ex1.in_degrees())
-    assert (rev.forward != ex1.reverse).nnz == 0
+    assert _csr(rev.forward) == _csr(ex1.reverse)
 
 
 def test_path_graph_structure():
