@@ -37,7 +37,6 @@ from .linalg import (
     SpectralEstimate,
     dense_expm,
     expm_action,
-    lanczos,
     power_singular_pair,
     spectral_radius,
     tridiag_eigen,

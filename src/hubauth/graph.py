@@ -5,9 +5,11 @@ adjacency matrix A (``forward``) and once for its transpose (``reverse``), so
 that both A.x and A^T.x are row-major products over contiguous rows.  Graphs
 are immutable after construction and safe to share across workers.
 
-The CSR arrays are plain NumPy; SciPy is loaded only when a block product
-first needs its sparse kernel, so reading a graph and the vector methods
-never import it.
+The CSR arrays are plain NumPy, and so are vector products and the block
+products of small matrices.  SciPy's sparse kernel is loaded only for the
+block products of a matrix with n * nnz above ``NUMPY_BLOCK_LIMIT``, so
+reading a graph, the vector methods, and exp-quad or top-k on a small graph
+never import it.  Both block kernels give the same bits.
 """
 
 import io
@@ -31,6 +33,7 @@ __all__ = [
     "spmv",
     "CSRMatrix",
     "NODE_LIMIT",
+    "NUMPY_BLOCK_LIMIT",
 ]
 
 # Node ids and Matrix Market dimensions at or above this are rejected while
@@ -38,14 +41,29 @@ __all__ = [
 # int64, and an id such as 99999999999 fails before an O(n) array is allocated.
 NODE_LIMIT = 2**31 - 1
 
+# A block product M @ X runs in NumPy when n * nnz of M is at most this, and in
+# SciPy's csr_matvecs above it.  Both give the same bits.  The NumPy kernel is
+# 2-4x slower per product but spares a process the scipy.sparse import (about
+# 0.27 s); exp-quad's and top-k's work in block products grows with n * nnz,
+# and on zipf-offset graphs (5 out-edges per node) a fresh CLI process was
+# faster with NumPy up to n * nnz = 8.45e6 and slower from 9.8e6
+# (tools/block_kernel_sweep.py).
+NUMPY_BLOCK_LIMIT = 8_000_000
+
+# Result entries per row chunk of the NumPy block kernel (256 KiB of float64).
+_CHUNK_ENTRIES = 2**15
+
 
 class CSRMatrix:
     """Read-only compressed sparse rows with sorted, duplicate-free indices.
 
     Row i holds ``indices[indptr[i]:indptr[i+1]]`` (ascending) with weights
-    ``data[...]``.  ``M @ x`` for a vector adds each row's products in index
-    order, as SciPy's ``csr_matvec`` does; ``M @ X`` for an n x b block runs
-    SciPy's sparse kernel on the same arrays, wrapped once on first use.
+    ``data[...]``.  Every product adds each row's terms in index order,
+    starting from 0.0, as SciPy's ``csr_matvec``/``csr_matvecs`` do, so the
+    results are bit-identical to SciPy's.  ``M @ x`` for a vector is one
+    ``bincount``; ``M @ X`` for an n x b block runs the NumPy jagged-diagonal
+    kernel when ``n * nnz <= NUMPY_BLOCK_LIMIT`` and SciPy's sparse kernel on
+    the same arrays (wrapped once, on first use) above it.
     """
 
     def __init__(self, indptr, indices, data, shape):
@@ -54,6 +72,7 @@ class CSRMatrix:
             a.flags.writeable = False
         self.indptr, self.indices, self.data, self.shape = indptr, indices, data, shape
         self._scipy = None
+        self._diagonals = None
 
     @property
     def nnz(self):
@@ -78,11 +97,68 @@ class CSRMatrix:
             raise ValueError(f"dimension mismatch: {self.shape} @ {x.shape}")
         if x.ndim == 1:
             return np.bincount(self._rows, weights=self.data * x[self.indices], minlength=self.shape[0])
+        if self.shape[0] * self.nnz <= NUMPY_BLOCK_LIMIT:
+            return self._jagged_matmul(x)
         if self._scipy is None:
             import scipy.sparse as sp
 
             self._scipy = sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
         return self._scipy @ x
+
+    def _jagged(self):
+        """(order, diagonals, tails): the rows sorted longest first, cut in jagged diagonals.
+
+        Diagonal k holds entry k of every row longer than k; those rows come
+        first in ``order``.  The number of diagonals K minimizes K plus the
+        number of rows longer than K, whose entries from K on stay as
+        (position in ``order``, start, stop) tails, so a star's hub is one
+        tail, not n diagonals.
+        """
+        if self._diagonals is None:
+            lengths = np.diff(self.indptr)
+            order = np.argsort(-lengths, kind="stable")
+            starts = self.indptr[order]
+            longer = lengths.size - np.cumsum(np.bincount(lengths))  # rows with more than k entries
+            K = int(np.argmin(np.arange(longer.size) + longer))
+            diagonals = []
+            for k in range(K):
+                at = starts[: longer[k]] + k
+                diagonals.append((self.indices[at], self.data[at, None]))
+            tails = [(r, starts[r] + K, self.indptr[order[r] + 1]) for r in range(longer[K])]
+            self._diagonals = order, diagonals, tails
+        return self._diagonals
+
+    def _jagged_matmul(self, X):
+        """M @ X for an n x b block in NumPy, adding each row's terms in index order from 0.0.
+
+        The rows covered by the diagonals go in chunks of about
+        ``_CHUNK_ENTRIES`` result entries: a chunk's sums run through the
+        diagonals in cache and are then written to their rows of the result.
+        Each tail row continues its sum with one ``np.add.accumulate``.  A
+        product makes a few NumPy calls per diagonal and chunk plus a few per
+        tail, whatever n is.
+        """
+        order, diagonals, tails = self._jagged()
+        X = np.ascontiguousarray(X)  # rows of X are gathered whole
+        out = np.empty((self.shape[0], X.shape[1]), dtype=np.result_type(self.data, X))
+        covered = diagonals[0][0].size if diagonals else 0
+        out[order[covered:]] = 0.0
+        step = max(1, _CHUNK_ENTRIES // max(1, X.shape[1]))
+        acc, terms = np.empty_like(out[:step]), np.empty_like(out[:step])
+        for lo in range(0, covered, step):
+            chunk = acc[: min(covered - lo, step)]
+            chunk.fill(0.0)
+            for idx, w in diagonals:
+                if idx.size <= lo:
+                    break
+                t = terms[: min(idx.size - lo, step)]
+                np.multiply(w[lo : lo + step], X[idx[lo : lo + step]], out=t)
+                chunk[: t.shape[0]] += t
+            out[order[lo : lo + chunk.shape[0]]] = chunk
+        for r, start, stop in tails:
+            tail = self.data[start:stop, None] * X[self.indices[start:stop]]
+            out[order[r]] = np.add.accumulate(np.concatenate([out[order[r], None], tail]))[-1]
+        return out
 
 
 def _csr_pair(us, vs, ws, n):

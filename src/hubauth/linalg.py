@@ -22,7 +22,6 @@ __all__ = [
     "LeadingPair",
     "SpectralEstimate",
     "SpectralRadiusEstimate",
-    "lanczos",
     "tridiag_eigen",
     "dense_expm",
     "dense_svd",
@@ -224,18 +223,6 @@ class LanczosRun:
         """Orthonormal Lanczos vectors of one column computed so far (columns)."""
         count = self.lengths[col] + (not self.broken[col])
         return self._basis[col, :count].T.copy()
-
-
-def lanczos(op, start_node, p_max):
-    """Tridiagonalize a symmetric operator from the start_node coordinate vector.
-
-    Returns (JacobiMatrix, breakdown).  Breakdown is a normal outcome: the
-    Krylov space became invariant and the returned matrix is exact.
-    """
-    if p_max < 1:
-        raise ValueError("p_max must be >= 1")
-    run = LanczosRun(op, start_node).extend(p_max)
-    return run.jacobi(), run.breakdown
 
 
 def tridiag_eigen(J):

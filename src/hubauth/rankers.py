@@ -15,6 +15,7 @@ from .errors import ConvergenceError, ParameterError, SizeLimitError
 from .graph import GramOperator, bipartite_operator, degrees, spmv
 from .linalg import (
     DENSE_DIM_LIMIT,
+    _ramp_start,
     dense_svd,
     expm_action,
     leading_singular_pair,
@@ -291,7 +292,8 @@ def truncated_spectral_scores(g, k, tol=TIE_REL_TOL):
 
         A = sp.csr_matrix((g.forward.data, g.forward.indices, g.forward.indptr), shape=g.forward.shape)
         try:
-            U, s, Vt = spla.svds(A, k=min(k + 8, n - 1))
+            # a fixed start vector: ARPACK's default is random, and so would the scores be
+            U, s, Vt = spla.svds(A, k=min(k + 8, n - 1), v0=_ramp_start(n))
         except Exception as exc:  # pragma: no cover - solver specific
             raise ConvergenceError(f"singular-triplet solver failed: {exc}") from exc
         desc = np.argsort(-s)

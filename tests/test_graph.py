@@ -1,6 +1,7 @@
 """Graph construction, file ingestion, degrees, and the bipartite operator."""
 
 import io
+import sys
 from unittest import mock
 
 import numpy as np
@@ -353,7 +354,8 @@ def test_csr_matches_scipy(case):
         ref.sort_indices()
         refs.append(ref)
     rng = np.random.default_rng(seed)
-    x, X = rng.standard_normal(n), rng.standard_normal((n, 3))
+    x = rng.standard_normal(n)
+    blocks = [rng.standard_normal((n, b)) for b in (1, 3, n + 2)]
     for mat, ref in zip((g.forward, g.reverse), refs):
         for mine, theirs in ((mat.indptr, ref.indptr), (mat.indices, ref.indices), (mat.data, ref.data)):
             assert np.array_equal(mine, theirs)
@@ -361,7 +363,7 @@ def test_csr_matches_scipy(case):
         assert np.array_equal(mat.toarray(), ref.toarray())
         assert np.array_equal(mat @ x, ref @ x)
         assert np.array_equal(mat.row_sums(), np.asarray(ref.sum(axis=1)).ravel())
-        np.testing.assert_allclose(mat @ X, ref @ X, rtol=1e-14, atol=0)
+        _assert_block_products_match(mat, ref, blocks)
     forward = refs[0]
     mutual = forward.astype(bool).multiply(refs[1].astype(bool)).nnz
     assert symmetry_fraction(g) == (mutual / forward.nnz if forward.nnz else 0.0)
@@ -381,10 +383,72 @@ def test_duplicates_sum_in_input_order_and_long_rows_match_scipy():
     assert _entries(g.forward) == expected
     assert _entries(g.reverse) == {(v, u): w for (u, v), w in expected.items()}
     x = rng.standard_normal(n)
+    blocks = [rng.standard_normal((n, b)) for b in (1, 7, n + 2)]
     for mat in (g.forward, g.reverse):
         ref = scipy.sparse.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
         assert np.array_equal(mat @ x, ref @ x)
         assert np.array_equal(mat.row_sums(), np.asarray(ref.sum(axis=1)).ravel())
+        _assert_block_products_match(mat, ref, blocks)
+    # the five rows of A, about 45 entries each, are all tails of the NumPy kernel
+    _, diagonals, tails = g.forward._jagged()
+    assert not diagonals and len(tails) == 5
+
+
+def _assert_block_products_match(mat, ref, blocks):
+    """Block products bit for bit equal to SciPy's on both sides of the size rule:
+    SciPy's kernel, then NumPy's in one chunk of rows and in chunks of a few rows."""
+    numpy_side = mat.shape[0] * mat.nnz
+    for limit, chunk in ((-1, graph._CHUNK_ENTRIES), (numpy_side, graph._CHUNK_ENTRIES), (numpy_side, 7)):
+        with mock.patch.object(graph, "NUMPY_BLOCK_LIMIT", limit), mock.patch.object(graph, "_CHUNK_ENTRIES", chunk):
+            for X in blocks:
+                assert np.array_equal(mat @ X, ref @ X)
+                assert np.array_equal(mat @ np.asfortranarray(X), ref @ X)
+
+
+def _ring(n, nnz):
+    """nnz edges i -> i + 1 + j (mod n), j = 0, 1, ..., in row order."""
+    k = np.arange(nnz)
+    return from_edges(list(zip((k % n).tolist(), ((k % n + 1 + k // n) % n).tolist())), n=n)
+
+
+def test_block_product_kernel_follows_the_size_rule():
+    n = 2000
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((n, 4))
+    for nnz, numpy_kernel in ((graph.NUMPY_BLOCK_LIMIT // n, True), (graph.NUMPY_BLOCK_LIMIT // n + 1, False)):
+        mat = _ring(n, nnz).forward
+        assert (mat.shape[0] * mat.nnz <= graph.NUMPY_BLOCK_LIMIT) == numpy_kernel
+        out = mat @ X
+        assert (mat._scipy is None) == numpy_kernel
+        assert (mat._diagonals is None) != numpy_kernel
+        assert np.array_equal(out, mat._jagged_matmul(X))
+
+
+def test_block_product_on_a_star_runs_few_numpy_lines():
+    # in-star on 3000 nodes: A has 2999 one-entry rows, A^T one row of 2999.
+    # Each line of the NumPy kernel makes a few NumPy calls, so the lines it
+    # runs bound the calls; one pass per row or per diagonal would run thousands.
+    n = 3000
+    g = from_edges([(i, 0) for i in range(1, n)])
+    X = np.random.default_rng(2).standard_normal((n, 8))
+    kernel = graph.CSRMatrix._jagged_matmul.__code__
+    for mat in (g.forward, g.reverse):
+        ref = scipy.sparse.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+        lines = []
+
+        def trace(frame, event, arg):
+            if frame.f_code is kernel:
+                lines.append(event)
+                return trace
+            return None
+
+        sys.settrace(trace)
+        try:
+            out = mat._jagged_matmul(X)
+        finally:
+            sys.settrace(None)
+        assert np.array_equal(out, ref @ X)
+        assert len(lines) <= 30
 
 
 def test_negative_weight_rejected_in_edges():

@@ -15,7 +15,6 @@ from hubauth import (
     dense_expm,
     expm_action,
     from_edges,
-    lanczos,
     power_singular_pair,
     spectral_radius,
     tridiag_eigen,
@@ -30,7 +29,8 @@ from conftest import dense_adjacency, dense_bipartite, path_graph, zipf_offset_g
 
 
 def test_lanczos_one_dimensional_operator():
-    J, breakdown = lanczos(np.array([[2.0]]), 0, 5)
+    run = LanczosRun(np.array([[2.0]]), 0).extend(5)
+    J, breakdown = run.jacobi(), run.breakdown
     assert breakdown
     assert J.order == 1
     assert J.alpha[0] == pytest.approx(2.0)
@@ -40,7 +40,8 @@ def test_lanczos_two_cycle_hand_values():
     # bipartite operator of the 2-cycle: Krylov space from e_0 is 2-dimensional,
     # J = [[0, 1], [1, 0]], eigenvalues -1 and +1
     g = from_edges([(0, 1), (1, 0)])
-    J, breakdown = lanczos(bipartite_operator(g), 0, 8)
+    run = LanczosRun(bipartite_operator(g), 0).extend(8)
+    J, breakdown = run.jacobi(), run.breakdown
     assert breakdown
     assert np.allclose(J.alpha, [0.0, 0.0], atol=1e-14)
     assert np.allclose(J.beta, [1.0], atol=1e-14)
@@ -51,7 +52,7 @@ def test_lanczos_two_cycle_hand_values():
 def test_lanczos_ritz_values_within_spectrum(ex1):
     M = dense_bipartite(ex1)
     spectrum = np.linalg.eigvalsh(M)
-    J, _ = lanczos(bipartite_operator(ex1), 0, 8)
+    J = LanczosRun(bipartite_operator(ex1), 0).extend(8).jacobi()
     ritz, _ = tridiag_eigen(J)
     assert ritz.min() >= spectrum.min() - 1e-10
     assert ritz.max() <= spectrum.max() + 1e-10
@@ -114,7 +115,8 @@ def test_lanczos_from_a_unit_vector(ex1):
 
 def test_lanczos_isolated_node_breaks_down_immediately():
     g = from_edges([(0, 1)], n=3)
-    J, breakdown = lanczos(bipartite_operator(g), 2, 10)
+    run = LanczosRun(bipartite_operator(g), 2).extend(10)
+    J, breakdown = run.jacobi(), run.breakdown
     assert breakdown
     assert J.order == 1
     assert J.alpha[0] == 0.0
@@ -321,6 +323,6 @@ def test_sigma1_dominates_ritz_values(ex1, random_suite):
         sigma1 = power_singular_pair(g).sigma1
         op = bipartite_operator(g)
         for node in range(min(4, 2 * g.n)):
-            J, _ = lanczos(op, node, 9)
+            J = LanczosRun(op, node).extend(9).jacobi()
             ritz, _ = tridiag_eigen(J)
             assert ritz.max() <= sigma1 * (1 + 1e-8) + 1e-12

@@ -37,6 +37,7 @@ from conftest import (
     random_digraph,
     scipy_expm,
     svd_block_oracle,
+    zipf_offset_graph,
 )
 
 EX1_EXP_HUB = [2.3319, 2.2289, 2.2812, 1.6414]
@@ -344,6 +345,14 @@ def test_truncated_full_spectrum_equals_exact(ex1):
 def test_truncated_degenerate_flag(ex2):
     hub, _ = truncated_spectral_scores(ex2, 1)
     assert hub.diagnostics["degenerate"]
+
+
+def test_truncated_sparse_path_is_deterministic():
+    # above DENSE_DIM_LIMIT the triplets come from svds, which must not start from a random vector
+    g = zipf_offset_graph(4500, 5, seed=3)
+    first, again = truncated_spectral_scores(g, 3), truncated_spectral_scores(g, 3)
+    for a, b in zip(first, again):
+        assert np.array_equal(a.scores, b.scores)
 
 
 def test_truncated_k_range(ex1):
