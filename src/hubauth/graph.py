@@ -141,6 +141,8 @@ class CSRMatrix:
         order, diagonals, tails = self._jagged()
         X = np.ascontiguousarray(X)  # rows of X are gathered whole
         out = np.empty((self.shape[0], X.shape[1]), dtype=np.result_type(self.data, X))
+        # rows past `covered` are in no diagonal: empty rows, and with K = 0
+        # every row, whose tails then start from these zeros
         covered = diagonals[0][0].size if diagonals else 0
         out[order[covered:]] = 0.0
         step = max(1, _CHUNK_ENTRIES // max(1, X.shape[1]))

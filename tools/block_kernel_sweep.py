@@ -3,7 +3,7 @@
 For each command and node count, builds a zipf-offset digraph (5 out-edges
 per node, the benchmark's generator) and times fresh ``hubauth`` processes
 with every block product forced onto SciPy's kernel (limit 0) and onto the
-NumPy kernel (limit above n * nnz), alternating which runs first.  It checks
+NumPy kernel (limit n * nnz), alternating which runs first.  It checks
 that both print the same bytes and prints one JSON line per point with the
 median wall times.
 
