@@ -141,11 +141,14 @@ class LanczosRun:
         """Whether every column has broken down (the one column, for a one-column run)."""
         return bool(self.broken.all())
 
-    def _reserve(self, count):
+    def reserve(self, steps):
+        """Hold room for ``steps`` steps, so extending up to them copies no basis."""
+        count = min(steps, self.op.dim) + 1
         if self._basis.shape[1] < count:
             grown = np.zeros((self.columns, count, self.op.dim))
             grown[:, : self.steps + 1] = self._basis[:, : self.steps + 1]
             self._basis = grown
+        return self
 
     def _apply(self, V):
         """The operator applied to each row of V (b x dim), as a new b x dim array."""
@@ -162,7 +165,7 @@ class LanczosRun:
         then on, so it changes no other column's arithmetic.
         """
         p = min(p, self.op.dim)
-        self._reserve(p + 1)
+        self.reserve(p)
         while self.steps < p and not self.breakdown:
             j = self.steps
             V = self._basis[:, j]

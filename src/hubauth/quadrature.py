@@ -150,7 +150,7 @@ class NodeBounds:
     exact: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
             raise ValueError(f"non-finite bracket for node {self.node}")
         if self.lower > self.upper:
             raise ValueError(f"inverted bracket for node {self.node}: [{self.lower}, {self.upper}]")
@@ -306,6 +306,8 @@ def radau_bounds_from_run(run, p, iv, f):
 
 
 def _intersect(old, new):
+    if old.lower <= new.lower and new.upper <= old.upper:
+        return new  # nested, as the schedule's brackets are in exact arithmetic
     lower = max(old.lower, new.lower)
     upper = min(old.upper, new.upper)
     if lower > upper:
@@ -319,10 +321,11 @@ class BracketRun:
     ``start`` is what ``LanczosRun`` takes.  For one index, ``refine`` and
     ``bounds`` give one NodeBounds; for a sequence, one per column.  Each
     ``refine`` step takes the next order of the schedule (P_START first,
-    then +P_STEP capped at p_max) on every column and intersects each new
-    bracket with the node's old one, which keeps brackets monotone under
-    roundoff jitter; a crossed pair collapses to its midpoint.  A column
-    whose run breaks down takes the exact step, whatever p_max is.
+    then +P_STEP capped at p_max), or an order asked for below P_START, on
+    every column and intersects each new bracket with the node's old one,
+    which keeps brackets monotone under roundoff jitter; a crossed pair
+    collapses to its midpoint.  A column whose run breaks down takes the
+    exact step, whatever p_max is.
 
     ``bounds`` and ``p`` resume a rebuilt run: the brackets and the order
     its nodes already reached (a run rebuilt from the same start vectors
@@ -349,9 +352,14 @@ class BracketRun:
             return False
         return self.p < p_max
 
-    def refine(self, p_max):
-        """Take one schedule step on every column and return the tightened brackets."""
-        p = P_START if self.p == 0 else min(self.p + P_STEP, p_max)
+    def refine(self, p_max, p=None):
+        """Take one schedule step on every column and return the tightened brackets.
+
+        ``p`` asks for that order instead, e.g. a cheap order-1 bracket ahead
+        of the schedule; the next step after an order below P_START is P_START.
+        """
+        if p is None:
+            p = P_START if self.p < P_START else min(self.p + P_STEP, p_max)
         new = radau_bounds_from_run(self.run, p, self.iv, self.f)
         new = [new] if isinstance(new, NodeBounds) else new
         if self._bounds is not None:

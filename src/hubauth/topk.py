@@ -8,8 +8,11 @@ top k and is discarded for good (upper bounds only move down as the
 bracket order grows).  Survivors take one step of the bracket schedule,
 ``quadrature.BracketRun``: two more quadrature orders, each one product with
 A and one with A^T, or the exact value once a run has broken down.  Then the
-round repeats.  Nodes with no out-edges (hub side) or no in-edges
-(authority side) score exactly cosh(0) = 1 and never enter Lanczos at all.
+round repeats.  The first round prunes twice: each block of nodes takes an
+order-1 bracket (2 Lanczos steps) first, and only the nodes that bracket
+cannot rule out go on to the first order of the schedule (4 steps).  Nodes
+with no out-edges (hub side) or no in-edges (authority side) score exactly
+cosh(0) = 1 and never enter Lanczos at all.
 """
 
 from dataclasses import dataclass, field
@@ -39,7 +42,9 @@ class TopKReport:
 
     ``iterations`` maps each eligible node to the Lanczos steps its last run
     took on A A^T or A^T A (0 for a zero-degree node); a bracket of order p
-    takes p + 1 steps unless the run breaks down first.
+    takes p + 1 steps unless the run breaks down first.  A node ruled out by
+    its order-1 bracket in the first round reports 2 steps and keeps that
+    bracket (``p`` = 1).
     """
 
     k: int
@@ -65,16 +70,27 @@ def _tied(a, b, tie_tol):
     return abs(a - b) <= tie_tol * max(1.0, abs(a), abs(b))
 
 
+def _cut(threshold, tie_tol):
+    """Upper bounds below this cannot reach the top k when ``threshold`` is the k-th lower bound.
+
+    Anything within tie tolerance of the threshold is kept: genuinely tied
+    nodes must be resolved by the id rule, not by floating-point noise.
+    """
+    return threshold - tie_tol * max(1.0, abs(threshold))
+
+
 class _BracketPool:
     """Each eligible node's current bracket (``bounds``) and run length (``steps``).
 
-    Zero-degree nodes get their exact bracket up front and no run.  Every
-    ``refine`` rebuilds the runs of the nodes it refines from their start
-    vectors, block by block, takes each one schedule step further and keeps
-    only the brackets, so memory stays at one block's basis whatever n is.
-    Each call refines every inexact node it is given, and the nodes given
-    later are a subset of those given before, so every node still being
-    refined sits at the one order ``p``.
+    Zero-degree nodes get their exact bracket up front and no run.  ``start``
+    is the first round: block by block, an order-1 bracket for every inexact
+    node, then order P_START for those it cannot rule out, in the same run.
+    Every later ``refine`` rebuilds the runs of the nodes it refines from
+    their start vectors, block by block, takes each one schedule step further
+    and keeps only the brackets, so memory stays at one block's basis
+    whatever n is.  Each call refines every inexact node it is given, and the
+    nodes given later are a subset of the first round's survivors, so every
+    node still being refined sits at the one order ``p``.
     """
 
     def __init__(self, g, side, exclude_degree_one):
@@ -93,6 +109,46 @@ class _BracketPool:
         self.steps = dict.fromkeys(self.eligible, 0)
         self.p = 0
 
+    def _store(self, block):
+        for b, length in zip(block.bounds, block.run.lengths):
+            self.bounds[b.node] = b
+            self.steps[b.node] = int(length)
+
+    def start(self, k, tie_tol):
+        """Bracket every inexact node at order P_START, or rule it out at order 1.
+
+        After a block's order-1 brackets, the cut is taken at the k-th
+        largest lower bound known so far: zero-degree nodes, earlier blocks
+        and this block.  Lower bounds only rise, so the cut never exceeds the
+        first one ``_topk_engine`` takes, and a column whose order-1 upper
+        bound falls below it would be pruned there anyway; it leaves the run
+        with 2 steps.  The rest go on to order P_START in the same run (4
+        steps, as without the order-1 pass); those brackets nest inside the
+        order-1 ones, so intersecting leaves them as a direct run gives them.
+        """
+        lower = np.full(self.op.dim, -np.inf)
+        lower[sorted(self.zero_degree)] = 1.0
+        todo = [v for v in self.eligible if v not in self.zero_degree]
+        for first in range(0, len(todo), self.width):
+            chunk = todo[first : first + self.width]
+            block = BracketRun(self.op, chunk, self.iv, COSH_SQRT)
+            block.run.reserve(P_START + 1)
+            block.refine(P_START, p=1)
+            self._store(block)
+            lower[chunk] = [b.lower for b in block.bounds]
+            threshold = np.partition(lower, -k)[-k]
+            if threshold > -np.inf:
+                cut = _cut(threshold, tie_tol)
+                keep = [j for j, b in enumerate(block.bounds) if b.upper >= cut]
+                if not keep:
+                    continue
+                if len(keep) < block.run.columns:
+                    block.retain(keep)
+            block.refine(P_START)
+            self._store(block)
+            lower[block.run.start_index] = [b.lower for b in block.bounds]
+        self.p = P_START
+
     def refine(self, nodes, p_max):
         """Take one schedule step on each node that can still improve."""
         todo = [v for v in sorted(nodes) if not (v in self.bounds and self.bounds[v].exact)]
@@ -102,9 +158,8 @@ class _BracketPool:
             chunk = todo[first : first + self.width]
             resumed = [self.bounds[v] for v in chunk] if self.p else None
             block = BracketRun(self.op, chunk, self.iv, COSH_SQRT, bounds=resumed, p=self.p)
-            for b, length in zip(block.refine(p_max), block.run.lengths):
-                self.bounds[b.node] = b
-                self.steps[b.node] = int(length)
+            block.refine(p_max)
+            self._store(block)
         self.p = block.p
         return True
 
@@ -157,17 +212,14 @@ def _topk_engine(g, k, side, p_max, m, exclude_degree_one, order_members, tie_to
         raise ParameterError(f"m must be in [{k}, {len(eligible)}], got {m_eff}")
 
     candidates = set(eligible)
-    pool.refine(candidates, P_START)  # initial brackets at the starting order
+    pool.start(k, tie_tol)  # initial brackets at the starting order
     pruned_upper_max = -np.inf
     while True:
         lowers = sorted((pool.bounds[v].lower for v in candidates), reverse=True)
-        threshold = lowers[k - 1]
-        # keep anything within tie tolerance of the cut: genuinely tied nodes
-        # must be resolved by the id rule, not by floating-point noise
-        slack = tie_tol * max(1.0, abs(threshold))
+        cut = _cut(lowers[k - 1], tie_tol)
         survivors = set()
         for v in candidates:
-            if pool.bounds[v].upper < threshold - slack:
+            if pool.bounds[v].upper < cut:
                 pruned_upper_max = max(pruned_upper_max, pool.bounds[v].upper)
             else:
                 survivors.add(v)
@@ -226,7 +278,9 @@ def identify_top_k(g, k, side="hub", p_max=64, exclude_degree_one=False, order_m
     """Certified top-k nodes on one side, refining brackets only where needed.
 
     Round structure: prune candidates whose upper bound sits below the k-th
-    largest lower bound, then raise the survivors' bracket order by two.
+    largest lower bound, then raise the survivors' bracket order by two.  The
+    first round brackets every node at order 1 before order 3 and prunes on
+    both.
     Stops when exactly k candidates survive (certified), or when no bracket
     can improve, in which case near-identical scores are resolved by
     ascending node id and flagged in ``ties_note``.

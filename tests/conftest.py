@@ -7,6 +7,7 @@ import scipy.linalg
 import scipy.sparse
 
 from hubauth import from_edges
+from hubauth.quadrature import P_START
 
 # three small example digraphs with known score tables (stored 0-based)
 EX1_EDGES = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 1), (2, 3), (3, 1)]
@@ -54,6 +55,11 @@ def zipf_offset_graph(n, d, seed, a=1.5):
             targets.add((u + (int(rng.zipf(a)) - 1) % (n - 1) + 1) % n)
         edges.extend((u, v) for v in sorted(targets))
     return from_edges(edges, n=n)
+
+
+def order_three_first_round(pool, k, tie_tol):
+    """``topk._BracketPool.start`` without the order-1 pass: every node straight to P_START."""
+    pool.refine(pool.eligible, P_START)
 
 
 def random_digraph(rng):

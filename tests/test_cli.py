@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import hubauth
-from hubauth import graph
+from hubauth import graph, topk
 from hubauth.cli import main
+
+from conftest import order_three_first_round
 
 EX1_TEXT = "1 2\n1 3\n2 1\n2 3\n3 2\n3 4\n4 2\n"
 EX3_TEXT = "2 1\n3 1\n4 1\n5 1\n6 2\n6 3\n6 4\n6 5\n"
@@ -201,6 +203,31 @@ def test_topk_with_m_relaxation(ex1_file, capsys):
     payload = json.loads(out)
     assert payload["m"] == 2
     assert payload["iterations"]["max"] <= 4  # Gram steps: the order-3 first round
+
+
+def test_topk_json_reports_two_steps_for_nodes_dropped_at_order_one(tmp_path, capsys, monkeypatch):
+    # hubs 1 and 2 mirror each other, so the top 2 refines to order 9; hubs 3-9
+    # fall to their order-1 brackets, and the path 10 -> ... -> 16 breaks down at once
+    out = {
+        0: [1, 2, 5, 6, 7, 8], 1: [3, 4, 6, 7, 8], 2: [3, 4, 6, 7, 8], 3: [1, 2, 5, 8], 4: [1, 2, 9],
+        5: [1, 2, 3, 4], 6: [1, 2, 7, 9], 7: [4, 6], 8: [1, 2, 3, 7], 9: [5, 6, 7],
+    }
+    edges = [(u, v) for u, vs in out.items() for v in vs] + [(u, u + 1) for u in range(10, 16)]
+    path = tmp_path / "mirror.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    args = ["topk", "--input", str(path), "--k", "2", "--side", "hub", "--json"]
+    code, text, _ = run_cli(args, capsys)
+    assert code == 0
+    with monkeypatch.context() as patched:
+        patched.setattr(topk._BracketPool, "start", order_three_first_round)
+        code, reference_text, _ = run_cli(args, capsys)
+    assert code == 0
+    payload, reference = json.loads(text), json.loads(reference_text)
+    dropped = [str(v) for v in range(3, 10)]
+    assert [payload["iterations"]["per_node"].pop(v) for v in dropped] == [2] * 7
+    assert [reference["iterations"]["per_node"].pop(v) for v in dropped] == [4] * 7
+    assert payload["iterations"]["max"] == 9
+    assert payload == reference
 
 
 def test_compare_exp_vs_hits_authority(ex1_file, capsys):

@@ -98,6 +98,19 @@ def test_lanczos_retain_keeps_the_listed_columns():
         np.testing.assert_allclose(run.jacobi(col=col).alpha, alone.jacobi().alpha, rtol=1e-13, atol=1e-15)
 
 
+def test_lanczos_reserve_keeps_one_basis_array_across_extends():
+    op = GramOperator(zipf_offset_graph(300, 5, 0), "authority")
+    run = LanczosRun(op, np.arange(20)).reserve(4)
+    basis = run._basis
+    run.extend(2)
+    run.extend(4)
+    assert run._basis is basis  # no regrowing copy
+    plain = LanczosRun(op, np.arange(20)).extend(4)
+    for reserved, grown in zip(run.coefficients(4), plain.coefficients(4)):
+        assert np.array_equal(reserved, grown)
+    assert np.array_equal(run._basis, plain._basis)
+
+
 def test_lanczos_from_a_unit_vector(ex1):
     op = bipartite_operator(ex1)
     v = np.zeros(op.dim)

@@ -1,14 +1,16 @@
 """Property tests of the exp-quad brackets, top-k and the dense scores.
 
-Graphs are small random digraphs (n <= 12), edgeless and reducible ones
-included.  The bracket oracle is hub_i = sum_k cosh(sigma_k) U_ik^2
-(authorities: V), read straight off the full SVD of A.  The dense scores,
-which are computed from that SVD, are checked against oracles that do not
-use it: scipy's expm of the 2n x 2n bipartite matrix and the inverse of the
-n x n Gram matrices.
+Graphs are small random digraphs (n <= 12; n <= 40 for the top-k pruning
+test), edgeless and reducible ones included.  The bracket oracle is
+hub_i = sum_k cosh(sigma_k) U_ik^2 (authorities: V), read straight off the
+full SVD of A.  The dense scores, which are computed from that SVD, are
+checked against oracles that do not use it: scipy's expm of the 2n x 2n
+bipartite matrix and the inverse of the n x n Gram matrices.
 """
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from hubauth import (
     resolvent_bipartite,
     spectrum_interval,
 )
+from hubauth import topk
 from hubauth.graph import GramOperator
 from hubauth.linalg import LanczosRun
 from hubauth.quadrature import COSH_SQRT, BracketRun, ResolventKernel, gram_interval, radau_bounds_from_run
@@ -46,6 +49,17 @@ def digraphs(draw):
         # reducible: keep only edges pointing from lower to higher ids (a DAG)
         edges = [(u, v) for u, v in edges if u < v]
     return from_edges(edges, n=n)
+
+
+@st.composite
+def gnp_digraphs(draw, max_n=40):
+    """Each pair (self-loops too) an edge with a drawn probability; half of them DAGs."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((n, n)) < draw(st.sampled_from([0.03, 0.08, 0.15, 0.3]))
+    if draw(st.booleans()):
+        mask = np.triu(mask, 1)
+    return from_edges([(int(u), int(v)) for u, v in zip(*np.nonzero(mask))], n=n)
 
 
 @st.composite
@@ -120,6 +134,60 @@ def test_topk_brackets_certificate_and_relaxed_candidates_are_sound(g, data):
                 assert report.bounds[v].upper <= worst_lower + TIE_REL_TOL * max(1.0, abs(worst_lower))
         kth = np.sort(truth)[::-1][k - 1]
         assert {v for v in range(n) if truth[v] > kth} <= set(relaxed.candidates)
+
+
+def _cut(t):
+    """The prune cut below a k-th lower bound t, with the engine's tie slack."""
+    return t - TIE_REL_TOL * max(1.0, abs(t))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(gnp_digraphs(), st.integers(1, 5), st.sampled_from([2, 7, None]))
+def test_topk_order_one_pruning_is_sound_against_the_exact_scores(g, k_wanted, width):
+    # width: columns per block run (None: the default, one block here), so the
+    # running cut also meets earlier blocks' brackets
+    n = g.n
+    hub, authority = exp_centrality_exact(g)
+    sigma1 = np.linalg.norm(dense_adjacency(g), 2)
+    slack = 64 * np.finfo(float).eps * n * math.cosh(sigma1)
+    degree_one = (g.out_degrees() == 1) & (g.in_degrees() == 1)
+    patch = mock.patch.object(topk, "block_width", lambda dim: width) if width else contextlib.nullcontext()
+    with patch:
+        for side, truth in (("hub", hub.scores), ("authority", authority.scores)):
+            for exclude in (False, True):
+                eligible = [v for v in range(n) if not (exclude and degree_one[v])]
+                if not eligible:
+                    continue
+                k = min(k_wanted, len(eligible))
+                m = min(2 * k, len(eligible))
+                kth = np.sort(truth[eligible])[::-1][k - 1]
+                tol = TIE_REL_TOL * max(1.0, kth) + 2 * slack
+                for report in (
+                    identify_top_k(g, k, side=side, exclude_degree_one=exclude),
+                    rank_in_top_m(g, k, m, side=side, exclude_degree_one=exclude),
+                ):
+                    assert sorted(report.bounds) == eligible
+                    for v in report.members:
+                        nb = report.bounds[v]
+                        assert nb.lower - slack <= truth[v] <= nb.upper + slack
+                    if report.certified:
+                        # the oracle's top k, up to scores tied with the k-th
+                        assert all(truth[v] >= kth - tol for v in report.members)
+                        assert all(truth[v] <= kth + tol for v in set(eligible) - set(report.members))
+                    kth_lower = sorted((nb.lower for nb in report.bounds.values()), reverse=True)[k - 1]
+                    member_lower = min(report.bounds[v].lower for v in report.members)
+                    for v in eligible:
+                        nb = report.bounds[v]
+                        if report.iterations[v] == 2:
+                            assert nb.p == 1 or nb.exact
+                        if nb.p != 1 or nb.exact:
+                            continue
+                        # dropped at order 1: two steps, and below the engine's own first cut
+                        assert report.iterations[v] == 2
+                        assert v not in report.candidates
+                        assert nb.upper < _cut(kth_lower)
+                        if len(report.candidates) == k:
+                            assert nb.upper < _cut(member_lower)
 
 
 def _assert_close(got, expected):

@@ -22,9 +22,9 @@ from hubauth import (
     radau_bounds,
     spectrum_interval,
 )
-from hubauth.graph import spmv
+from hubauth.graph import GramOperator, spmv
 from hubauth.linalg import LanczosRun, leading_singular_pair
-from hubauth.quadrature import COSH_SQRT, P_START, P_STEP, BracketRun, radau_bounds_from_run
+from hubauth.quadrature import COSH_SQRT, P_START, P_STEP, BracketRun, gram_interval, radau_bounds_from_run
 
 from conftest import dense_bipartite, edgeless_graph, path_graph, scipy_expm, zipf_offset_graph
 
@@ -190,6 +190,26 @@ def test_bracket_run_schedule_tightens_to_the_exact_value(ex1):
         # every order follows the schedule, except a final exact step at the run's length
         assert orders[:-1] == scheduled[:-1]
         assert orders[-1] in (scheduled[-1], node.run.steps)
+
+
+def test_bracket_run_takes_order_one_then_goes_on_to_the_schedule():
+    # the order-P_START brackets nest in the order-1 ones, so the pair of steps
+    # ends where a direct run does, bit for bit, in the same basis array
+    g = zipf_offset_graph(200, 5, 0)
+    iv = gram_interval(spectrum_interval(g))
+    for side in ("hub", "authority"):
+        op = GramOperator(g, side)
+        block = BracketRun(op, np.arange(g.n), iv, COSH_SQRT)
+        block.run.reserve(P_START + 1)
+        basis = block.run._basis
+        coarse = block.refine(64, p=1)
+        assert block.p == 1 and block.run.steps == 2
+        assert all(nb.p == 1 or nb.exact for nb in coarse)
+        fine = block.refine(64)
+        assert block.p == P_START and block.run._basis is basis
+        assert fine == BracketRun(op, np.arange(g.n), iv, COSH_SQRT).refine(64)
+        for a, b in zip(coarse, fine):
+            assert a.lower <= b.lower <= b.upper <= a.upper
 
 
 def test_bracket_run_intersects_brackets_through_the_module_radau(ex1, monkeypatch):

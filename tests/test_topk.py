@@ -13,9 +13,10 @@ from hubauth import (
     identify_top_k,
     rank_in_top_m,
     rank_table,
+    topk,
 )
 
-from conftest import edgeless_graph, zipf_offset_graph
+from conftest import edgeless_graph, order_three_first_round, zipf_offset_graph
 
 
 def exact_top(g, k, side):
@@ -187,3 +188,70 @@ def test_topk_memory_stays_at_one_block_of_runs():
         tracemalloc.stop()
     assert report.certified
     assert peak < 100 * 2**20
+
+
+def _without_order_one_pass(monkeypatch, select, *args, **kwargs):
+    with monkeypatch.context() as patched:
+        patched.setattr(topk._BracketPool, "start", order_three_first_round)
+        return select(*args, **kwargs)
+
+
+def _assert_same_outcome(report, reference):
+    assert report.members == reference.members
+    assert report.certified == reference.certified
+    assert report.fully_ordered == reference.fully_ordered
+    assert report.ties_note == reference.ties_note
+    assert report.candidates == reference.candidates
+    assert report.excluded_zero_degree == reference.excluded_zero_degree
+    assert report.excluded_degree_one == reference.excluded_degree_one
+    for v, nb in report.bounds.items():
+        if nb.p == 1 and not nb.exact:  # dropped at order 1
+            assert v not in report.candidates
+            assert report.iterations[v] == 2 < reference.iterations[v]
+        else:
+            assert nb == reference.bounds[v]  # bit for bit
+            assert report.iterations[v] == reference.iterations[v]
+
+
+@pytest.mark.parametrize("width", [3, None])
+@pytest.mark.parametrize("side", ["hub", "authority"])
+def test_order_one_pass_changes_only_the_dropped_nodes(monkeypatch, random_suite, width, side):
+    # width: columns per block run; 3 makes the running cut meet earlier blocks
+    if width:
+        monkeypatch.setattr(topk, "block_width", lambda dim: width)
+    for g in random_suite[:12] + [zipf_offset_graph(150, 5, 1)]:
+        for k in {1, min(4, g.n)}:
+            for select, args in ((identify_top_k, (g, k)), (rank_in_top_m, (g, k, min(2 * k, g.n)))):
+                _assert_same_outcome(
+                    select(*args, side=side),
+                    _without_order_one_pass(monkeypatch, select, *args, side=side),
+                )
+
+
+@pytest.mark.parametrize("side", ["hub", "authority"])
+def test_order_one_cut_keeps_the_tie_slack(monkeypatch, side):
+    # a wide tie tolerance keeps nodes whose upper bound sits below the k-th
+    # lower bound; the running cut must keep them too
+    g = zipf_offset_graph(150, 5, 1)
+    kwargs = dict(side=side, p_max=7, tie_tol=0.2)
+    for k in (1, 5):
+        _assert_same_outcome(
+            identify_top_k(g, k, **kwargs),
+            _without_order_one_pass(monkeypatch, identify_top_k, g, k, **kwargs),
+        )
+
+
+def test_order_one_pass_halves_the_steps_on_sparse_graphs():
+    # order 1 rules out all but a few dozen of the 1000 authorities (2 steps each, not 4)
+    report = identify_top_k(zipf_offset_graph(1000, 5, 0), 10, side="authority")
+    assert report.certified
+    assert sum(report.iterations.values()) <= 0.55 * 4 * len(report.iterations)
+
+
+def test_order_one_pass_never_adds_steps_when_it_prunes_nothing(monkeypatch):
+    # in-degree 20: every order-1 bracket reaches the running cut
+    g = zipf_offset_graph(1000, 20, 0)
+    report = identify_top_k(g, 10, side="authority")
+    reference = _without_order_one_pass(monkeypatch, identify_top_k, g, 10, side="authority")
+    _assert_same_outcome(report, reference)
+    assert all(report.iterations[v] <= reference.iterations[v] for v in reference.iterations)
