@@ -307,6 +307,55 @@ class GramOperator:
 
     matvec = matmat
 
+    def _factors(self):
+        """(first, second): row j of ``first`` lists the i with a term in M e_j, row i of ``second`` its k."""
+        g = self.graph
+        return (g.forward, g.reverse) if self.side == "hub" else (g.reverse, g.forward)
+
+    def pair_counts(self):
+        """How many pair terms the column M e_j of each node j adds up (see ``column_pairs``)."""
+        first, second = self._factors()
+        return np.bincount(first._rows, weights=np.diff(second.indptr)[first.indices], minlength=self.dim)
+
+    def column_pairs(self, nodes):
+        """(bins, terms): the columns M e_j of ``nodes`` as terms to add, in order, into a len(nodes) x n array.
+
+        Authority side: each in-neighbour i of j (``reverse`` row j) expands
+        into its out-row (``forward`` row i), giving the terms A[i,k] A[i,j]
+        for row j, column k (flat position ``bins``); the hub side swaps the
+        two matrices.  For each (j, k) the terms come in ascending i, the
+        order in which both block kernels add them, so adding them in order
+        to zeros gives ``matmat`` of the unit block bit for bit.
+        """
+        first, second = self._factors()
+        nodes = np.asarray(nodes, dtype=np.int64)
+        pos, counts = _row_positions(first.indptr, nodes)
+        pair_pos, pair_counts = _row_positions(second.indptr, first.indices[pos])
+        # in place where it can: fresh pair-sized arrays cost page faults
+        bins = second.indices[pair_pos]
+        bins += np.repeat(np.repeat(np.arange(nodes.size) * self.dim, counts), pair_counts)
+        terms = second.data[pair_pos]
+        terms *= np.repeat(first.data[pos], pair_counts)
+        return bins, terms
+
+    def columns(self, nodes):
+        """The columns M e_j of ``nodes`` as the rows of a len(nodes) x n array, equal to ``matmat``'s.
+
+        Costs the pair terms plus n per column, not two block products.
+        """
+        bins, terms = self.column_pairs(nodes)
+        return np.bincount(bins, weights=terms, minlength=len(nodes) * self.dim).reshape(len(nodes), self.dim)
+
+
+def _row_positions(indptr, rows):
+    """(positions, counts): where the entries of the given CSR rows sit, row after row, and each row's count."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    positions = np.repeat(starts - (ends - counts), counts)
+    positions += np.arange(positions.size)
+    return positions, counts
+
 
 def from_edges(edges, n=None, index_base=0, weighted=False):
     """Build a canonical DirectedGraph from (u, v) or (u, v, w) triples.
@@ -494,58 +543,119 @@ def load_matrix_market(source):
             raise GraphFormatError(f"unsupported MatrixMarket field '{fld}'")
         if sym not in _MM_SYMMETRIES:
             raise GraphFormatError(f"unsupported MatrixMarket symmetry '{sym}'")
-        pattern = fld == "pattern"
-        dims = None
-        us, vs, ws = [], [], []
-        declared_nnz = 0
-        entry_lines = 0
-        for lineno, raw in enumerate(stream, start=2):
-            line = raw.strip()
-            if not line or line.startswith("%"):
-                continue
-            tokens = line.split()
-            if dims is None:
-                try:
-                    nrows, ncols, declared_nnz = (int(t) for t in tokens)
-                except ValueError:
-                    raise GraphFormatError(f"line {lineno}: bad size line") from None
-                if nrows != ncols:
-                    raise GraphFormatError(f"matrix is {nrows}x{ncols}, graphs require square")
-                if nrows >= NODE_LIMIT:
-                    raise GraphFormatError(f"line {lineno}: dimension {nrows} at or above the limit {NODE_LIMIT}")
-                dims = (nrows, ncols)
-                continue
-            expected = 2 if pattern else 3
-            if len(tokens) != expected:
-                raise GraphFormatError(f"line {lineno}: expected {expected} tokens, got {len(tokens)}")
-            try:
-                u = int(tokens[0]) - 1
-                v = int(tokens[1]) - 1
-                w = 1.0 if pattern else float(tokens[2])
-            except ValueError as exc:
-                raise GraphFormatError(f"line {lineno}: {exc}") from None
-            if u < 0 or v < 0 or u >= dims[0] or v >= dims[0]:
-                raise GraphFormatError(f"line {lineno}: entry index out of range")
-            if w < 0:
-                raise GraphFormatError(f"line {lineno}: negative weight {w}")
-            entry_lines += 1
-            us.append(u)
-            vs.append(v)
-            ws.append(w)
-            if sym == "symmetric" and u != v:
-                us.append(v)
-                vs.append(u)
-                ws.append(w)
-        if dims is None:
-            raise GraphFormatError("missing size line")
-        if entry_lines != declared_nnz:
-            raise GraphFormatError(f"size line declares {declared_nnz} entries, file has {entry_lines}")
-        ws = np.array(ws, dtype=float)
-        weighted = not pattern and bool(np.any(ws != 1.0))
-        return _graph_from_arrays(np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), ws, dims[0], 0, weighted)
+        text = stream.read()
     finally:
         if owned:
             stream.close()
+    pattern = fld == "pattern"
+    symmetric = sym == "symmetric"
+    us, vs, ws, n = _mm_array(text, pattern, symmetric) or _mm_lines(text, pattern, symmetric)
+    weighted = not pattern and bool(np.any(ws != 1.0))
+    return _graph_from_arrays(us, vs, ws, n, 0, weighted)
+
+
+_MM_DATA_LINE = re.compile(r"^[^\S\n]*[^%\s][^\n]*", re.MULTILINE)
+_MM_TRAILING_COMMENT = re.compile(r"^[^\S\n]*[^%\s][^%\n]*%", re.MULTILINE)
+
+
+def _mm_array(text, pattern, symmetric):
+    """(us, vs, ws, n) of a well-formed Matrix Market body, the entries read by NumPy's C parser.
+
+    ``text`` is everything after the header line.  Returns None for
+    anything else -- a bad size line, a lone carriage return, a comment
+    after data, a token or row NumPy declines, an entry out of range or
+    with a negative or non-finite weight, or an entry count other than the
+    declared one -- and ``_mm_lines`` then decides, reporting the first bad
+    line.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    size = _MM_DATA_LINE.search(text)
+    if size is None:
+        return None
+    try:
+        nrows, ncols, declared = (int(t) for t in size.group().split())
+    except ValueError:
+        return None
+    body = text[size.end() :]
+    if nrows != ncols or nrows >= NODE_LIMIT or ("%" in body and _MM_TRAILING_COMMENT.search(body)):
+        return None
+    fields = _EDGE_FIELDS[: 2 if pattern else 3]
+    if _MM_DATA_LINE.search(body) is None:
+        rows = np.empty(0, dtype=fields)
+    else:
+        try:
+            rows = np.loadtxt(io.StringIO(body), dtype=fields, comments="%", ndmin=1)
+        except ValueError:
+            return None
+    if rows.size != declared:
+        return None
+    ws = np.ones(rows.size) if pattern else rows["w"]
+    if rows.size and (
+        min(rows["u"].min(), rows["v"].min()) < 1
+        or max(rows["u"].max(), rows["v"].max()) > nrows
+        or not (np.isfinite(ws).all() and (ws >= 0).all())
+    ):
+        return None
+    us, vs = rows["u"] - 1, rows["v"] - 1
+    if symmetric:
+        # each off-diagonal entry (u, v) is followed by its mirror (v, u)
+        keep = np.column_stack([np.ones(us.size, dtype=bool), us != vs]).ravel()
+        us, vs = np.column_stack([us, vs]).ravel()[keep], np.column_stack([vs, us]).ravel()[keep]
+        ws = np.repeat(ws, 2)[keep]
+    return us, vs, ws, nrows
+
+
+def _mm_lines(text, pattern, symmetric):
+    """(us, vs, ws, n) of a Matrix Market body parsed line by line, raising at the first bad line."""
+    dims = None
+    us, vs, ws = [], [], []
+    declared_nnz = 0
+    entry_lines = 0
+    for lineno, raw in enumerate(text.split("\n"), start=2):
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        tokens = line.split()
+        if dims is None:
+            try:
+                nrows, ncols, declared_nnz = (int(t) for t in tokens)
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: bad size line") from None
+            if nrows != ncols:
+                raise GraphFormatError(f"matrix is {nrows}x{ncols}, graphs require square")
+            if nrows >= NODE_LIMIT:
+                raise GraphFormatError(f"line {lineno}: dimension {nrows} at or above the limit {NODE_LIMIT}")
+            dims = (nrows, ncols)
+            continue
+        expected = 2 if pattern else 3
+        if len(tokens) != expected:
+            raise GraphFormatError(f"line {lineno}: expected {expected} tokens, got {len(tokens)}")
+        try:
+            u = int(tokens[0]) - 1
+            v = int(tokens[1]) - 1
+            w = 1.0 if pattern else float(tokens[2])
+        except ValueError as exc:
+            raise GraphFormatError(f"line {lineno}: {exc}") from None
+        if u < 0 or v < 0 or u >= dims[0] or v >= dims[0]:
+            raise GraphFormatError(f"line {lineno}: entry index out of range")
+        if w < 0:
+            raise GraphFormatError(f"line {lineno}: negative weight {w}")
+        entry_lines += 1
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
+        if symmetric and u != v:
+            us.append(v)
+            vs.append(u)
+            ws.append(w)
+    if dims is None:
+        raise GraphFormatError("missing size line")
+    if entry_lines != declared_nnz:
+        raise GraphFormatError(f"size line declares {declared_nnz} entries, file has {entry_lines}")
+    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), np.array(ws, dtype=float), dims[0]
 
 
 def write_edge_list(g, target=None):

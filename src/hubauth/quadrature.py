@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError
 from .graph import bipartite_operator, spmv
-from .linalg import LanczosRun, JacobiMatrix, leading_singular_pair
+from .linalg import BREAKDOWN_RTOL, LanczosRun, JacobiMatrix, leading_singular_pair
 
 __all__ = [
     "EXP",
@@ -44,6 +44,8 @@ __all__ = [
     "gauss_estimate",
     "radau_bounds",
     "radau_bounds_from_run",
+    "first_lanczos_step",
+    "order_one_bounds",
     "BracketRun",
     "lobatto_bound",
     "bilinear_estimate",
@@ -268,6 +270,20 @@ def _radau_stacked(alpha, beta, ritz, tau, f, iv):
     return _gauss_stacked(np.column_stack([alpha, tau + delta]), beta, f)
 
 
+def _radau_pair(alpha, beta, iv, f):
+    """Lower and upper Gauss-Radau estimates from alpha, beta (m, p), one per row."""
+    ritz = np.linalg.eigvalsh(_stacked(alpha, beta[:, :-1]))
+    low = _radau_stacked(alpha, beta, ritz, iv.a, f, iv)
+    high = _radau_stacked(alpha, beta, ritz, iv.b, f, iv)
+    # the two can only cross through roundoff once the bracket has collapsed
+    return np.minimum(low, high), np.maximum(low, high)
+
+
+def _node_bounds(nodes, lower, upper, order, exact):
+    columns = (np.asarray(a).tolist() for a in (nodes, lower, upper, order, exact))
+    return [NodeBounds(v, lo, up, p=p, exact=ex) for v, lo, up, p, ex in zip(*columns)]
+
+
 def radau_bounds_from_run(run, p, iv, f):
     """Gauss-Radau brackets at order p for every column of a (re-usable) Lanczos run.
 
@@ -290,19 +306,66 @@ def radau_bounds_from_run(run, p, iv, f):
         lower[cols] = upper[cols] = _gauss_stacked(alpha[cols], beta[cols, : length - 1], f)
     if not exact.all():
         alpha, beta = run.coefficients(p)
-        alpha, beta = alpha[~exact], beta[~exact]
-        ritz = np.linalg.eigvalsh(_stacked(alpha, beta[:, :-1]))
-        low = _radau_stacked(alpha, beta, ritz, iv.a, f, iv)
-        high = _radau_stacked(alpha, beta, ritz, iv.b, f, iv)
-        # the two can only cross through roundoff once the bracket has collapsed
-        lower[~exact] = np.minimum(low, high)
-        upper[~exact] = np.maximum(low, high)
-    nodes = np.atleast_1d(run.start_index)
-    bounds = [
-        NodeBounds(int(nodes[c]), float(lower[c]), float(upper[c]), p=int(order[c]), exact=bool(exact[c]))
-        for c in range(run.columns)
-    ]
+        lower[~exact], upper[~exact] = _radau_pair(alpha[~exact], beta[~exact], iv, f)
+    bounds = _node_bounds(np.atleast_1d(run.start_index), lower, upper, order, exact)
     return bounds[0] if np.ndim(run.start_index) == 0 else bounds
+
+
+def first_lanczos_step(op, nodes):
+    """alpha_1, beta_1 and the breakdown flag of a Lanczos run from each node's unit vector.
+
+    ``op`` is a ``GramOperator``.  The columns M e_j are added up from its
+    ``column_pairs`` into one reused block of rows, in chunks that keep the
+    rows within BLOCK_ENTRIES and the pair terms within an eighth of it (at
+    least one node per chunk); fresh arrays of that size cost page faults.
+    alpha_1 = M_jj; with that entry zeroed, beta_1 is the norm of the rest.
+    This is the arithmetic of ``LanczosRun``'s first step, whose
+    reorthogonalization subtracts 0, so the three arrays equal
+    ``LanczosRun(op, nodes).extend(1)``'s bit for bit.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    alpha = np.empty(nodes.size)
+    beta = np.empty(nodes.size)
+    pairs = np.concatenate([[0], np.cumsum(op.pair_counts()[nodes])])
+    width = min(block_width(op.dim), nodes.size)
+    block = np.zeros((width, op.dim))
+    flat = block.reshape(-1)
+    lo = 0
+    while lo < nodes.size:
+        fits = int(np.searchsorted(pairs, pairs[lo] + BLOCK_ENTRIES // 8, side="right")) - 1
+        hi = max(lo + 1, min(lo + width, fits))
+        chunk = nodes[lo:hi]
+        bins, terms = op.column_pairs(chunk)
+        np.add.at(flat, bins, terms)  # in order, as np.bincount adds
+        W = block[: chunk.size]
+        diagonal = (np.arange(chunk.size), chunk)
+        alpha[lo:hi] = W[diagonal]
+        W[diagonal] = 0.0
+        beta[lo:hi] = np.sqrt(np.einsum("ji,ji->j", W, W))
+        flat[bins] = 0.0
+        lo = hi
+    # with n = 1 the zeroed row is empty, beta_1 = 0 and the run breaks down
+    return alpha, beta, beta <= BREAKDOWN_RTOL * np.maximum(np.abs(alpha), beta)
+
+
+def order_one_bounds(op, nodes, iv, f):
+    """Order-1 Gauss-Radau brackets for ``nodes`` from one sparse first Lanczos step each.
+
+    The same brackets, bit for bit, as ``radau_bounds_from_run`` at p = 1
+    gives a run that stops after its first step: a node whose run breaks
+    down there gets its exact value f(alpha_1).  Costs no block run: see
+    ``first_lanczos_step``.
+    """
+    f = _require_kernel(f)
+    alpha, beta, exact = first_lanczos_step(op, nodes)
+    alpha, beta = alpha[:, None], beta[:, None]
+    lower = np.empty(exact.size)
+    upper = np.empty(exact.size)
+    if exact.any():
+        lower[exact] = upper[exact] = _gauss_stacked(alpha[exact], beta[exact, :0], f)
+    if not exact.all():
+        lower[~exact], upper[~exact] = _radau_pair(alpha[~exact], beta[~exact], iv, f)
+    return _node_bounds(nodes, lower, upper, np.ones(exact.size, dtype=int), exact)
 
 
 def _intersect(old, new):
@@ -320,17 +383,17 @@ class BracketRun:
 
     ``start`` is what ``LanczosRun`` takes.  For one index, ``refine`` and
     ``bounds`` give one NodeBounds; for a sequence, one per column.  Each
-    ``refine`` step takes the next order of the schedule (P_START first,
-    then +P_STEP capped at p_max), or an order asked for below P_START, on
-    every column and intersects each new bracket with the node's old one,
+    ``refine`` step takes the next order of the schedule (P_START first or
+    after any order below it, then +P_STEP capped at p_max) on every
+    column and intersects each new bracket with the node's old one,
     which keeps brackets monotone under roundoff jitter; a crossed pair
     collapses to its midpoint.  A column whose run breaks down takes the
     exact step, whatever p_max is.
 
     ``bounds`` and ``p`` resume a rebuilt run: the brackets and the order
     its nodes already reached (a run rebuilt from the same start vectors
-    repeats the same recurrence).  ``retain`` drops the columns that need
-    no further step.
+    repeats the same recurrence), such as ``order_one_bounds``' at p = 1.
+    ``retain`` drops the columns that need no further step.
     """
 
     def __init__(self, op, start, iv, f, bounds=None, p=0):
@@ -352,14 +415,9 @@ class BracketRun:
             return False
         return self.p < p_max
 
-    def refine(self, p_max, p=None):
-        """Take one schedule step on every column and return the tightened brackets.
-
-        ``p`` asks for that order instead, e.g. a cheap order-1 bracket ahead
-        of the schedule; the next step after an order below P_START is P_START.
-        """
-        if p is None:
-            p = P_START if self.p < P_START else min(self.p + P_STEP, p_max)
+    def refine(self, p_max):
+        """Take one schedule step on every column and return the tightened brackets."""
+        p = P_START if self.p < P_START else min(self.p + P_STEP, p_max)
         new = radau_bounds_from_run(self.run, p, self.iv, self.f)
         new = [new] if isinstance(new, NodeBounds) else new
         if self._bounds is not None:

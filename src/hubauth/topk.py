@@ -8,11 +8,12 @@ top k and is discarded for good (upper bounds only move down as the
 bracket order grows).  Survivors take one step of the bracket schedule,
 ``quadrature.BracketRun``: two more quadrature orders, each one product with
 A and one with A^T, or the exact value once a run has broken down.  Then the
-round repeats.  The first round prunes twice: each block of nodes takes an
-order-1 bracket (2 Lanczos steps) first, and only the nodes that bracket
-cannot rule out go on to the first order of the schedule (4 steps).  Nodes
-with no out-edges (hub side) or no in-edges (authority side) score exactly
-cosh(0) = 1 and never enter Lanczos at all.
+round repeats.  The first round prunes twice: every node takes an order-1
+bracket from one sparse Lanczos step (its column of the Gram matrix), and
+only the nodes that bracket cannot rule out go on, strongest first, to the
+first order of the schedule (4 steps).  Nodes with no out-edges (hub side)
+or no in-edges (authority side) score exactly cosh(0) = 1 and never enter
+Lanczos at all.
 """
 
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ from .quadrature import (
     block_width,
     check_p_max,
     gram_interval,
+    order_one_bounds,
     spectrum_interval,
 )
 from .rankers import TIE_REL_TOL
@@ -43,8 +45,8 @@ class TopKReport:
     ``iterations`` maps each eligible node to the Lanczos steps its last run
     took on A A^T or A^T A (0 for a zero-degree node); a bracket of order p
     takes p + 1 steps unless the run breaks down first.  A node ruled out by
-    its order-1 bracket in the first round reports 2 steps and keeps that
-    bracket (``p`` = 1).
+    its order-1 bracket in the first round reports the 1 step that bracket
+    took and keeps it (``p`` = 1).
     """
 
     k: int
@@ -83,8 +85,8 @@ class _BracketPool:
     """Each eligible node's current bracket (``bounds``) and run length (``steps``).
 
     Zero-degree nodes get their exact bracket up front and no run.  ``start``
-    is the first round: block by block, an order-1 bracket for every inexact
-    node, then order P_START for those it cannot rule out, in the same run.
+    is the first round: a sparse order-1 bracket for every other node, then
+    order P_START, block by block, for those it cannot rule out.
     Every later ``refine`` rebuilds the runs of the nodes it refines from
     their start vectors, block by block, takes each one schedule step further
     and keeps only the brackets, so memory stays at one block's basis
@@ -115,38 +117,42 @@ class _BracketPool:
             self.steps[b.node] = int(length)
 
     def start(self, k, tie_tol):
-        """Bracket every inexact node at order P_START, or rule it out at order 1.
+        """Bracket every inexact node at order 1, then take the survivors to order P_START.
 
-        After a block's order-1 brackets, the cut is taken at the k-th
-        largest lower bound known so far: zero-degree nodes, earlier blocks
-        and this block.  Lower bounds only rise, so the cut never exceeds the
-        first one ``_topk_engine`` takes, and a column whose order-1 upper
-        bound falls below it would be pruned there anyway; it leaves the run
-        with 2 steps.  The rest go on to order P_START in the same run (4
-        steps, as without the order-1 pass); those brackets nest inside the
-        order-1 ones, so intersecting leaves them as a direct run gives them.
+        The order-1 brackets come from one sparse first Lanczos step per node
+        (``order_one_bounds``).  The cut is taken at the k-th largest lower
+        bound, zero-degree nodes included; a node whose upper bound falls
+        below it stays at order 1 with 1 step.  The survivors go to order
+        P_START in blocks, largest order-1 upper bound first (ties by id),
+        each run resuming from its order-1 brackets.  Before each block the
+        cut is taken again on every lower bound known so far, and queued
+        nodes below it are dropped.  Lower bounds only rise, so no cut ever
+        exceeds the first one ``_topk_engine`` takes, and every dropped node
+        is one that cut prunes anyway.
         """
         lower = np.full(self.op.dim, -np.inf)
         lower[sorted(self.zero_degree)] = 1.0
         todo = [v for v in self.eligible if v not in self.zero_degree]
-        for first in range(0, len(todo), self.width):
-            chunk = todo[first : first + self.width]
-            block = BracketRun(self.op, chunk, self.iv, COSH_SQRT)
-            block.run.reserve(P_START + 1)
-            block.refine(P_START, p=1)
-            self._store(block)
-            lower[chunk] = [b.lower for b in block.bounds]
-            threshold = np.partition(lower, -k)[-k]
-            if threshold > -np.inf:
-                cut = _cut(threshold, tie_tol)
-                keep = [j for j, b in enumerate(block.bounds) if b.upper >= cut]
-                if not keep:
-                    continue
-                if len(keep) < block.run.columns:
-                    block.retain(keep)
+        first = order_one_bounds(self.op, todo, self.iv, COSH_SQRT)
+        for b in first:
+            self.bounds[b.node] = b
+            self.steps[b.node] = 1
+        lower[todo] = [b.lower for b in first]
+        queue = sorted((b for b in first if not b.exact), key=lambda b: (-b.upper, b.node))
+        falling = np.array([-b.upper for b in queue])
+        done = 0
+        while done < len(queue):
+            cut = _cut(np.partition(lower, -k)[-k], tie_tol)
+            # the queue runs by falling upper bound: the nodes below the cut are its tail
+            end = min(done + self.width, int(np.searchsorted(falling, -cut, side="right")))
+            if end <= done:
+                break
+            chunk, done = queue[done:end], end
+            nodes = [b.node for b in chunk]
+            block = BracketRun(self.op, nodes, self.iv, COSH_SQRT, bounds=chunk, p=1)
             block.refine(P_START)
             self._store(block)
-            lower[block.run.start_index] = [b.lower for b in block.bounds]
+            lower[nodes] = [b.lower for b in block.bounds]
         self.p = P_START
 
     def refine(self, nodes, p_max):
@@ -279,8 +285,8 @@ def identify_top_k(g, k, side="hub", p_max=64, exclude_degree_one=False, order_m
 
     Round structure: prune candidates whose upper bound sits below the k-th
     largest lower bound, then raise the survivors' bracket order by two.  The
-    first round brackets every node at order 1 before order 3 and prunes on
-    both.
+    first round brackets every node at order 1, from its sparse Gram column,
+    before order 3 and prunes on both.
     Stops when exactly k candidates survive (certified), or when no bracket
     can improve, in which case near-identical scores are resolved by
     ascending node id and flagged in ``ties_note``.

@@ -205,7 +205,7 @@ def test_topk_with_m_relaxation(ex1_file, capsys):
     assert payload["iterations"]["max"] <= 4  # Gram steps: the order-3 first round
 
 
-def test_topk_json_reports_two_steps_for_nodes_dropped_at_order_one(tmp_path, capsys, monkeypatch):
+def test_topk_json_reports_one_step_for_nodes_dropped_at_order_one(tmp_path, capsys, monkeypatch):
     # hubs 1 and 2 mirror each other, so the top 2 refines to order 9; hubs 3-9
     # fall to their order-1 brackets, and the path 10 -> ... -> 16 breaks down at once
     out = {
@@ -224,7 +224,7 @@ def test_topk_json_reports_two_steps_for_nodes_dropped_at_order_one(tmp_path, ca
     assert code == 0
     payload, reference = json.loads(text), json.loads(reference_text)
     dropped = [str(v) for v in range(3, 10)]
-    assert [payload["iterations"]["per_node"].pop(v) for v in dropped] == [2] * 7
+    assert [payload["iterations"]["per_node"].pop(v) for v in dropped] == [1] * 7
     assert [reference["iterations"]["per_node"].pop(v) for v in dropped] == [4] * 7
     assert payload["iterations"]["max"] == 9
     assert payload == reference

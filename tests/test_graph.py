@@ -255,6 +255,65 @@ def test_matrix_market_dimension_mismatch():
         load_matrix_market(io.StringIO("%%MatrixMarket matrix coordinate pattern general\n2 2 5\n1 2\n"))
 
 
+def _mm_text(rng, field, symmetry, n=30, entries=200):
+    """A Matrix Market file with comments, blank lines, repeated entries and spread weights."""
+    lines = [f"%%MatrixMarket matrix coordinate {field} {symmetry}", "% generated", f" {n} {n} {entries}"]
+    for e in range(entries):
+        u, v = (int(x) for x in rng.integers(1, n + 1, size=2))
+        if symmetry == "symmetric" and u < v:
+            u, v = v, u
+        weight = {"pattern": "", "integer": f" {int(rng.integers(0, 9))}", "real": f" {rng.exponential()!r}"}[field]
+        lines.append(f"{u} {v}{weight}")
+        if e % 50 == 7:
+            lines.extend(["", "  % a comment line", "\t"])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("field", ["pattern", "integer", "real"])
+@pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+def test_matrix_market_array_reader_equals_the_line_reader(field, symmetry):
+    # same edge arrays, in the same order (duplicate sums depend on it), bit for bit
+    rng = np.random.default_rng(5)
+    pattern, symmetric = field == "pattern", symmetry == "symmetric"
+    for _ in range(5):
+        text = _mm_text(rng, field, symmetry)
+        body = text.split("\n", 1)[1]
+        fast = graph._mm_array(body, pattern, symmetric)
+        assert fast is not None
+        slow = graph._mm_lines(body, pattern, symmetric)
+        for a, b in zip(fast[:3], slow[:3]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert fast[3] == slow[3]
+        g = load_matrix_market(io.StringIO(text))
+        assert g.n == fast[3]
+        assert _csr(g.forward) == _csr(graph._graph_from_arrays(*slow[:3], slow[3], 0, False).forward)
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("3 3 2\n1 2\n2 3 % note\n", "line 4: expected 2 tokens, got 4"),
+        ("3 3 2\n1 2\n2 x\n", "line 4: invalid literal"),
+        ("3 3 2\n1 2\n2 1.0\n", "line 4: invalid literal"),
+        ("3 3 2\n1 2\n\n4 1\n", "line 5: entry index out of range"),
+        ("3 3 2\n0 2\n2 1\n", "line 3: entry index out of range"),
+        ("3 3 3\n1 2\n2 1\n", "declares 3 entries, file has 2"),
+        ("% only comments\n", "missing size line"),
+        ("3 3\n1 2\n", "line 2: bad size line"),
+    ],
+)
+def test_matrix_market_bad_line_keeps_the_line_reader_message(body, message):
+    with pytest.raises(GraphFormatError, match=message):
+        load_matrix_market(io.StringIO("%%MatrixMarket matrix coordinate pattern general\n" + body))
+    assert graph._mm_array(body, True, False) is None
+
+
+def test_matrix_market_negative_weight_keeps_its_line():
+    text = "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 1.5\n2 3 -2\n"
+    with pytest.raises(GraphFormatError, match="line 4: negative weight -2.0"):
+        load_matrix_market(io.StringIO(text))
+
+
 def test_degrees_example3(ex3):
     out_deg, in_deg = degrees(ex3)
     assert list(out_deg) == [0, 1, 1, 1, 1, 4]

@@ -1,9 +1,9 @@
 """Property tests of the exp-quad brackets, top-k and the dense scores.
 
 Graphs are small random digraphs (n <= 12; n <= 40 for the top-k pruning
-test), edgeless and reducible ones included.  The bracket oracle is
-hub_i = sum_k cosh(sigma_k) U_ik^2 (authorities: V), read straight off the
-full SVD of A.  The dense scores, which are computed from that SVD, are
+and sparse first-step tests), edgeless and reducible ones included.  The
+bracket oracle is hub_i = sum_k cosh(sigma_k) U_ik^2 (authorities: V), read
+straight off the full SVD of A.  The dense scores, which are computed from that SVD, are
 checked against oracles that do not use it: scipy's expm of the 2n x 2n
 bipartite matrix and the inverse of the n x n Gram matrices.
 """
@@ -29,10 +29,17 @@ from hubauth import (
     resolvent_bipartite,
     spectrum_interval,
 )
-from hubauth import topk
+from hubauth import graph, quadrature, topk
 from hubauth.graph import GramOperator
 from hubauth.linalg import LanczosRun
-from hubauth.quadrature import COSH_SQRT, BracketRun, ResolventKernel, gram_interval, radau_bounds_from_run
+from hubauth.quadrature import (
+    COSH_SQRT,
+    BracketRun,
+    ResolventKernel,
+    first_lanczos_step,
+    gram_interval,
+    radau_bounds_from_run,
+)
 from hubauth.rankers import TIE_REL_TOL
 
 from conftest import dense_adjacency, dense_bipartite, edgeless_graph, scipy_expm
@@ -60,6 +67,19 @@ def gnp_digraphs(draw, max_n=40):
     if draw(st.booleans()):
         mask = np.triu(mask, 1)
     return from_edges([(int(u), int(v)) for u, v in zip(*np.nonzero(mask))], n=n)
+
+
+@st.composite
+def weighted_gnp_digraphs(draw, max_n=40):
+    """G(n, p) pairs listed once or twice in shuffled order, self-loops too, a third of the weights 0."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    us, vs = np.nonzero(rng.random((n, n)) < draw(st.sampled_from([0.03, 0.08, 0.15, 0.3])))
+    copies = rng.integers(1, 3, size=us.size)
+    us, vs = np.repeat(us, copies), np.repeat(vs, copies)
+    ws = np.where(rng.random(us.size) < 1 / 3, 0.0, rng.uniform(0.1, 3.0, size=us.size))
+    order = rng.permutation(us.size)
+    return from_edges([(int(us[e]), int(vs[e]), float(ws[e])) for e in order], n=n, weighted=True)
 
 
 @st.composite
@@ -178,16 +198,40 @@ def test_topk_order_one_pruning_is_sound_against_the_exact_scores(g, k_wanted, w
                     member_lower = min(report.bounds[v].lower for v in report.members)
                     for v in eligible:
                         nb = report.bounds[v]
-                        if report.iterations[v] == 2:
-                            assert nb.p == 1 or nb.exact
+                        if report.iterations[v] == 1:
+                            assert nb.p == 1
                         if nb.p != 1 or nb.exact:
                             continue
-                        # dropped at order 1: two steps, and below the engine's own first cut
-                        assert report.iterations[v] == 2
+                        # dropped at order 1: one step, and below the engine's own first cut
+                        assert report.iterations[v] == 1
                         assert v not in report.candidates
                         assert nb.upper < _cut(kth_lower)
                         if len(report.candidates) == k:
                             assert nb.upper < _cut(member_lower)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(weighted_gnp_digraphs(), st.data(), st.sampled_from([7, 64, None]), st.booleans())
+def test_sparse_first_step_equals_the_block_run_bit_for_bit(g, data, entries, scipy_kernel):
+    # entries: BLOCK_ENTRIES for the chunks (7 puts one or two nodes in each);
+    # scipy_kernel: SciPy's csr_matvecs computes the reference block products
+    nodes = np.array(data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=2 * g.n)))
+    with contextlib.ExitStack() as patches:
+        if entries:
+            patches.enter_context(mock.patch.object(quadrature, "BLOCK_ENTRIES", entries))
+        if scipy_kernel:
+            patches.enter_context(mock.patch.object(graph, "NUMPY_BLOCK_LIMIT", 0))
+        for side in ("hub", "authority"):
+            op = GramOperator(g, side)
+            unit = np.zeros((g.n, nodes.size))
+            unit[nodes, np.arange(nodes.size)] = 1.0
+            assert np.array_equal(op.columns(nodes), op.matmat(unit).T)
+            alpha, beta, broken = first_lanczos_step(op, nodes)
+            run = LanczosRun(op, nodes).extend(1)
+            run_alpha, run_beta = run.coefficients(1)
+            assert np.array_equal(alpha, run_alpha[:, 0])
+            assert np.array_equal(beta, run_beta[:, 0])
+            assert np.array_equal(broken, run.broken)
 
 
 def _assert_close(got, expected):

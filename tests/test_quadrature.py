@@ -24,7 +24,15 @@ from hubauth import (
 )
 from hubauth.graph import GramOperator, spmv
 from hubauth.linalg import LanczosRun, leading_singular_pair
-from hubauth.quadrature import COSH_SQRT, P_START, P_STEP, BracketRun, gram_interval, radau_bounds_from_run
+from hubauth.quadrature import (
+    COSH_SQRT,
+    P_START,
+    P_STEP,
+    BracketRun,
+    gram_interval,
+    order_one_bounds,
+    radau_bounds_from_run,
+)
 
 from conftest import dense_bipartite, edgeless_graph, path_graph, scipy_expm, zipf_offset_graph
 
@@ -193,21 +201,25 @@ def test_bracket_run_schedule_tightens_to_the_exact_value(ex1):
 
 
 def test_bracket_run_takes_order_one_then_goes_on_to_the_schedule():
-    # the order-P_START brackets nest in the order-1 ones, so the pair of steps
-    # ends where a direct run does, bit for bit, in the same basis array
+    # the sparse order-1 brackets are a one-step run's, bit for bit; a run
+    # resumed from them ends where a direct run does, and the order-P_START
+    # brackets nest in the order-1 ones
     g = zipf_offset_graph(200, 5, 0)
     iv = gram_interval(spectrum_interval(g))
+    nodes = np.arange(g.n)
     for side in ("hub", "authority"):
         op = GramOperator(g, side)
-        block = BracketRun(op, np.arange(g.n), iv, COSH_SQRT)
-        block.run.reserve(P_START + 1)
-        basis = block.run._basis
-        coarse = block.refine(64, p=1)
-        assert block.p == 1 and block.run.steps == 2
-        assert all(nb.p == 1 or nb.exact for nb in coarse)
+        coarse = order_one_bounds(op, nodes, iv, COSH_SQRT)
+        assert [nb.node for nb in coarse] == list(nodes) and all(nb.p == 1 for nb in coarse)
+        run = LanczosRun(op, nodes)
+        # radau_bounds_from_run at order 1 also reads step 2, so it makes exact
+        # the runs that break down there; none does on this graph
+        assert coarse == radau_bounds_from_run(run, 1, iv, COSH_SQRT)
+        assert not (run.broken & (run.lengths == 2)).any()
+        block = BracketRun(op, nodes, iv, COSH_SQRT, bounds=coarse, p=1)
         fine = block.refine(64)
-        assert block.p == P_START and block.run._basis is basis
-        assert fine == BracketRun(op, np.arange(g.n), iv, COSH_SQRT).refine(64)
+        assert block.p == P_START and block.run.steps == P_START + 1
+        assert fine == BracketRun(op, nodes, iv, COSH_SQRT).refine(64)
         for a, b in zip(coarse, fine):
             assert a.lower <= b.lower <= b.upper <= a.upper
 
