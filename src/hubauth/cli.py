@@ -6,6 +6,7 @@ Node ids are echoed in the index base of the input file.  Exit codes:
 """
 
 import argparse
+import gc
 import io
 import json
 import sys
@@ -356,5 +357,18 @@ def main(argv=None):
         return EXIT_PARAMS
 
 
+def entry():
+    """Run main() on sys.argv and exit with its code: the console script and ``python -m hubauth.cli``.
+
+    What the imports built lives until the process ends.  Frozen, it is
+    skipped by the collection the interpreter runs at exit, which otherwise
+    walks every object (about 20 ms a process).  main() leaves the collector
+    alone, since tests and tools call it in process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -168,7 +168,7 @@ def _csr_pair(us, vs, ws, n):
 
     The arrays equal what SciPy's coo -> csr, ``sum_duplicates`` and
     ``sort_indices`` build: one stable sort on u * n + v orders A, and a
-    stable sort of A's columns orders A^T.
+    stable sort of A's columns (``_stable_column_order``) orders A^T.
     """
     keys = us * n + vs
     order = np.argsort(keys, kind="stable")
@@ -179,9 +179,23 @@ def _csr_pair(us, vs, ws, n):
     data = np.bincount(np.cumsum(head) - 1, weights=ws[order])
     rows, cols = np.divmod(keys[head], n)
     forward = CSRMatrix(_indptr(rows, n), cols, data, (n, n))
-    order = np.argsort(cols, kind="stable")
+    order = _stable_column_order(cols, n)
     reverse = CSRMatrix(_indptr(cols, n), rows[order], data[order], (n, n))
     return forward, reverse
+
+
+def _stable_column_order(cols, n):
+    """``np.argsort(cols, kind="stable")`` for 0 <= cols < n < 2**31, as an LSD radix sort.
+
+    NumPy sorts 16-bit keys stably by radix sort, so one pass on the low
+    16 bits orders the columns when n <= 2**16; above that a second stable
+    pass on the high bits keeps the low-digit order within each high digit.
+    """
+    order = np.argsort(cols.astype(np.uint16), kind="stable")
+    if n > 1 << 16:
+        high = (cols[order] >> 16).astype(np.uint16)
+        order = order[np.argsort(high, kind="stable")]
+    return order
 
 
 def _indptr(rows, n):

@@ -300,7 +300,8 @@ def radau_bounds_from_run(run, p, iv, f):
     lower = np.empty(run.columns)
     upper = np.empty(run.columns)
     order = np.where(exact, run.lengths, p)
-    for length in np.unique(run.lengths[exact]):
+    # ascending distinct lengths; np.unique would import numpy.ma (NumPy 2.4)
+    for length in np.flatnonzero(np.bincount(run.lengths[exact])):
         cols = exact & (run.lengths == length)
         alpha, beta = run.coefficients(length)
         lower[cols] = upper[cols] = _gauss_stacked(alpha[cols], beta[cols, : length - 1], f)

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import gc
 import json
 import os
 import subprocess
@@ -334,6 +335,48 @@ def test_console_script_entry_point(ex1_file):
 
 
 @pytest.mark.parametrize(
+    "text,extra,code",
+    [
+        (EX1_TEXT, ["--method", "exp-quad"], 0),
+        ("1 2\n2 x\n", ["--method", "exp-quad"], 1),
+        (EX1_TEXT, ["--method", "pagerank", "--alpha", "2"], 2),
+    ],
+    ids=["good", "malformed", "bad-alpha"],
+)
+def test_module_entry_exits_like_in_process_main(tmp_path, capsys, text, extra, code):
+    p = tmp_path / "graph.txt"
+    p.write_text(text)
+    argv = ["rank", "--input", str(p), "--base", "1", "--side", "hub"] + extra
+    result = subprocess.run([sys.executable, "-m", "hubauth.cli"] + argv, capture_output=True, env=_child_env())
+    frozen = gc.get_freeze_count()
+    in_process = run_cli(argv, capsys)
+    # main() leaves the collector alone; only the process entry freezes the heap
+    assert gc.get_freeze_count() == frozen == 0
+    assert in_process[0] == result.returncode == code
+    assert (result.stdout, result.stderr) == (in_process[1].encode(), in_process[2].encode())
+    assert (result.stdout != b"") == (code == 0) and (result.stderr != b"") == (code != 0)
+
+
+def test_entry_freezes_the_heap_before_exit(ex1_file):
+    # the console script runs the same function as python -m hubauth.cli
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        assert 'hubauth = "hubauth.cli:entry"' in fh.read().splitlines()
+    argv = ["hubauth", "rank", "--input", ex1_file, "--base", "1", "--method", "degree", "--side", "hub"]
+    probe = (
+        "import atexit, gc, sys, hubauth.cli\n"
+        "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 1000, file=sys.stderr))\n"
+        f"sys.argv = {argv!r}\n"
+        "print('frozen before:', gc.get_freeze_count(), file=sys.stderr)\n"
+        "hubauth.cli.entry()\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env())
+    assert result.returncode == 0
+    assert result.stdout.startswith("node,score,rank\n")
+    assert result.stderr.splitlines() == ["frozen before: 0", "frozen at exit: True"]
+
+
+@pytest.mark.parametrize(
     "name,text,message",
     [
         ("beyond-int64.txt", "0 1\n99999999999999999999 2\n", "line 2: node id 99999999999999999999 at or above the limit"),
@@ -356,31 +399,36 @@ def test_huge_node_ids_exit_1_before_allocating(tmp_path, capsys, name, text, me
     assert err == f"error: {message} {graph.NODE_LIMIT}\n"
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded(ex1_file):
+def test_cli_import_leaves_heavy_scipy_modules_unloaded(ex1_file, tmp_path):
     env = _child_env()
     # on ex1 the exp-exact and HITS hub rankings differ, so tau-b is computed
     args = ["compare", "--input", ex1_file, "--base", "1", "--method", "exp-exact", "--method", "hits", "--side", "hub"]
-    # graphs are NumPy CSR, and block products on graphs this small run in
-    # NumPy: only a large graph's block product or svds loads scipy.sparse,
-    # and these commands load no SciPy module at all
-    sparse_free = [
-        ["rank", "--input", ex1_file, "--base", "1", "--method", "pagerank", "--side", "authority"],
-        ["compare", "--input", ex1_file, "--base", "1", "--method", "exp-exact", "--method", "spectral", "--side", "hub"],
+    # the benchmark's four command shapes.  Graphs are NumPy CSR, and block
+    # products on graphs this small run in NumPy: only a large graph's block
+    # product or svds loads scipy.sparse, and these commands load no SciPy
+    # module at all.  Nor numpy.ma, which costs about 10 ms to import.
+    workload_shapes = [
         ["rank", "--input", ex1_file, "--base", "1", "--method", "exp-quad", "--side", "hub"],
         ["topk", "--input", ex1_file, "--base", "1", "--k", "2", "--side", "authority"],
+        ["compare", "--input", ex1_file, "--base", "1", "--method", "exp-exact", "--method", "spectral", "--side", "hub"],
+        ["rank", "--input", ex1_file, "--base", "1", "--method", "pagerank", "--side", "authority",
+         "--out", str(tmp_path / "pagerank.csv")],
     ]
     probe = (
         "import sys, hubauth.cli\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        f"for argv in {workload_shapes!r}: assert hubauth.cli.main(argv) == 0\n"
+        "print('numpy.ma loaded:', 'numpy.ma' in sys.modules)\n"
         f"hubauth.cli.main({args!r})\n"
         "print('scipy.stats loaded:', 'scipy.stats' in sys.modules)\n"
-        f"for argv in {sparse_free!r}: assert hubauth.cli.main(argv) == 0\n"
         "print('scipy loaded:', sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
     )
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert lines[0] == "[]"
+    assert "numpy.ma loaded: False" in lines
+    assert (tmp_path / "pagerank.csv").read_text().startswith("node,score,rank\n")
     tau = next(float(line.split(",")[1]) for line in lines if line.startswith("kendall_tau_b,"))
     assert tau < 1.0
     assert "scipy.stats loaded: False" in lines

@@ -453,6 +453,31 @@ def test_duplicates_sum_in_input_order_and_long_rows_match_scipy():
     assert not diagonals and len(tails) == 5
 
 
+@pytest.mark.parametrize("n", [3, 1000, 2**16, 2**16 + 1, 70000, 2**31 - 1])
+def test_radix_column_order_equals_the_stable_argsort(n):
+    # columns that share their low 16 bits (c and c + 2**16) and repeat, so the
+    # high-digit pass and the stability of both passes show in the order
+    rng = np.random.default_rng(n)
+    low = rng.integers(0, min(n, 40), 3000)
+    cols = np.where(rng.random(3000) < 0.5, low, (low + 2**16) % n) if n > 2**16 else low
+    cols = np.concatenate([cols, rng.integers(0, n, 3000), [n - 1, 0, n - 1]]).astype(np.int64)
+    assert np.array_equal(graph._stable_column_order(cols, n), np.argsort(cols, kind="stable"))
+
+
+@pytest.mark.parametrize("n", [2**16, 2**16 + 1, 70000])
+def test_transpose_equals_scipys_on_both_sides_of_the_high_digit(n):
+    rng = np.random.default_rng(n)
+    # targets c and c + 2**16 (one low digit) from a few sources, plus random and repeated edges
+    us = np.concatenate([rng.integers(0, 30, 2000), rng.integers(0, n, 2000)])
+    vs = np.concatenate([(rng.integers(0, 30, 2000) + 2**16 * rng.integers(0, 2, 2000)) % n, rng.integers(0, n, 2000)])
+    edges = list(zip(us.tolist(), vs.tolist(), rng.integers(1, 4, us.size).astype(float).tolist()))
+    g = from_edges(edges + edges[:500], n=n)
+    fwd = scipy.sparse.csr_matrix((g.forward.data, g.forward.indices, g.forward.indptr), shape=(n, n))
+    ref = fwd.T.tocsr()
+    for mine, theirs in ((g.reverse.indptr, ref.indptr), (g.reverse.indices, ref.indices), (g.reverse.data, ref.data)):
+        assert np.array_equal(mine, theirs)
+
+
 def _assert_block_products_match(mat, ref, blocks):
     """Block products bit for bit equal to SciPy's on both sides of the size rule:
     SciPy's kernel, then NumPy's in one chunk of rows and in chunks of a few rows."""
