@@ -22,7 +22,6 @@ from .errors import ConvergenceError, GraphFormatError, ParameterError, SizeLimi
 from .graph import (
     BipartiteOperator,
     DirectedGraph,
-    bipartite_operator,
     degrees,
     from_edges,
     load_edge_list,
@@ -42,14 +41,11 @@ from .linalg import (
     tridiag_eigen,
 )
 from .quadrature import (
-    EXP,
     NodeBounds,
     ResolventKernel,
     SpectrumInterval,
     bilinear_estimate,
     gauss_estimate,
-    lobatto_bound,
-    radau_bounds,
     spectrum_interval,
 )
 from .rankers import (

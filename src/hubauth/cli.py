@@ -15,7 +15,7 @@ import numpy as np
 
 from . import analysis, rankers, topk
 from .errors import ConvergenceError, GraphFormatError, ParameterError, SizeLimitError
-from .graph import bipartite_operator, load_edge_list, load_matrix_market
+from .graph import BipartiteOperator, load_edge_list, load_matrix_market
 from .linalg import DENSE_DIM_LIMIT, LanczosRun, tridiag_eigen
 from .quadrature import NodeBounds
 
@@ -241,7 +241,7 @@ def cmd_spectrum(args):
         estrada = None
     ritz = None
     if args.ritz_out:
-        run = LanczosRun(bipartite_operator(g), 0).extend(args.pmax)
+        run = LanczosRun(BipartiteOperator(g), 0).extend(args.pmax)
         nodes, _ = tridiag_eigen(run.jacobi())
         ritz = nodes
         with open(args.ritz_out, "w", encoding="utf-8") as fh:

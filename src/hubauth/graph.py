@@ -29,7 +29,6 @@ __all__ = [
     "load_matrix_market",
     "write_edge_list",
     "degrees",
-    "bipartite_operator",
     "spmv",
     "CSRMatrix",
     "NODE_LIMIT",
@@ -273,7 +272,9 @@ class BipartiteOperator:
 
     Index i < n addresses node i in its hub role; index n + i addresses the
     same node in its authority role.  The matrix itself is never formed:
-    dense methods work from the SVD of A (``linalg.dense_svd``).
+    dense methods work from the SVD of A (``linalg.dense_svd``), and every
+    quadrature rule runs on ``GramOperator``.  Lanczos on this operator
+    gives ``spectrum --ritz-out`` its Ritz values of B.
     """
 
     graph: DirectedGraph
@@ -691,11 +692,6 @@ def write_edge_list(g, target=None):
 def degrees(g):
     """Return (out_degrees, in_degrees) as integer vectors."""
     return g.out_degrees(), g.in_degrees()
-
-
-def bipartite_operator(g):
-    """Read-only symmetric bipartite view [[0, A], [A^T, 0]] of the graph."""
-    return BipartiteOperator(g)
 
 
 def spmv(g, x, transpose=False):

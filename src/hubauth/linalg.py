@@ -62,30 +62,6 @@ class JacobiMatrix:
         return J
 
 
-class _DenseOperator:
-    """Adapter presenting a square ndarray through the operator protocol."""
-
-    def __init__(self, mat):
-        self.mat = np.asarray(mat, dtype=float)
-        if self.mat.ndim != 2 or self.mat.shape[0] != self.mat.shape[1]:
-            raise ValueError("operator matrix must be square")
-
-    @property
-    def dim(self):
-        return self.mat.shape[0]
-
-    def matvec(self, x):
-        return self.mat @ x
-
-    matmat = matvec
-
-
-def _as_operator(op):
-    if hasattr(op, "matvec") and hasattr(op, "dim"):
-        return op
-    return _DenseOperator(op)
-
-
 def _start_block(start, dim):
     """(start vectors as the rows of a b x dim array, start_index) for LanczosRun."""
     start = np.asarray(start)
@@ -108,13 +84,13 @@ class LanczosRun:
     """Incremental Lanczos tridiagonalization with full reorthogonalization.
 
     A run advances b independent recurrences together, one column per start
-    vector: each step applies the operator once to the dim x b block of
-    current vectors (``op.matmat``; ``op.matvec`` for a one-column run),
-    reorthogonalizes every column against its own basis only (stacked
-    matrix products over the columns), and lets each column break down on
-    its own.  ``start`` is a node index (a one-column run from that unit
-    coordinate vector), a sequence of node indices (one column each) or a
-    unit float vector.
+    vector: each step applies the symmetric operator ``op`` (such as
+    ``graph.GramOperator``) once to the dim x b block of current vectors
+    (``op.matmat``; ``op.matvec`` for a one-column run), reorthogonalizes
+    every column against its own basis only (stacked matrix products over
+    the columns), and lets each column break down on its own.  ``start`` is
+    a node index (a one-column run from that unit coordinate vector), a
+    sequence of node indices (one column each) or a unit float vector.
 
     ``steps`` counts block steps; ``lengths`` and ``broken`` hold each
     column's completed steps and breakdown flag.  The basis is retained so a
@@ -122,7 +98,7 @@ class LanczosRun:
     """
 
     def __init__(self, op, start):
-        self.op = _as_operator(op)
+        self.op = op
         block, self.start_index = _start_block(start, self.op.dim)
         self.columns = block.shape[0]
         self._basis = block[:, None]  # (b, vectors, dim): each column's basis is contiguous

@@ -1,23 +1,26 @@
-"""Gauss, Gauss-Radau, and Gauss-Lobatto estimates for entries of f(op).
+"""Gauss and Gauss-Radau estimates for entries of f(M) on the Gram matrices.
 
-A bilinear form e_i^T f(op) e_i is a Stieltjes integral against the spectral
+A bilinear form e_i^T f(M) e_i is a Stieltjes integral against the spectral
 measure seen from e_i; running Lanczos from e_i yields the Jacobi matrix
 whose eigenpairs are the Gauss nodes and weights for that measure.
-Prescribing one endpoint of the spectrum (Radau) or both (Lobatto) turns the
-estimates into one-sided bounds for functions with sign-definite derivatives,
-which is what makes certified score brackets possible.
+Prescribing one endpoint of the spectrum (Radau) turns the estimates into
+one-sided bounds for functions with sign-definite derivatives, which is
+what makes certified score brackets possible.
 
-The rankers integrate over the Gram matrices A A^T (hubs) and A^T A
-(authorities), whose spectra lie in [0, sigma_1^2]: the hub block of the
-bipartite exponential is cosh(sqrt(A A^T)), the resolvent's is
-(I - c^2 A A^T)^{-1}.  The left Radau node is then exactly 0, and the right
-one is the square of the proved bound from ``spectrum_interval``.
+Every rule runs on M = A A^T (hubs) or A^T A (authorities), whose spectra
+lie in [0, sigma_1^2]; an order p costs p Lanczos steps on M, each one
+product with A and one with A^T.  The blocks of the bipartite exponential
+e^B, B = [[0, A], [A^T, 0]], are functions of M: the hub block is
+cosh(sqrt(A A^T)), the authority block cosh(sqrt(A^T A)) and the coupling
+block A g(A^T A) with g(x) = sinh(sqrt(x)) / sqrt(x); the resolvent's hub
+block is (I - c^2 A A^T)^{-1}.  The left Radau node is exactly 0, and the
+right one is the proved bound from ``spectrum_interval``.  Off-diagonal
+entries come from polarization (``bilinear_estimate``).
 
-Only the exponential, its Gram form cosh(sqrt(x)) and the resolvent are
-admitted: their derivatives are all positive on the relevant interval, so
-the bound directions are fixed (Gauss and Radau-at-a from below, Radau-at-b
-and Lobatto from above).  Arbitrary callables are rejected because no bound
-direction is justified.
+Only these kernels are admitted: their derivatives are all positive on the
+relevant interval, so the bound directions are fixed (Gauss and Radau-at-a
+from below, Radau-at-b from above).  Arbitrary callables are rejected
+because no bound direction is justified.
 """
 
 import math
@@ -26,28 +29,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .graph import bipartite_operator, spmv
-from .linalg import BREAKDOWN_RTOL, LanczosRun, JacobiMatrix, leading_singular_pair
+from .graph import spmv
+from .linalg import BREAKDOWN_RTOL, LanczosRun, leading_singular_pair
 
 __all__ = [
-    "EXP",
     "COSH_SQRT",
-    "ExpKernel",
+    "SINHC_SQRT",
     "CoshSqrtKernel",
+    "SinhcSqrtKernel",
     "ResolventKernel",
     "SpectrumInterval",
     "NodeBounds",
     "spectrum_interval",
-    "gram_interval",
     "block_width",
     "check_p_max",
     "gauss_estimate",
-    "radau_bounds",
     "radau_bounds_from_run",
     "first_lanczos_step",
     "order_one_bounds",
     "BracketRun",
-    "lobatto_bound",
     "bilinear_estimate",
 ]
 
@@ -57,19 +57,6 @@ P_STEP = 2
 
 # A block run holds about this many vector entries per basis vector (4 MB).
 BLOCK_ENTRIES = 2**19
-
-
-@dataclass(frozen=True)
-class ExpKernel:
-    """f(x) = e^x."""
-
-    name = "exp"
-
-    def __call__(self, x):
-        return np.exp(x)
-
-    def check_nodes(self, nodes):
-        return None
 
 
 @dataclass(frozen=True)
@@ -117,14 +104,35 @@ class CoshSqrtKernel:
         return None
 
 
-EXP = ExpKernel()
+@dataclass(frozen=True)
+class SinhcSqrtKernel:
+    """f(x) = sinh(sqrt(x)) / sqrt(x) = sum_k x^k / (2k+1)!: the coupling block of e^B is A f(A^T A).
+
+    The series defines f on all of R (sin(sqrt(-x)) / sqrt(-x) for x < 0,
+    and f(0) = 1), so a Ritz value that roundoff puts just below 0 is still
+    integrated exactly.
+    """
+
+    name = "sinhc-sqrt"
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        root = np.sqrt(np.abs(x))
+        safe = np.where(root > 0, root, 1.0)
+        return np.where(root > 0, np.where(x >= 0, np.sinh(root), np.sin(root)) / safe, 1.0)
+
+    def check_nodes(self, nodes):
+        return None
+
+
 COSH_SQRT = CoshSqrtKernel()
+SINHC_SQRT = SinhcSqrtKernel()
 
 
 def _require_kernel(f):
-    if not isinstance(f, (ExpKernel, CoshSqrtKernel, ResolventKernel)):
+    if not isinstance(f, (CoshSqrtKernel, SinhcSqrtKernel, ResolventKernel)):
         raise ParameterError(
-            "only the exponential and resolvent kernels carry certified bound directions"
+            "only the exponential's Gram kernels and the resolvent kernel carry certified bound directions"
         )
     return f
 
@@ -167,7 +175,7 @@ class NodeBounds:
 
 
 def spectrum_interval(g, estimate=None):
-    """Symmetric interval [-b, b] proved to contain the bipartite spectrum.
+    """Interval [0, b^2] proved to contain the spectra of A A^T and A^T A.
 
     b^2 bounds sigma_1^2 = lambda_max(A^T A) by the smaller of two facts:
     the Collatz-Wielandt bound max_i (A^T A x)_i / x_i, which holds for
@@ -178,7 +186,7 @@ def spectrum_interval(g, estimate=None):
     terms (d = largest in-degree plus largest out-degree), so roundoff
     understates them by at most about d + 3 unit roundoffs; b^2 is inflated
     by four times that, which also covers rounding b = sqrt(b^2) and
-    squaring it back.
+    squaring it back.  Every Radau rule prescribes the nodes 0 and b^2.
     """
     if estimate is None:
         estimate = leading_singular_pair(g)
@@ -186,15 +194,10 @@ def spectrum_interval(g, estimate=None):
     x = np.ones(g.n) if estimate.vector is None else np.maximum(np.abs(estimate.vector), 1e-12)
     bound = min(float(np.max(spmv(g, spmv(g, x), transpose=True) / x)), norms)
     if bound == 0.0:
-        return SpectrumInterval(-1.0, 1.0)
+        return SpectrumInterval(0.0, 1.0)
     d = int(g.in_degrees().max() + g.out_degrees().max())
     b = math.sqrt(bound * (1.0 + 2 * (d + 4) * np.finfo(float).eps))
-    return SpectrumInterval(-b, b)
-
-
-def gram_interval(iv):
-    """[0, b^2]: contains the spectra of A A^T and A^T A when [-b, b] contains the bipartite one."""
-    return SpectrumInterval(0.0, iv.b**2)
+    return SpectrumInterval(0.0, b**2)
 
 
 def block_width(dim):
@@ -211,16 +214,10 @@ def check_p_max(p_max):
 def gauss_estimate(J, f):
     """Plain Gauss rule: e_1^T f(J) e_1 via the Jacobi eigenpairs.
 
-    For the exponential this is a lower bound on the true bilinear form.
+    For every admitted kernel this is a lower bound on the true quadratic form.
     """
     f = _require_kernel(f)
     return float(_gauss_stacked(J.alpha[None], J.beta[None], f)[0])
-
-
-def _solve_tridiagonal(J, tau, rhs):
-    # order-p systems with p <= ~64: a dense pivoted solve is cheap and robust
-    dense = J.dense() - tau * np.eye(J.order)
-    return np.linalg.solve(dense, rhs)
 
 
 def _stacked(alpha, beta):
@@ -287,12 +284,12 @@ def _node_bounds(nodes, lower, upper, order, exact):
 def radau_bounds_from_run(run, p, iv, f):
     """Gauss-Radau brackets at order p for every column of a (re-usable) Lanczos run.
 
-    The run is extended to p+1 steps because the modification needs the
-    off-diagonal coupling gamma_p.  A column that breaks down within those
-    steps has its whole Krylov space: its Gauss value is exact and the
-    bracket collapses.  The brackets of the other columns come from stacked
-    eigensolves and solves.  Returns one NodeBounds for a run started from
-    one index or vector, else a list in column order.
+    The run is started from a sequence of node indices and is extended to
+    p+1 steps because the modification needs the off-diagonal coupling
+    gamma_p.  A column that breaks down within those steps has its whole
+    Krylov space: its Gauss value is exact and the bracket collapses.  The
+    brackets of the other columns come from stacked eigensolves and solves.
+    Returns one NodeBounds per column, in column order.
     """
     f = _require_kernel(f)
     run.extend(p + 1)
@@ -308,8 +305,7 @@ def radau_bounds_from_run(run, p, iv, f):
     if not exact.all():
         alpha, beta = run.coefficients(p)
         lower[~exact], upper[~exact] = _radau_pair(alpha[~exact], beta[~exact], iv, f)
-    bounds = _node_bounds(np.atleast_1d(run.start_index), lower, upper, order, exact)
-    return bounds[0] if np.ndim(run.start_index) == 0 else bounds
+    return _node_bounds(run.start_index, lower, upper, order, exact)
 
 
 def first_lanczos_step(op, nodes):
@@ -382,14 +378,13 @@ def _intersect(old, new):
 class BracketRun:
     """Radau brackets for a block of start nodes, refined along one schedule.
 
-    ``start`` is what ``LanczosRun`` takes.  For one index, ``refine`` and
-    ``bounds`` give one NodeBounds; for a sequence, one per column.  Each
-    ``refine`` step takes the next order of the schedule (P_START first or
-    after any order below it, then +P_STEP capped at p_max) on every
-    column and intersects each new bracket with the node's old one,
-    which keeps brackets monotone under roundoff jitter; a crossed pair
-    collapses to its midpoint.  A column whose run breaks down takes the
-    exact step, whatever p_max is.
+    ``nodes`` is a sequence of node indices; ``refine`` and ``bounds`` give
+    one NodeBounds per column.  Each ``refine`` step takes the next order
+    of the schedule (P_START first or after any order below it, then
+    +P_STEP capped at p_max) on every column and intersects each new
+    bracket with the node's old one, which keeps brackets monotone under
+    roundoff jitter; a crossed pair collapses to its midpoint.  A column
+    whose run breaks down takes the exact step, whatever p_max is.
 
     ``bounds`` and ``p`` resume a rebuilt run: the brackets and the order
     its nodes already reached (a run rebuilt from the same start vectors
@@ -397,22 +392,16 @@ class BracketRun:
     ``retain`` drops the columns that need no further step.
     """
 
-    def __init__(self, op, start, iv, f, bounds=None, p=0):
-        self.run = LanczosRun(op, start)
+    def __init__(self, op, nodes, iv, f, bounds=None, p=0):
+        self.run = LanczosRun(op, nodes)
         self.iv = iv
         self.f = f
         self.p = p
-        self._bounds = bounds
-
-    @property
-    def bounds(self):
-        if self._bounds is not None and np.ndim(self.run.start_index) == 0:
-            return self._bounds[0]
-        return self._bounds
+        self.bounds = bounds
 
     def refinable(self, p_max):
         """Whether a further ``refine`` step can tighten some bracket."""
-        if self._bounds is not None and all(b.exact for b in self._bounds):
+        if self.bounds is not None and all(b.exact for b in self.bounds):
             return False
         return self.p < p_max
 
@@ -420,70 +409,32 @@ class BracketRun:
         """Take one schedule step on every column and return the tightened brackets."""
         p = P_START if self.p < P_START else min(self.p + P_STEP, p_max)
         new = radau_bounds_from_run(self.run, p, self.iv, self.f)
-        new = [new] if isinstance(new, NodeBounds) else new
-        if self._bounds is not None:
-            new = [_intersect(old, nb) for old, nb in zip(self._bounds, new)]
+        if self.bounds is not None:
+            new = [_intersect(old, nb) for old, nb in zip(self.bounds, new)]
         self.p = p
-        self._bounds = new
-        return self.bounds
+        self.bounds = new
+        return new
 
     def retain(self, keep):
         """Keep only the columns listed in ``keep``, in that order."""
         self.run.retain(keep)
-        self._bounds = [self._bounds[j] for j in keep]
+        self.bounds = [self.bounds[j] for j in keep]
 
 
-def radau_bounds(op, node, p, iv, f):
-    """Lower and upper Gauss-Radau bounds for e_node^T f(op) e_node."""
-    if p < 1:
-        raise ParameterError("quadrature order p must be >= 1")
-    run = LanczosRun(op, node)
-    return radau_bounds_from_run(run, p, iv, f)
+def bilinear_estimate(op, u, v, p, f):
+    """Estimate u^T f(op) v by polarization of two quadratic forms.
 
-
-def lobatto_bound(op, node, p, iv, f):
-    """Gauss-Lobatto value with both endpoints prescribed (upper bound for exp)."""
-    f = _require_kernel(f)
-    if p < 1:
-        raise ParameterError("quadrature order p must be >= 1")
-    run = LanczosRun(op, node).extend(p)
-    if run.breakdown and run.steps <= p:
-        return gauss_estimate(run.jacobi(), f)
-    J = run.jacobi(p)
-    e_p = np.zeros(p)
-    e_p[-1] = 1.0
-    delta = _solve_tridiagonal(J, iv.a, e_p)
-    mu = _solve_tridiagonal(J, iv.b, e_p)
-    denom = delta[-1] - mu[-1]
-    if denom <= 0:
-        raise ParameterError("spectrum interval does not enclose the Ritz values")
-    gamma_sq = (iv.b - iv.a) / denom
-    omega = (delta[-1] * iv.b - mu[-1] * iv.a) / denom
-    modified = JacobiMatrix(np.append(J.alpha, omega), np.append(J.beta, np.sqrt(gamma_sq)))
-    return gauss_estimate(modified, f)
-
-
-def bilinear_estimate(op, u_node, v_node, p, f, graph=None):
-    """Estimate e_u^T f(op) e_v by polarization of two quadratic forms.
-
-    q(w) = w^T f(op) w is Gauss-estimated with Lanczos started at w/|w| and
-    rescaled by |w|^2; the off-diagonal entry is (q(e_u+e_v) - q(e_u-e_v))/4.
+    q(w) = w^T f(op) w is the order-p Gauss estimate (p Lanczos steps on
+    ``op``) from w/|w|, rescaled by |w|^2; u^T f(op) v is
+    (q(u + v) - q(u - v)) / 4.
     """
     f = _require_kernel(f)
-    if u_node == v_node:
-        raise ParameterError("bilinear estimate needs two distinct indices")
-    op = op if hasattr(op, "matvec") else bipartite_operator(op)
-    total = 0.0
-    for sign in (1.0, -1.0):
-        w = np.zeros(op.dim)
-        w[u_node] = 1.0
-        w[v_node] = sign
-        q = _quadratic_form(op, w, p, f)
-        total += sign * q
-    return total / 4.0
+    return (_quadratic_form(op, u + v, p, f) - _quadratic_form(op, u - v, p, f)) / 4.0
 
 
 def _quadratic_form(op, w, p, f):
     norm_sq = float(w @ w)
+    if norm_sq == 0.0:
+        return 0.0  # u = v: q(u - v) is a form of the zero vector
     run = LanczosRun(op, w / np.sqrt(norm_sq)).extend(p)
     return norm_sq * gauss_estimate(run.jacobi(), f)

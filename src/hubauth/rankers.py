@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError, SizeLimitError
-from .graph import GramOperator, bipartite_operator, degrees, spmv
+from .graph import GramOperator, degrees, spmv
 from .linalg import (
     DENSE_DIM_LIMIT,
     _ramp_start,
@@ -24,13 +24,12 @@ from .linalg import (
 )
 from .quadrature import (
     COSH_SQRT,
-    EXP,
+    SINHC_SQRT,
     BracketRun,
     ResolventKernel,
     bilinear_estimate,
     block_width,
     check_p_max,
-    gram_interval,
     spectrum_interval,
 )
 
@@ -206,15 +205,14 @@ def _refine_sides(g, iv, f, p_max, width_tol, sides):
     """Brackets for every node on the given sides: one (bounds, unresolved) pair per side.
 
     Hub i is e_i^T f(A A^T) e_i and authority i is e_i^T f(A^T A) e_i, with
-    f the Gram form of the kernel and brackets on [0, b^2]; brackets carry
-    the bipartite index of their node (i for hub i, n + i for authority i).
-    Nodes are refined in blocks of ``block_width(n)`` start vectors; a node
-    leaves its block once its bracket is exact, narrower than ``width_tol``
-    relative to the score, or at ``p_max``, and each block's run is dropped
-    before the next block starts.
+    f the Gram form of the kernel and brackets on ``iv`` = [0, b^2];
+    brackets carry the bipartite index of their node (i for hub i, n + i
+    for authority i).  Nodes are refined in blocks of ``block_width(n)``
+    start vectors; a node leaves its block once its bracket is exact,
+    narrower than ``width_tol`` relative to the score, or at ``p_max``, and
+    each block's run is dropped before the next block starts.
     """
     n = g.n
-    iv = gram_interval(iv)
     width = block_width(n)
 
     def settled(b):
@@ -485,13 +483,16 @@ def communicability(g, i, j, kind="hub_authority", mode="dense", p=20):
     as authorities, 'hub_authority' couples i's hub role to j's authority
     role.  Dense mode reads the entry off the SVD of A (hub block
     U cosh(S) U^T, authority block V cosh(S) V^T, coupling block
-    U sinh(S) V^T); quadrature mode estimates it by polarization.
+    U sinh(S) V^T).  Quadrature mode estimates it by polarization on a Gram
+    matrix, with p Lanczos steps on it per quadratic form: e_i^T
+    cosh(sqrt(A A^T)) e_j for hubs, the same on A^T A for authorities, and
+    (A^T e_i)^T g(A^T A) e_j with g(x) = sinh(sqrt(x)) / sqrt(x) for the
+    coupling block A g(A^T A).
     """
     n = g.n
     if not (0 <= i < n and 0 <= j < n):
         raise ParameterError("node ids out of range")
-    offsets = {"hub": (0, 0), "authority": (n, n), "hub_authority": (0, n)}  # bipartite index of i, j
-    if kind not in offsets:
+    if kind not in ("hub", "authority", "hub_authority"):
         raise ParameterError(f"unknown communicability kind '{kind}'")
     if i == j and kind != "hub_authority":
         raise ParameterError("communicability needs two distinct nodes; use centrality for i == j")
@@ -503,6 +504,11 @@ def communicability(g, i, j, kind="hub_authority", mode="dense", p=20):
         right = U if kind == "hub" else Vt.T
         return float((left[i] * (np.sinh(s) if kind == "hub_authority" else np.cosh(s))) @ right[j])
     if mode == "quadrature":
-        a, b = offsets[kind]
-        return float(bilinear_estimate(bipartite_operator(g), a + i, b + j, p, EXP))
+        u, v = np.zeros(n), np.zeros(n)
+        u[i], v[j] = 1.0, 1.0
+        f = COSH_SQRT
+        if kind == "hub_authority":
+            u, f = spmv(g, u, transpose=True), SINHC_SQRT
+        op = GramOperator(g, "hub" if kind == "hub" else "authority")
+        return float(bilinear_estimate(op, u, v, p, f))
     raise ParameterError(f"unknown mode '{mode}'")

@@ -29,7 +29,6 @@ from .quadrature import (
     NodeBounds,
     block_width,
     check_p_max,
-    gram_interval,
     order_one_bounds,
     spectrum_interval,
 )
@@ -97,7 +96,7 @@ class _BracketPool:
 
     def __init__(self, g, side, exclude_degree_one):
         self.op = GramOperator(g, side)
-        self.iv = gram_interval(spectrum_interval(g))
+        self.iv = spectrum_interval(g)
         self.width = block_width(g.n)
         out_deg, in_deg = degrees(g)
         relevant_deg = out_deg if side == "hub" else in_deg

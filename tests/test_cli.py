@@ -1,8 +1,10 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import gc
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -316,6 +318,25 @@ def test_spectrum_ritz_dump(ex1_file, tmp_path, capsys):
     assert len(values) >= 1
 
 
+def test_spectrum_ritz_dump_spans_the_bipartite_spectrum_of_ex1(ex1_file, tmp_path, capsys):
+    # 8 steps from hub 0 span all 8 dimensions of B: the Ritz values are B's
+    # eigenvalues, +-sigma_k of A
+    dump = tmp_path / "ritz.txt"
+    code, _, _ = run_cli(
+        ["spectrum", "--input", ex1_file, "--base", "1", "--pmax", "8", "--ritz-out", str(dump)], capsys
+    )
+    assert code == 0
+    values = np.array([float(line) for line in dump.read_text().splitlines()])
+    A = np.zeros((4, 4))
+    for line in EX1_TEXT.splitlines():
+        u, v = map(int, line.split())
+        A[u - 1, v - 1] = 1.0
+    sigma = np.linalg.svd(A, compute_uv=False)
+    np.testing.assert_allclose(values, np.sort(np.concatenate([-sigma, sigma])), rtol=0, atol=1e-10)
+    assert values[0] == pytest.approx(-1.98904379074, abs=1e-10)
+    assert values[-1] == pytest.approx(1.98904379074, abs=1e-10)
+
+
 def _child_env():
     """This process's environment with the imported hubauth's source dir on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(hubauth.__file__))
@@ -397,6 +418,19 @@ def test_huge_node_ids_exit_1_before_allocating(tmp_path, capsys, name, text, me
     assert code == 1
     assert out == ""
     assert err == f"error: {message} {graph.NODE_LIMIT}\n"
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry fails only on "import *"
+    checked = set()
+    for info in pkgutil.iter_modules(hubauth.__path__):
+        module = importlib.import_module(f"hubauth.{info.name}")
+        names = getattr(module, "__all__", None)
+        if names is None:
+            continue
+        assert [name for name in names if not hasattr(module, name)] == [], info.name
+        checked.add(info.name)
+    assert {"analysis", "graph", "linalg", "quadrature", "rankers", "topk"} <= checked
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded(ex1_file, tmp_path):

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hubauth import (
+    BipartiteOperator,
     GraphFormatError,
-    bipartite_operator,
     degrees,
     from_edges,
     load_edge_list,
@@ -328,7 +328,7 @@ def test_degrees_edgeless():
 
 
 def test_bipartite_unit_vector_matvec(ex1):
-    op = bipartite_operator(ex1)
+    op = BipartiteOperator(ex1)
     x = np.zeros(8)
     x[4] = 1.0  # node 0 in its authority role
     out = op.matvec(x)
@@ -348,7 +348,7 @@ def test_gram_operator_applies_a_a_transpose_and_its_mirror(ex1):
 
 
 def test_bipartite_symmetry(ex2):
-    op = bipartite_operator(ex2)
+    op = BipartiteOperator(ex2)
     rng = np.random.default_rng(7)
     for _ in range(5):
         x = rng.normal(size=op.dim)

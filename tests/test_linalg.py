@@ -7,11 +7,11 @@ import pytest
 
 import hubauth.linalg
 from hubauth import (
+    BipartiteOperator,
     ConvergenceError,
     JacobiMatrix,
     LanczosRun,
     SizeLimitError,
-    bipartite_operator,
     dense_expm,
     expm_action,
     from_edges,
@@ -28,8 +28,17 @@ from conftest import dense_adjacency, dense_bipartite, path_graph, zipf_offset_g
 # --------------------------------------------------------------------- lanczos
 
 
+class _OneByOne:
+    """The 1 x 1 operator [2]."""
+
+    dim = 1
+
+    def matvec(self, x):
+        return 2.0 * x
+
+
 def test_lanczos_one_dimensional_operator():
-    run = LanczosRun(np.array([[2.0]]), 0).extend(5)
+    run = LanczosRun(_OneByOne(), 0).extend(5)
     J, breakdown = run.jacobi(), run.breakdown
     assert breakdown
     assert J.order == 1
@@ -40,7 +49,7 @@ def test_lanczos_two_cycle_hand_values():
     # bipartite operator of the 2-cycle: Krylov space from e_0 is 2-dimensional,
     # J = [[0, 1], [1, 0]], eigenvalues -1 and +1
     g = from_edges([(0, 1), (1, 0)])
-    run = LanczosRun(bipartite_operator(g), 0).extend(8)
+    run = LanczosRun(BipartiteOperator(g), 0).extend(8)
     J, breakdown = run.jacobi(), run.breakdown
     assert breakdown
     assert np.allclose(J.alpha, [0.0, 0.0], atol=1e-14)
@@ -52,14 +61,14 @@ def test_lanczos_two_cycle_hand_values():
 def test_lanczos_ritz_values_within_spectrum(ex1):
     M = dense_bipartite(ex1)
     spectrum = np.linalg.eigvalsh(M)
-    J = LanczosRun(bipartite_operator(ex1), 0).extend(8).jacobi()
+    J = LanczosRun(BipartiteOperator(ex1), 0).extend(8).jacobi()
     ritz, _ = tridiag_eigen(J)
     assert ritz.min() >= spectrum.min() - 1e-10
     assert ritz.max() <= spectrum.max() + 1e-10
 
 
 def test_lanczos_basis_orthonormal_and_similar(ex1):
-    op = bipartite_operator(ex1)
+    op = BipartiteOperator(ex1)
     run = LanczosRun(op, 2).extend(6)
     Q = run.basis()[:, : run.steps]
     assert np.allclose(Q.T @ Q, np.eye(run.steps), atol=1e-10)
@@ -112,7 +121,7 @@ def test_lanczos_reserve_keeps_one_basis_array_across_extends():
 
 
 def test_lanczos_from_a_unit_vector(ex1):
-    op = bipartite_operator(ex1)
+    op = BipartiteOperator(ex1)
     v = np.zeros(op.dim)
     v[2] = 1.0
     from_vector = LanczosRun(op, v).extend(5)
@@ -128,7 +137,7 @@ def test_lanczos_from_a_unit_vector(ex1):
 
 def test_lanczos_isolated_node_breaks_down_immediately():
     g = from_edges([(0, 1)], n=3)
-    run = LanczosRun(bipartite_operator(g), 2).extend(10)
+    run = LanczosRun(BipartiteOperator(g), 2).extend(10)
     J, breakdown = run.jacobi(), run.breakdown
     assert breakdown
     assert J.order == 1
@@ -334,7 +343,7 @@ def test_sigma1_dominates_ritz_values(ex1, random_suite):
         if g.m == 0:
             continue
         sigma1 = power_singular_pair(g).sigma1
-        op = bipartite_operator(g)
+        op = BipartiteOperator(g)
         for node in range(min(4, 2 * g.n)):
             J = LanczosRun(op, node).extend(9).jacobi()
             ritz, _ = tridiag_eigen(J)

@@ -1,4 +1,9 @@
-"""Gauss/Radau/Lobatto estimates: bracketing, monotonicity, exactness."""
+"""Gauss and Radau estimates on the Gram operators: bracketing, monotonicity, exactness.
+
+Truth for hub i is E[i, i] and for authority i E[n + i, n + i], with E the
+exponential of the 2n x 2n bipartite matrix; the Gram rules integrate
+cosh(sqrt(x)) over A A^T and A^T A.
+"""
 
 import math
 
@@ -8,18 +13,14 @@ import pytest
 import hubauth.linalg
 import hubauth.quadrature
 from hubauth import (
-    EXP,
     JacobiMatrix,
     NodeBounds,
     ParameterError,
     ResolventKernel,
     bilinear_estimate,
-    bipartite_operator,
     from_edges,
     gauss_estimate,
-    lobatto_bound,
     power_singular_pair,
-    radau_bounds,
     spectrum_interval,
 )
 from hubauth.graph import GramOperator, spmv
@@ -28,13 +29,38 @@ from hubauth.quadrature import (
     COSH_SQRT,
     P_START,
     P_STEP,
+    SINHC_SQRT,
     BracketRun,
-    gram_interval,
     order_one_bounds,
     radau_bounds_from_run,
 )
 
-from conftest import dense_bipartite, edgeless_graph, path_graph, scipy_expm, zipf_offset_graph
+from conftest import (
+    dense_adjacency,
+    dense_bipartite,
+    edgeless_graph,
+    path_graph,
+    scipy_expm,
+    zipf_offset_graph,
+)
+
+SIDES = ("hub", "authority")
+
+
+def _diagonal(E, g, side):
+    """The hub or authority diagonal of the bipartite exponential E."""
+    return np.diag(E)[: g.n] if side == "hub" else np.diag(E)[g.n :]
+
+
+def _radau(op, node, p, iv, f):
+    """The order-p bracket of one node from a fresh one-column block run."""
+    return radau_bounds_from_run(LanczosRun(op, [node]), p, iv, f)[0]
+
+
+def _unit(n, i):
+    e = np.zeros(n)
+    e[i] = 1.0
+    return e
 
 
 # ---------------------------------------------------------- spectrum_interval
@@ -43,23 +69,25 @@ from conftest import dense_bipartite, edgeless_graph, path_graph, scipy_expm, zi
 def test_spectrum_interval_two_cycle():
     g = from_edges([(0, 1), (1, 0)])
     iv = spectrum_interval(g)
-    # A^T A = I: both bounds give sigma_1 = 1 up to the rounding slack
+    # A^T A = I: both bounds give sigma_1^2 = 1 up to the rounding slack
     assert iv.b == pytest.approx(1.0, abs=1e-10)
-    assert iv.a == -iv.b
+    assert iv.a == 0.0
 
 
 def test_spectrum_interval_example3(ex3):
     iv = spectrum_interval(ex3)
     # sigma_1 = 2 exactly (dense SVD oracle) and ||A||_1 ||A||_inf = 4^2: the
-    # Collatz-Wielandt bound is sigma_1 up to its rounding slack, no padding
-    assert 2.0 <= iv.b <= 2.0 * (1 + 1e-13)
+    # Collatz-Wielandt bound is sigma_1^2 up to its rounding slack, no padding
+    assert 4.0 <= iv.b <= 4.0 * (1 + 1e-13) ** 2
 
 
 def test_spectrum_interval_contains_dense_spectrum():
     g = path_graph(5)
     iv = spectrum_interval(g)
-    eigs = np.linalg.eigvalsh(dense_bipartite(g))
-    assert iv.a <= eigs.min() and eigs.max() <= iv.b
+    A = dense_adjacency(g)
+    for gram in (A @ A.T, A.T @ A):
+        eigs = np.linalg.eigvalsh(gram)
+        assert iv.a <= eigs.min() and eigs.max() <= iv.b
 
 
 def test_spectrum_interval_runs_only_the_sigma1_iteration(monkeypatch):
@@ -91,23 +119,25 @@ def test_spectrum_interval_runs_only_the_sigma1_iteration(monkeypatch):
 
 
 def test_gauss_estimate_scalar_exp():
-    J = JacobiMatrix(np.array([2.0]), np.array([]))
-    assert gauss_estimate(J, EXP) == pytest.approx(math.exp(2.0), abs=1e-12)
+    J = JacobiMatrix(np.array([4.0]), np.array([]))
+    assert gauss_estimate(J, COSH_SQRT) == pytest.approx(math.cosh(2.0), abs=1e-12)
+    assert gauss_estimate(J, SINHC_SQRT) == pytest.approx(math.sinh(2.0) / 2.0, abs=1e-12)
 
 
 def test_gauss_estimate_symmetric_pair_is_cosh():
-    # two symmetric nodes +-1 with equal weights: the node-0 hub score of the
-    # 2-cycle, and the printed value 1.5431
-    J = JacobiMatrix(np.zeros(2), np.array([1.0]))
-    assert gauss_estimate(J, EXP) == pytest.approx(math.cosh(1.0), abs=1e-12)
-    assert gauss_estimate(J, EXP) == pytest.approx(1.5431, abs=5e-5)
+    # the 2-cycle, a symmetric pair: A A^T = I, so node 0's hub score is cosh(1), printed 1.5431
+    run = LanczosRun(GramOperator(from_edges([(0, 1), (1, 0)]), "hub"), 0).extend(4)
+    assert run.breakdown and run.steps == 1
+    assert gauss_estimate(run.jacobi(), COSH_SQRT) == pytest.approx(math.cosh(1.0), abs=1e-12)
+    assert gauss_estimate(run.jacobi(), COSH_SQRT) == pytest.approx(1.5431, abs=5e-5)
 
 
 def test_gauss_estimate_lower_bounds_dense_truth(ex1):
-    truth = scipy_expm(dense_bipartite(ex1))[0, 0]
-    run = LanczosRun(bipartite_operator(ex1), 0).extend(3)
-    value = gauss_estimate(run.jacobi(3), EXP)
-    assert value <= truth + 1e-12
+    E = scipy_expm(dense_bipartite(ex1))
+    for side in SIDES:
+        run = LanczosRun(GramOperator(ex1, side), 0).extend(2)
+        value = gauss_estimate(run.jacobi(2), COSH_SQRT)
+        assert value <= _diagonal(E, ex1, side)[0] + 1e-12
 
 
 def test_cosh_sqrt_kernel_is_its_series_on_both_sides_of_zero():
@@ -115,6 +145,13 @@ def test_cosh_sqrt_kernel_is_its_series_on_both_sides_of_zero():
     series = sum(x**k / math.factorial(2 * k) for k in range(40))
     np.testing.assert_allclose(COSH_SQRT(x), series, rtol=1e-15)
     assert gauss_estimate(JacobiMatrix(np.array([4.0]), np.array([])), COSH_SQRT) == pytest.approx(math.cosh(2.0))
+
+
+def test_sinhc_sqrt_kernel_is_its_series_on_both_sides_of_zero():
+    x = np.array([-3.0, -1e-20, 0.0, 1e-20, 0.5, 4.0])
+    series = sum(x**k / math.factorial(2 * k + 1) for k in range(40))
+    np.testing.assert_allclose(SINHC_SQRT(x), series, rtol=1e-15)
+    assert SINHC_SQRT(0.0) == 1.0
 
 
 def test_gauss_estimate_rejects_foreign_functions():
@@ -129,13 +166,13 @@ def test_resolvent_pole_inside_interval_rejected():
         gauss_estimate(J, ResolventKernel(1.0))
 
 
-# ---------------------------------------------------------------- radau_bounds
+# -------------------------------------------------------- radau_bounds_from_run
 
 
 def test_radau_breakdown_is_exact_star_hub(ex3):
-    op = bipartite_operator(ex3)
-    iv = spectrum_interval(ex3)
-    nb = radau_bounds(op, 5, 6, iv, EXP)
+    # node 5 points at 1..4, which share no out-neighbour with it: e_5 is an
+    # eigenvector of A A^T with eigenvalue 4
+    nb = _radau(GramOperator(ex3, "hub"), 5, 6, spectrum_interval(ex3), COSH_SQRT)
     assert nb.exact
     assert nb.lower == nb.upper
     assert nb.lower == pytest.approx(math.cosh(2.0), abs=1e-10)
@@ -144,60 +181,65 @@ def test_radau_breakdown_is_exact_star_hub(ex3):
 
 def test_radau_edgeless_node_scores_one():
     g = edgeless_graph(3)
-    op = bipartite_operator(g)
     iv = spectrum_interval(g)
-    for node in range(6):
-        nb = radau_bounds(op, node, 4, iv, EXP)
-        assert nb.exact
-        assert nb.lower == pytest.approx(1.0, abs=1e-12)
+    for side in SIDES:
+        for node in range(3):
+            nb = _radau(GramOperator(g, side), node, 4, iv, COSH_SQRT)
+            assert nb.exact
+            assert nb.lower == pytest.approx(1.0, abs=1e-12)
 
 
 def test_radau_brackets_shrink_and_contain(ex1):
-    truth = scipy_expm(dense_bipartite(ex1))[0, 0]
-    op = bipartite_operator(ex1)
+    E = scipy_expm(dense_bipartite(ex1))
     iv = spectrum_interval(ex1)
-    prev_width = math.inf
-    for p in range(2, 7):
-        nb = radau_bounds(op, 0, p, iv, EXP)
-        assert nb.lower - 1e-12 <= truth <= nb.upper + 1e-12
-        width = nb.upper - nb.lower
-        assert width <= prev_width + 1e-12
-        prev_width = width
+    for side in SIDES:
+        truth = _diagonal(E, ex1, side)[0]
+        prev_width = math.inf
+        for p in range(1, 4):
+            nb = _radau(GramOperator(ex1, side), 0, p, iv, COSH_SQRT)
+            assert nb.lower - 1e-12 <= truth <= nb.upper + 1e-12
+            width = nb.upper - nb.lower
+            assert width <= prev_width + 1e-12
+            prev_width = width
 
 
 def test_radau_reused_run_matches_fresh(ex1):
-    op = bipartite_operator(ex1)
     iv = spectrum_interval(ex1)
-    run = LanczosRun(op, 1)
-    for p in (2, 3, 4):
-        incremental = radau_bounds_from_run(run, p, iv, EXP)
-        fresh = radau_bounds(op, 1, p, iv, EXP)
-        assert incremental.lower == pytest.approx(fresh.lower, abs=1e-13)
-        assert incremental.upper == pytest.approx(fresh.upper, abs=1e-13)
+    for side in SIDES:
+        op = GramOperator(ex1, side)
+        run = LanczosRun(op, [1])
+        for p in (1, 2, 3):
+            incremental = radau_bounds_from_run(run, p, iv, COSH_SQRT)[0]
+            fresh = _radau(op, 1, p, iv, COSH_SQRT)
+            assert incremental.lower == pytest.approx(fresh.lower, abs=1e-13)
+            assert incremental.upper == pytest.approx(fresh.upper, abs=1e-13)
 
 
 # ------------------------------------------------------------------ BracketRun
 
 
 def test_bracket_run_schedule_tightens_to_the_exact_value(ex1):
-    op = bipartite_operator(ex1)
+    # every Gram run on ex1 spans all 4 dimensions, so the first order is the exact one
     iv = spectrum_interval(ex1)
     E = scipy_expm(dense_bipartite(ex1))
-    for index in range(op.dim):
-        node = BracketRun(op, index, iv, EXP)
-        orders, prev = [], None
-        while node.refinable(64):
-            nb = node.refine(64)
-            orders.append(node.p)
-            if prev is not None:
-                assert prev.lower <= nb.lower <= nb.upper <= prev.upper
-            prev = nb
-        assert nb.exact and nb.lower == nb.upper
-        assert nb.lower == pytest.approx(E[index, index], rel=1e-12)
-        scheduled = [P_START + P_STEP * j for j in range(len(orders))]
-        # every order follows the schedule, except a final exact step at the run's length
-        assert orders[:-1] == scheduled[:-1]
-        assert orders[-1] in (scheduled[-1], node.run.steps)
+    for side in SIDES:
+        op = GramOperator(ex1, side)
+        truth = _diagonal(E, ex1, side)
+        for index in range(ex1.n):
+            node = BracketRun(op, [index], iv, COSH_SQRT)
+            orders, prev = [], None
+            while node.refinable(64):
+                (nb,) = node.refine(64)
+                orders.append(node.p)
+                if prev is not None:
+                    assert prev.lower <= nb.lower <= nb.upper <= prev.upper
+                prev = nb
+            assert nb.exact and nb.lower == nb.upper
+            assert nb.lower == pytest.approx(truth[index], rel=1e-12)
+            scheduled = [P_START + P_STEP * j for j in range(len(orders))]
+            # every order follows the schedule, except a final exact step at the run's length
+            assert orders[:-1] == scheduled[:-1]
+            assert orders[-1] in (scheduled[-1], node.run.steps)
 
 
 def test_bracket_run_takes_order_one_then_goes_on_to_the_schedule():
@@ -205,9 +247,9 @@ def test_bracket_run_takes_order_one_then_goes_on_to_the_schedule():
     # resumed from them ends where a direct run does, and the order-P_START
     # brackets nest in the order-1 ones
     g = zipf_offset_graph(200, 5, 0)
-    iv = gram_interval(spectrum_interval(g))
+    iv = spectrum_interval(g)
     nodes = np.arange(g.n)
-    for side in ("hub", "authority"):
+    for side in SIDES:
         op = GramOperator(g, side)
         coarse = order_one_bounds(op, nodes, iv, COSH_SQRT)
         assert [nb.node for nb in coarse] == list(nodes) and all(nb.p == 1 for nb in coarse)
@@ -230,115 +272,86 @@ def test_bracket_run_intersects_brackets_through_the_module_radau(ex1, monkeypat
 
     def radau(run, p, iv, f):
         lower, upper = next(scripted)
-        return NodeBounds(run.start_index, lower, upper, p=p)
+        return [NodeBounds(int(run.start_index[0]), lower, upper, p=p)]
 
     monkeypatch.setattr(hubauth.quadrature, "radau_bounds_from_run", radau)
-    node = BracketRun(bipartite_operator(ex1), 0, spectrum_interval(ex1), EXP)
+    node = BracketRun(GramOperator(ex1, "hub"), [0], spectrum_interval(ex1), COSH_SQRT)
     for expected in ((1.0, 3.0), (1.5, 3.0), (3.1, 3.1)):
-        b = node.refine(64)
+        (b,) = node.refine(64)
         assert (b.lower, b.upper) == expected
     assert node.p == P_START + 2 * P_STEP
 
 
-def test_bracket_run_stops_at_p_max(ex1):
-    # every run on ex1 breaks down only at step 8, so p_max = 4 ends it at order 4
-    op = bipartite_operator(ex1)
-    iv = spectrum_interval(ex1)
-    for index in range(op.dim):
-        node = BracketRun(op, index, iv, EXP)
+def test_bracket_run_stops_at_p_max():
+    # every run on this graph breaks down only at step 11 or later, so p_max = 4 ends it at order 4
+    g = zipf_offset_graph(12, 3, 0)
+    iv = spectrum_interval(g)
+    for side in SIDES:
+        node = BracketRun(GramOperator(g, side), np.arange(g.n), iv, COSH_SQRT)
         node.refine(4)
         node.refine(4)
         assert node.p == 4
-        assert not node.bounds.exact
+        assert not any(nb.exact for nb in node.bounds)
         assert not node.refinable(4)
-
-
-# --------------------------------------------------------------- lobatto_bound
-
-
-def test_lobatto_trivial_operator():
-    iv = spectrum_interval(edgeless_graph(2))
-    assert lobatto_bound(np.array([[0.0]]), 0, 3, iv, EXP) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_lobatto_upper_bounds_truth(ex1):
-    truth = scipy_expm(dense_bipartite(ex1))[0, 0]
-    op = bipartite_operator(ex1)
-    iv = spectrum_interval(ex1)
-    assert lobatto_bound(op, 0, 4, iv, EXP) >= truth - 1e-12
-    assert truth == pytest.approx(2.3319, abs=5e-5)
-
-
-def test_lobatto_versus_radau_upper(ex1):
-    op = bipartite_operator(ex1)
-    iv = spectrum_interval(ex1)
-    for p in (2, 3, 4, 5):
-        radau_upper = radau_bounds(op, 0, p, iv, EXP).upper
-        lob = lobatto_bound(op, 0, p, iv, EXP)
-        assert lob >= radau_upper - 1e-12
 
 
 # ----------------------------------------------------------- bilinear_estimate
 
 
 def test_bilinear_hub_authority_on_path():
+    # path 0 -> 1 -> 2: u = A^T e_0 = e_1 = v, so q(u - v) is the zero vector's form
     g = path_graph(3)
-    op = bipartite_operator(g)
     E = scipy_expm(dense_bipartite(g))
-    got = bilinear_estimate(op, 0, g.n + 1, 8, EXP)
-    assert got == pytest.approx(E[0, g.n + 1], abs=1e-10)
+    u = spmv(g, _unit(3, 0), transpose=True)
+    assert np.array_equal(u, _unit(3, 1))
+    got = bilinear_estimate(GramOperator(g, "authority"), u, _unit(3, 1), 8, SINHC_SQRT)
+    assert got == pytest.approx(E[0, g.n + 1], abs=1e-12)
 
 
 def test_bilinear_disconnected_nodes_are_zero():
     g = from_edges([], n=4)
-    op = bipartite_operator(g)
-    assert bilinear_estimate(op, 0, 1, 4, EXP) == pytest.approx(0.0, abs=1e-14)
+    got = bilinear_estimate(GramOperator(g, "hub"), _unit(4, 0), _unit(4, 1), 4, COSH_SQRT)
+    assert got == pytest.approx(0.0, abs=1e-14)
 
 
 def test_bilinear_hub_block_matches_dense(ex1):
-    op = bipartite_operator(ex1)
     E = scipy_expm(dense_bipartite(ex1))
-    got = bilinear_estimate(op, 0, 1, 10, EXP)
-    assert got == pytest.approx(E[0, 1], abs=1e-8)
-
-
-def test_bilinear_rejects_equal_indices(ex1):
-    with pytest.raises(ParameterError, match="distinct"):
-        bilinear_estimate(bipartite_operator(ex1), 2, 2, 4, EXP)
+    got = bilinear_estimate(GramOperator(ex1, "hub"), _unit(4, 0), _unit(4, 1), 10, COSH_SQRT)
+    assert got == pytest.approx(E[0, 1], abs=1e-12)
 
 
 # ------------------------------------------------------- bounded-rule sanity
 
 
 def test_gauss_below_radau_upper_at_equal_p(ex1):
-    op = bipartite_operator(ex1)
     iv = spectrum_interval(ex1)
-    for p in (2, 3, 4):
-        run = LanczosRun(op, 0).extend(p + 1)
-        gauss = gauss_estimate(run.jacobi(p), EXP)
-        upper = radau_bounds(op, 0, p, iv, EXP).upper
-        assert gauss <= upper + 1e-12
+    for side in SIDES:
+        op = GramOperator(ex1, side)
+        for p in (1, 2, 3):
+            run = LanczosRun(op, 0).extend(p + 1)
+            gauss = gauss_estimate(run.jacobi(p), COSH_SQRT)
+            upper = _radau(op, 0, p, iv, COSH_SQRT).upper
+            assert gauss <= upper + 1e-12
 
 
 def test_resolvent_brackets_reproduce_dense_diagonal(ex1):
     sigma1 = power_singular_pair(ex1).sigma1
     c = 0.9 / sigma1
-    kernel = ResolventKernel(c)
-    M = dense_bipartite(ex1)
-    truth = np.linalg.inv(np.eye(2 * ex1.n) - c * M)
-    op = bipartite_operator(ex1)
+    kernel = ResolventKernel(c**2)
+    A = dense_adjacency(ex1)
     iv = spectrum_interval(ex1)
-    for node in range(2 * ex1.n):
-        nb = radau_bounds(op, node, 10, iv, kernel)
-        assert nb.lower - 1e-8 <= truth[node, node] <= nb.upper + 1e-8
-        assert nb.upper - nb.lower < 1e-6
+    for side, gram in (("hub", A @ A.T), ("authority", A.T @ A)):
+        truth = np.linalg.inv(np.eye(ex1.n) - c**2 * gram)
+        for node in range(ex1.n):
+            nb = _radau(GramOperator(ex1, side), node, 10, iv, kernel)
+            assert nb.lower - 1e-8 <= truth[node, node] <= nb.upper + 1e-8
+            assert nb.upper - nb.lower < 1e-6
 
 
 def test_breakdown_gauss_matches_dense(ex3):
     # star center: Krylov space exhausts quickly, the estimate must be exact
     E = scipy_expm(dense_bipartite(ex3))
-    op = bipartite_operator(ex3)
-    run = LanczosRun(op, 5).extend(12)
+    run = LanczosRun(GramOperator(ex3, "hub"), 5).extend(12)
     assert run.breakdown
-    value = gauss_estimate(run.jacobi(), EXP)
+    value = gauss_estimate(run.jacobi(), COSH_SQRT)
     assert value == pytest.approx(E[5, 5], abs=1e-10)

@@ -11,7 +11,6 @@ from hubauth import (
     ConvergenceError,
     ParameterError,
     ScoreVector,
-    bipartite_operator,
     communicability,
     degree_scores,
     expA_row_col_sums,
@@ -540,10 +539,18 @@ def test_communicability_dense_matches_oracle(ex1):
     assert communicability(ex1, 0, 1, kind="authority") == pytest.approx(E[n, n + 1], abs=1e-12)
 
 
-def test_communicability_quadrature_matches_dense(ex1):
-    dense = communicability(ex1, 0, 1, kind="hub", mode="dense")
-    quad = communicability(ex1, 0, 1, kind="hub", mode="quadrature", p=10)
-    assert quad == pytest.approx(dense, abs=1e-8)
+@pytest.mark.parametrize("kind", ["hub", "authority", "hub_authority"])
+def test_communicability_quadrature_matches_dense(ex1, kind):
+    # path 0 -> 1 -> 2 with i = 0, j = 1: the coupling kind polarizes A^T e_0 = e_1
+    # against e_1, so one of its two vectors is zero
+    graphs = [ex1, path_graph(3), edgeless_graph(2), zipf_offset_graph(60, 5, 0)]
+    for g in graphs:
+        nodes = range(min(g.n, 8))
+        pairs = [(i, j) for i in nodes for j in nodes if i != j or kind == "hub_authority"]
+        for i, j in pairs:
+            dense = communicability(g, i, j, kind=kind, mode="dense")
+            quad = communicability(g, i, j, kind=kind, mode="quadrature", p=20)
+            assert quad == pytest.approx(dense, rel=1e-12, abs=1e-12), (g.n, i, j)
 
 
 def test_communicability_rejects_same_node_hub_kind(ex1):
