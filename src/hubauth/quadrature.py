@@ -368,10 +368,10 @@ def order_one_bounds(op, nodes, iv, f):
 def _intersect(old, new):
     if old.lower <= new.lower and new.upper <= old.upper:
         return new  # nested, as the schedule's brackets are in exact arithmetic
-    lower = max(old.lower, new.lower)
-    upper = min(old.upper, new.upper)
-    if lower > upper:
-        lower = upper = 0.5 * (lower + upper)
+    # clamp both ends into the old bracket; one that roundoff moved wholly
+    # past it collapses onto the old bracket's nearer end
+    lower = min(max(old.lower, new.lower), old.upper)
+    upper = max(min(old.upper, new.upper), old.lower)
     return NodeBounds(new.node, lower, upper, new.p, new.exact)
 
 
@@ -383,8 +383,9 @@ class BracketRun:
     of the schedule (P_START first or after any order below it, then
     +P_STEP capped at p_max) on every column and intersects each new
     bracket with the node's old one, which keeps brackets monotone under
-    roundoff jitter; a crossed pair collapses to its midpoint.  A column
-    whose run breaks down takes the exact step, whatever p_max is.
+    roundoff jitter; a new bracket wholly outside the old one collapses
+    onto the old one's nearer end.  A column whose run breaks down takes
+    the exact step, whatever p_max is.
 
     ``bounds`` and ``p`` resume a rebuilt run: the brackets and the order
     its nodes already reached (a run rebuilt from the same start vectors

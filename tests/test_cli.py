@@ -308,17 +308,6 @@ def test_spectrum_example2_degenerate(tmp_path, capsys):
 
 
 def test_spectrum_ritz_dump(ex1_file, tmp_path, capsys):
-    dump = tmp_path / "ritz.txt"
-    code, _, _ = run_cli(
-        ["spectrum", "--input", ex1_file, "--base", "1", "--ritz-out", str(dump)], capsys
-    )
-    assert code == 0
-    values = [float(line) for line in dump.read_text().splitlines()]
-    assert values == sorted(values)
-    assert len(values) >= 1
-
-
-def test_spectrum_ritz_dump_spans_the_bipartite_spectrum_of_ex1(ex1_file, tmp_path, capsys):
     # 8 steps from hub 0 span all 8 dimensions of B: the Ritz values are B's
     # eigenvalues, +-sigma_k of A
     dump = tmp_path / "ritz.txt"
@@ -326,15 +315,14 @@ def test_spectrum_ritz_dump_spans_the_bipartite_spectrum_of_ex1(ex1_file, tmp_pa
         ["spectrum", "--input", ex1_file, "--base", "1", "--pmax", "8", "--ritz-out", str(dump)], capsys
     )
     assert code == 0
-    values = np.array([float(line) for line in dump.read_text().splitlines()])
+    values = [float(line) for line in dump.read_text().splitlines()]
+    assert values == sorted(values)
     A = np.zeros((4, 4))
     for line in EX1_TEXT.splitlines():
         u, v = map(int, line.split())
         A[u - 1, v - 1] = 1.0
     sigma = np.linalg.svd(A, compute_uv=False)
     np.testing.assert_allclose(values, np.sort(np.concatenate([-sigma, sigma])), rtol=0, atol=1e-10)
-    assert values[0] == pytest.approx(-1.98904379074, abs=1e-10)
-    assert values[-1] == pytest.approx(1.98904379074, abs=1e-10)
 
 
 def _child_env():
