@@ -2,12 +2,13 @@
 
 A directed graph is mirrored into the symmetric operator [[0, A], [A^T, 0]];
 diagonal entries of its exponential score every node's hub and authority
-roles.  Small graphs are scored exactly through the SVD of A; large ones
-through certified Gauss-Radau brackets on A A^T and A^T A (the hub and
-authority blocks of that exponential are cosh(sqrt(A A^T)) and
-cosh(sqrt(A^T A))), which also drive a top-k selection without resolving
-all scores.  HITS, Katz, bipartite resolvent, exponential row/column sums,
-PageRank, and degree baselines ride along for comparison.
+roles.  The hub and authority blocks of that exponential are
+cosh(sqrt(A A^T)) and cosh(sqrt(A^T A)): small graphs are scored exactly
+from the eigendecomposition of the Gram matrix A A^T or A^T A, large ones
+through certified Gauss-Radau brackets on the same matrices, which also
+drive a top-k selection without resolving all scores.  HITS, Katz,
+bipartite resolvent, exponential row/column sums, PageRank, and degree
+baselines ride along for comparison.
 """
 
 from .analysis import (

@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SizeLimitError
-from .linalg import DENSE_DIM_LIMIT, power_singular_pair
+from .linalg import DENSE_DIM_LIMIT, dense_gram, power_singular_pair
+from .quadrature import COSH_SQRT
 
 __all__ = [
     "ComparisonReport",
@@ -165,8 +166,11 @@ def symmetry_fraction(g):
 
 
 def estrada_index(g):
-    """Trace of the bipartite exponential: twice the cosh-sum of the singular values."""
+    """Trace of the bipartite exponential: twice the cosh-sum of the singular values.
+
+    The singular values are the square roots of the eigenvalues of A^T A,
+    read from the cached decomposition (``dense_gram``).
+    """
     if g.n > DENSE_DIM_LIMIT:
         raise SizeLimitError(f"estrada index needs the dense singular spectrum (n <= {DENSE_DIM_LIMIT})")
-    s = np.linalg.svd(g.forward.toarray(), compute_uv=False)
-    return float(2.0 * np.cosh(s).sum())
+    return float(2.0 * COSH_SQRT(dense_gram(g, "authority")[0]).sum())

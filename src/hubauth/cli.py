@@ -49,11 +49,11 @@ def _run_method(g, method, side, args):
     elif method == "hits":
         hub, auth = rankers.hits(g, tol=args.tol, max_iter=args.max_iter)
     elif method == "exp-exact":
-        hub, auth = rankers.exp_centrality_exact(g)
+        return rankers.exp_centrality_exact(g, side=side)
     elif method == "exp-quad":
         return rankers.exp_centrality_quadrature(g, p_max=args.pmax, side=side)
     elif method == "spectral":
-        hub, auth = rankers.truncated_spectral_scores(g, k=args.k if args.k else 1)
+        return rankers.truncated_spectral_scores(g, k=args.k if args.k else 1, side=side)
     elif method == "katz":
         hub, auth = rankers.katz_row_col(g, c=args.c)
     elif method == "resolvent":

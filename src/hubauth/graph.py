@@ -272,9 +272,10 @@ class BipartiteOperator:
 
     Index i < n addresses node i in its hub role; index n + i addresses the
     same node in its authority role.  The matrix itself is never formed:
-    dense methods work from the SVD of A (``linalg.dense_svd``), and every
-    quadrature rule runs on ``GramOperator``.  Lanczos on this operator
-    gives ``spectrum --ritz-out`` its Ritz values of B.
+    dense methods work from the eigendecomposition of a Gram matrix
+    (``linalg.dense_gram``), and every quadrature rule runs on
+    ``GramOperator``.  Lanczos on this operator gives ``spectrum
+    --ritz-out`` its Ritz values of B.
     """
 
     graph: DirectedGraph

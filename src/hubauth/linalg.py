@@ -1,5 +1,6 @@
-"""Numerical kernels: batched Lanczos, tridiagonal eigensolver, the shared dense SVD,
-matrix exponentials, and power-iteration spectral estimates.
+"""Numerical kernels: batched Lanczos, tridiagonal eigensolver, the shared dense
+Gram eigendecompositions, matrix exponentials, and power-iteration spectral
+estimates.
 
 Everything here is deterministic: start vectors are fixed (unit vectors for
 Lanczos, normalized ones for power iterations) so repeated runs produce
@@ -24,7 +25,7 @@ __all__ = [
     "SpectralRadiusEstimate",
     "tridiag_eigen",
     "dense_expm",
-    "dense_svd",
+    "dense_gram",
     "expm_action",
     "leading_singular_pair",
     "power_singular_pair",
@@ -238,18 +239,25 @@ def dense_expm(M):
     return expm(M)
 
 
-def dense_svd(g):
-    """Full SVD (U, s, Vt) of the dense A, computed once per graph, read-only.
+def dense_gram(g, side):
+    """(lambda ascending, Q) from ``eigh`` of A A^T (side "hub") or A^T A ("authority").
 
-    Every dense method is a function of s applied through U (hubs) or V (authorities).
+    Computed once per graph and side, read-only.  Every dense method is a
+    function of the Gram matrix of the side it scores: the hub block of the
+    bipartite exponential is cosh(sqrt(A A^T)), the authority block
+    cosh(sqrt(A^T A)).  Roundoff can leave an eigenvalue slightly below 0.
     """
-    svd = g.__dict__.get("_dense_svd")
-    if svd is None:
-        svd = np.linalg.svd(g.forward.toarray())
-        for part in svd:
+    if side not in ("hub", "authority"):
+        raise ValueError(f"side must be 'hub' or 'authority', got '{side}'")
+    key = f"_dense_gram_{side}"
+    gram = g.__dict__.get(key)
+    if gram is None:
+        A = g.forward.toarray()
+        gram = np.linalg.eigh(A @ A.T if side == "hub" else A.T @ A)
+        for part in gram:
             part.flags.writeable = False
-        g.__dict__["_dense_svd"] = svd  # the dataclass is frozen; its __dict__ is not
-    return svd
+        g.__dict__[key] = gram  # the dataclass is frozen; its __dict__ is not
+    return gram
 
 
 def expm_action(g, v, transpose=False, rel_tol=1e-10):
@@ -331,8 +339,19 @@ def leading_singular_pair(g, tol=1e-10, max_iter=5000):
     """sigma_1 of A by power iteration on A^T A from the normalized constant vector.
 
     This is the first half of ``power_singular_pair``, for callers that read
-    only sigma_1 and the iterate; both give them bit for bit alike.
+    only sigma_1 and the iterate; both give them bit for bit alike.  The
+    result is computed once per graph and (tol, max_iter), and its vector is
+    read-only, so HITS, the spectral gap, the spectrum interval, the
+    resolvent and the spectral radius share one iteration.
     """
+    pairs = g.__dict__.setdefault("_leading_pairs", {})  # the dataclass is frozen; its __dict__ is not
+    key = (float(tol), int(max_iter))
+    if key not in pairs:
+        pairs[key] = _leading_singular_pair(g, tol, max_iter)
+    return pairs[key]
+
+
+def _leading_singular_pair(g, tol, max_iter):
     n = g.n
     if g.m == 0:
         return LeadingPair(0.0, None, 0, True)
@@ -354,6 +373,7 @@ def leading_singular_pair(g, tol=1e-10, max_iter=5000):
             converged = True
             break
         x = y
+    x.flags.writeable = False
     return LeadingPair(float(np.linalg.norm(spmv(g, x))), x, iterations, converged)
 
 

@@ -16,7 +16,7 @@ from .graph import GramOperator, degrees, spmv
 from .linalg import (
     DENSE_DIM_LIMIT,
     _ramp_start,
-    dense_svd,
+    dense_gram,
     expm_action,
     leading_singular_pair,
     power_singular_pair,
@@ -180,17 +180,22 @@ def hits(g, tol=1e-10, max_iter=1000, init=None):
     return hub, authority
 
 
-def exp_centrality_exact(g):
+def exp_centrality_exact(g, side=None):
     """Exponential hub/authority centrality: the diagonal of e^{[[0,A],[A^T,0]]}.
 
-    With A = U diag(s) V^T the hub and authority blocks are U cosh(diag(s)) U^T
-    and V cosh(diag(s)) V^T: hub_i = sum_k cosh(s_k) U_ik^2, likewise with V.
+    The hub block is cosh(sqrt(A A^T)) and the authority block
+    cosh(sqrt(A^T A)); with a side's Gram matrix Q diag(lambda) Q^T
+    (``dense_gram``), node i scores sum_k cosh(sqrt(lambda_k)) Q_ik^2.
+    Returns (hub, authority), or with ``side`` set only that side's
+    ScoreVector, computed without factoring the other Gram matrix.
     """
     if 2 * g.n > DENSE_DIM_LIMIT:
         raise SizeLimitError(f"dense path limited to 2n <= {DENSE_DIM_LIMIT}")
-    U, s, Vt = dense_svd(g)
-    cosh = np.cosh(s)
-    return ScoreVector("exp-exact", "hub", (U**2) @ cosh), ScoreVector("exp-exact", "authority", cosh @ (Vt**2))
+    vectors = []
+    for name in _sides(side):
+        lam, Q = dense_gram(g, name)
+        vectors.append(ScoreVector("exp-exact", name, (Q**2) @ COSH_SQRT(lam)))
+    return tuple(vectors) if side is None else vectors[0]
 
 
 def _sides(side):
@@ -264,7 +269,7 @@ def exp_centrality_quadrature(g, p_max=40, width_tol=1e-8, side=None):
     return tuple(vectors) if side is None else vectors[0]
 
 
-def truncated_spectral_scores(g, k, tol=TIE_REL_TOL):
+def truncated_spectral_scores(g, k, tol=TIE_REL_TOL, side=None):
     """Centrality from the k leading eigenpairs of the bipartite operator.
 
     The bipartite eigenvalues are the signed singular values of A; summing
@@ -275,13 +280,25 @@ def truncated_spectral_scores(g, k, tol=TIE_REL_TOL):
     group projector is basis-independent, so the scores stay deterministic
     and permutation-equivariant even for degenerate spectra (which are
     still flagged).
+
+    Up to DENSE_DIM_LIMIT nodes a side's singular vectors are the
+    eigenvectors q_t of its Gram matrix (``dense_gram``), with sigma_t =
+    ||A q_t|| for authorities and ||A^T q_t|| for hubs: sqrt(lambda_t) is
+    only good to about sqrt(n eps) sigma_1 near 0, coarser than the group
+    rule.  Returns (hub, authority), or with ``side`` set only that side's
+    ScoreVector, computed without factoring the other Gram matrix.
     """
     n = g.n
     if not 1 <= k <= 2 * n:
         raise ParameterError(f"k must be in [1, {2 * n}], got {k}")
+    sides = _sides(side)
     if n <= DENSE_DIM_LIMIT:
-        U, s, Vt = dense_svd(g)
-        lams = np.concatenate([s, -s[::-1]])
+        triplets = []
+        for name in sides:
+            Q = dense_gram(g, name)[1]
+            s = np.linalg.norm((g.reverse if name == "hub" else g.forward) @ Q, axis=0)
+            desc = np.argsort(-s, kind="stable")
+            triplets.append((s[desc], Q[:, desc]))
     else:
         if k >= n - 8:
             raise SizeLimitError("full singular spectrum of a large graph is out of reach")
@@ -295,8 +312,19 @@ def truncated_spectral_scores(g, k, tol=TIE_REL_TOL):
         except Exception as exc:  # pragma: no cover - solver specific
             raise ConvergenceError(f"singular-triplet solver failed: {exc}") from exc
         desc = np.argsort(-s)
-        U, s, Vt = U[:, desc], s[desc], Vt[desc]
-        lams = s
+        triplets = [(s[desc], U[:, desc] if name == "hub" else Vt[desc].T) for name in sides]
+    vectors = [_spectral_side(name, s, Q, k, tol) for name, (s, Q) in zip(sides, triplets)]
+    return tuple(vectors) if side is None else vectors[0]
+
+
+def _spectral_side(side, s, vectors, k, tol):
+    """One side's truncated spectral scores from sigma descending and that side's singular vectors.
+
+    With all n singular values the bipartite spectrum is +-sigma; with fewer
+    (the sparse solver's leading triplets) only the leading +sigma are known.
+    """
+    n = vectors.shape[0]
+    lams = np.concatenate([s, -s[::-1]]) if len(s) == n else s
     group_tol = tol * max(1.0, float(s[0]) if len(s) else 1.0)
     weights = np.zeros(len(lams))
     cut_ambiguous = False
@@ -316,25 +344,16 @@ def truncated_spectral_scores(g, k, tol=TIE_REL_TOL):
         cut_ambiguous = cut_ambiguous or slots < size
         filled += slots
         t = t_end
-    hub = np.zeros(n)
-    authority = np.zeros(n)
-    for term in np.nonzero(weights)[0]:
-        idx = term if term < n else 2 * n - 1 - term
-        lam = s[idx] if term < n else -s[idx]
-        w = 0.5 * weights[term] * math.exp(lam)
-        hub += w * U[:, idx] ** 2
-        authority += w * Vt[idx] ** 2
+    # bipartite term t has the singular vector of sigma_t (t < n) or of sigma_{2n-1-t} (-sigma)
+    terms = np.arange(len(lams))
+    coef = np.bincount(np.minimum(terms, 2 * n - 1 - terms), weights=0.5 * weights * np.exp(lams), minlength=len(s))
     degenerate = len(s) > 1 and s[0] - s[1] < tol * max(s[0], 1e-300)
     diag = {
         "degenerate": bool(degenerate),
         "cut_ambiguous": bool(cut_ambiguous),
         "eigenvalues": lams[: min(k, len(lams))].tolist(),
     }
-    params = {"k": k}
-    return (
-        ScoreVector("spectral", "hub", hub, params, dict(diag)),
-        ScoreVector("spectral", "authority", authority, params, dict(diag)),
-    )
+    return ScoreVector("spectral", side, (vectors**2) @ coef, {"k": k}, diag)
 
 
 def katz_row_col(g, c=None, tol=1e-10, max_iter=200000):
@@ -378,11 +397,11 @@ def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, side=N
     """Diagonals of (I - c^2 A A^T)^{-1} (hubs) and (I - c^2 A^T A)^{-1} (authorities).
 
     These are the diagonal blocks of the bipartite resolvent (I - c op)^{-1},
-    so the quadrature path runs the Radau machinery with the kernel
-    1/(1 - c^2 x) on the Gram matrices (orders up to ``p_max``); the dense
-    path reads them off the SVD of A.  Requires
+    so both paths apply the kernel 1/(1 - c^2 x) to the Gram matrices: the
+    quadrature path through the Radau machinery (orders up to ``p_max``),
+    the dense path through their eigendecompositions.  Requires
     0 < c < 1/sigma_1.  Returns (hub, authority), or with ``side`` set only
-    that side's ScoreVector (quadrature then skips the other half).
+    that side's ScoreVector (either path then skips the other half).
     """
     n = g.n
     sides = _sides(side)
@@ -398,20 +417,17 @@ def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, side=N
     if mode == "auto":
         mode = "dense" if 2 * n <= DENSE_DIM_LIMIT else "quadrature"
     params = {"c": c, "mode": mode}
+    kernel = ResolventKernel(c**2)
     vectors = []
     if mode == "dense":
         if 2 * n > DENSE_DIM_LIMIT:
             raise SizeLimitError(f"dense path limited to 2n <= {DENSE_DIM_LIMIT}")
-        # the hub block is U diag(1/(1 - c^2 s^2)) U^T, the authority block uses V
-        U, s, Vt = dense_svd(g)
-        f = 1.0 / (1.0 - c**2 * s**2)
         for name in sides:
-            scores = (U**2) @ f if name == "hub" else f @ (Vt**2)
-            vectors.append(ScoreVector("resolvent", name, scores, params))
+            lam, Q = dense_gram(g, name)
+            vectors.append(ScoreVector("resolvent", name, (Q**2) @ kernel(lam), params))
     else:
         check_p_max(p_max)
         iv = spectrum_interval(g, estimate=est)
-        kernel = ResolventKernel(c**2)
         for name, (bounds, _) in zip(sides, _refine_sides(g, iv, kernel, p_max, width_tol, sides)):
             scores = np.array([b.midpoint for b in bounds])
             vectors.append(ScoreVector("resolvent", name, scores, params, {"bounds": bounds}))
@@ -481,13 +497,13 @@ def communicability(g, i, j, kind="hub_authority", mode="dense", p=20):
 
     kind selects the block: 'hub' compares i and j as hubs, 'authority'
     as authorities, 'hub_authority' couples i's hub role to j's authority
-    role.  Dense mode reads the entry off the SVD of A (hub block
-    U cosh(S) U^T, authority block V cosh(S) V^T, coupling block
-    U sinh(S) V^T).  Quadrature mode estimates it by polarization on a Gram
-    matrix, with p Lanczos steps on it per quadratic form: e_i^T
+    role.  Both modes evaluate a kernel of a Gram matrix: e_i^T
     cosh(sqrt(A A^T)) e_j for hubs, the same on A^T A for authorities, and
     (A^T e_i)^T g(A^T A) e_j with g(x) = sinh(sqrt(x)) / sqrt(x) for the
-    coupling block A g(A^T A).
+    coupling block A g(A^T A).  Dense mode applies the kernel to the
+    eigenvalues of that Gram matrix (``dense_gram``); quadrature mode
+    estimates the form by polarization, with p Lanczos steps per quadratic
+    form.
     """
     n = g.n
     if not (0 <= i < n and 0 <= j < n):
@@ -496,19 +512,17 @@ def communicability(g, i, j, kind="hub_authority", mode="dense", p=20):
         raise ParameterError(f"unknown communicability kind '{kind}'")
     if i == j and kind != "hub_authority":
         raise ParameterError("communicability needs two distinct nodes; use centrality for i == j")
-    if mode == "dense":
-        if 2 * n > DENSE_DIM_LIMIT:
-            raise SizeLimitError(f"dense path limited to 2n <= {DENSE_DIM_LIMIT}")
-        U, s, Vt = dense_svd(g)
-        left = Vt.T if kind == "authority" else U
-        right = U if kind == "hub" else Vt.T
-        return float((left[i] * (np.sinh(s) if kind == "hub_authority" else np.cosh(s))) @ right[j])
+    if mode not in ("dense", "quadrature"):
+        raise ParameterError(f"unknown mode '{mode}'")
+    if mode == "dense" and 2 * n > DENSE_DIM_LIMIT:
+        raise SizeLimitError(f"dense path limited to 2n <= {DENSE_DIM_LIMIT}")
+    u, v = np.zeros(n), np.zeros(n)
+    u[i], v[j] = 1.0, 1.0
+    f = COSH_SQRT
+    if kind == "hub_authority":
+        u, f = spmv(g, u, transpose=True), SINHC_SQRT
+    side = "hub" if kind == "hub" else "authority"
     if mode == "quadrature":
-        u, v = np.zeros(n), np.zeros(n)
-        u[i], v[j] = 1.0, 1.0
-        f = COSH_SQRT
-        if kind == "hub_authority":
-            u, f = spmv(g, u, transpose=True), SINHC_SQRT
-        op = GramOperator(g, "hub" if kind == "hub" else "authority")
-        return float(bilinear_estimate(op, u, v, p, f))
-    raise ParameterError(f"unknown mode '{mode}'")
+        return float(bilinear_estimate(GramOperator(g, side), u, v, p, f))
+    lam, Q = dense_gram(g, side)
+    return float(((u @ Q) * f(lam)) @ Q[j])

@@ -482,16 +482,37 @@ def test_benchmark_tracer_runs_and_leaves_output_unchanged(ex1_file, tmp_path, a
     assert names.count("linalg.lanczos") > 0
 
 
-def test_compare_factors_a_once(ex1_file, capsys, monkeypatch):
+def _count_calls(monkeypatch, module, name):
     calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(1) or original(*a, **kw))
+    return calls
+
+
+def test_compare_factors_a_once(ex1_file, capsys, monkeypatch):
+    # both dense methods read one decomposition of the requested side's Gram matrix
+    eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+    svd = _count_calls(monkeypatch, np.linalg, "svd")
     code, _, _ = run_cli(
         ["compare", "--input", ex1_file, "--base", "1", "--method", "exp-exact", "--method", "spectral", "--side", "hub"],
         capsys,
     )
     assert code == 0
-    assert len(calls) == 1
+    assert (len(eigh), len(svd)) == (1, 0)
+
+
+def test_rank_exp_exact_authority_never_forms_the_hub_gram_matrix(ex1_file, capsys, monkeypatch):
+    from hubauth import cli
+
+    loaded = []
+    load = cli._load_graph
+    monkeypatch.setattr(cli, "_load_graph", lambda args: loaded.append(load(args)) or loaded[-1])
+    code, _, _ = run_cli(
+        ["rank", "--input", ex1_file, "--base", "1", "--method", "exp-exact", "--side", "authority"],
+        capsys,
+    )
+    assert code == 0
+    assert [key for key in vars(loaded[0]) if key.startswith("_dense_gram")] == ["_dense_gram_authority"]
 
 
 def test_rank_exp_quad_side_matches_both_sides(ex1_file, capsys):

@@ -3,9 +3,11 @@
 Graphs are small random digraphs (n <= 12; n <= 40 for the top-k pruning
 and sparse first-step tests), edgeless and reducible ones included.  The
 bracket oracle is hub_i = sum_k cosh(sigma_k) U_ik^2 (authorities: V), read
-straight off the full SVD of A.  The dense scores, which are computed from that SVD, are
-checked against oracles that do not use it: scipy's expm of the 2n x 2n
-bipartite matrix and the inverse of the n x n Gram matrices.
+straight off the full SVD of A.  The dense scores, which are computed from
+the eigendecompositions of A A^T and A^T A, are checked against scipy's expm
+of the 2n x 2n bipartite matrix, the inverse of the n x n Gram matrices and
+an SVD reference built in the test (G(n, p) graphs up to n = 40, weighted,
+with zero weights, and rank-deficient).
 """
 
 import contextlib
@@ -17,15 +19,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hubauth import (
+    ScoreVector,
     communicability,
+    estrada_index,
     exp_centrality_exact,
     exp_centrality_quadrature,
     from_edges,
     identify_top_k,
     power_singular_pair,
     rank_in_top_m,
+    rank_table,
     resolvent_bipartite,
     spectrum_interval,
+    truncated_spectral_scores,
 )
 from hubauth import graph, quadrature, topk
 from hubauth.graph import GramOperator
@@ -319,3 +325,55 @@ def test_bracket_is_the_same_alone_and_in_a_block_with_zero_degree_columns(g, si
             assert (a.p, a.exact) == (b.p, b.exact)
             assert abs(a.lower - b.lower) <= 1e-13 * abs(a.lower)
             assert abs(a.upper - b.upper) <= 1e-13 * abs(a.upper)
+
+
+@st.composite
+def twin_digraphs(draw):
+    """A G(n, p) digraph, weighted or not, where a few nodes copy another's out-edges: A is rank-deficient."""
+    g = draw(st.one_of(gnp_digraphs(), weighted_gnp_digraphs()))
+    A = dense_adjacency(g)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for u, v in rng.integers(0, g.n, size=(draw(st.integers(1, 3)), 2)):
+        A[v] = A[u]
+    return from_edges([(int(u), int(v), float(A[u, v])) for u, v in zip(*np.nonzero(A))], n=g.n, weighted=True)
+
+
+def _spectral_reference(s, vectors, k):
+    """Truncated spectral scores of one side and whether the cut splits a group, written out from the SVD."""
+    n = len(s)
+    lams = np.concatenate([s, -s[::-1]])
+    heads = np.r_[True, np.abs(np.diff(lams)) > TIE_REL_TOL * max(1.0, s[0])]
+    group = np.cumsum(heads) - 1
+    start = np.flatnonzero(heads)[group]
+    size = np.bincount(group)[group]
+    weights = np.clip((k - start) / size, 0.0, 1.0)
+    columns = np.r_[np.arange(n), np.arange(n)[::-1]]  # the vector of +sigma_t, then of -sigma_t
+    scores = (vectors[:, columns] ** 2) @ (0.5 * weights * np.exp(lams))
+    return scores, bool(np.any((start < k) & (k < start + size)))
+
+
+@SETTINGS
+@given(st.one_of(gnp_digraphs(), weighted_gnp_digraphs(), twin_digraphs()))
+def test_dense_methods_match_an_svd_reference(g):
+    n = g.n
+    A = dense_adjacency(g)
+    U, s, Vt = np.linalg.svd(A)
+    c = 0.9 / s[0] if s[0] > 0 else 0.5
+    for side, vectors in (("hub", U), ("authority", Vt.T)):
+        _assert_close(exp_centrality_exact(g, side=side).scores, (vectors**2) @ np.cosh(s))
+        _assert_close(resolvent_bipartite(g, c=c, mode="dense", side=side).scores, (vectors**2) @ (1 / (1 - c**2 * s**2)))
+        for k in (1, n, 2 * n):
+            got = truncated_spectral_scores(g, k, side=side)
+            scores, ambiguous = _spectral_reference(s, vectors, k)
+            if not ambiguous:
+                assert np.array_equal(rank_table(got).ranks, rank_table(ScoreVector("spectral", side, scores)).ranks)
+    assert math.isclose(estrada_index(g), 2 * np.cosh(s).sum(), rel_tol=1e-12)
+
+    blocks = {
+        "hub": (U * np.cosh(s)) @ U.T,
+        "authority": (Vt.T * np.cosh(s)) @ Vt,
+        "hub_authority": (U * np.sinh(s)) @ Vt,
+    }
+    for kind, block in blocks.items():
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j or kind == "hub_authority"]
+        _assert_close([communicability(g, i, j, kind=kind) for i, j in pairs], [block[i, j] for i, j in pairs])
