@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SizeLimitError
-from .linalg import DENSE_DIM_LIMIT, dense_gram, power_singular_pair
+from .linalg import DENSE_DIM_LIMIT, power_singular_pair
 from .quadrature import COSH_SQRT
 
 __all__ = [
@@ -168,9 +168,12 @@ def symmetry_fraction(g):
 def estrada_index(g):
     """Trace of the bipartite exponential: twice the cosh-sum of the singular values.
 
-    The singular values are the square roots of the eigenvalues of A^T A,
-    read from the cached decomposition (``dense_gram``).
+    The singular values are the square roots of the eigenvalues of A^T A;
+    only those eigenvalues are computed, no eigenvectors.
     """
     if g.n > DENSE_DIM_LIMIT:
         raise SizeLimitError(f"estrada index needs the dense singular spectrum (n <= {DENSE_DIM_LIMIT})")
-    return float(2.0 * COSH_SQRT(dense_gram(g, "authority")[0]).sum())
+    A = g.forward.toarray()
+    gram = A.T @ A
+    del A  # eigvalsh copies its input; the dense A need not stay alive beside both
+    return float(2.0 * COSH_SQRT(np.linalg.eigvalsh(gram)).sum())

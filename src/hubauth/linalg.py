@@ -339,19 +339,8 @@ def leading_singular_pair(g, tol=1e-10, max_iter=5000):
     """sigma_1 of A by power iteration on A^T A from the normalized constant vector.
 
     This is the first half of ``power_singular_pair``, for callers that read
-    only sigma_1 and the iterate; both give them bit for bit alike.  The
-    result is computed once per graph and (tol, max_iter), and its vector is
-    read-only, so HITS, the spectral gap, the spectrum interval, the
-    resolvent and the spectral radius share one iteration.
+    only sigma_1 and the iterate; both give them bit for bit alike.
     """
-    pairs = g.__dict__.setdefault("_leading_pairs", {})  # the dataclass is frozen; its __dict__ is not
-    key = (float(tol), int(max_iter))
-    if key not in pairs:
-        pairs[key] = _leading_singular_pair(g, tol, max_iter)
-    return pairs[key]
-
-
-def _leading_singular_pair(g, tol, max_iter):
     n = g.n
     if g.m == 0:
         return LeadingPair(0.0, None, 0, True)
@@ -373,7 +362,6 @@ def _leading_singular_pair(g, tol, max_iter):
             converged = True
             break
         x = y
-    x.flags.writeable = False
     return LeadingPair(float(np.linalg.norm(spmv(g, x))), x, iterations, converged)
 
 

@@ -286,7 +286,10 @@ def truncated_spectral_scores(g, k, tol=TIE_REL_TOL, side=None):
     ||A q_t|| for authorities and ||A^T q_t|| for hubs: sqrt(lambda_t) is
     only good to about sqrt(n eps) sigma_1 near 0, coarser than the group
     rule.  Returns (hub, authority), or with ``side`` set only that side's
-    ScoreVector, computed without factoring the other Gram matrix.
+    ScoreVector, computed without factoring the other Gram matrix.  The
+    diagnostics (``eigenvalues``, ``degenerate``, ``cut_ambiguous``) are
+    per side: each comes from that side's own sigma_t, so the hub and
+    authority copies need not be identical.
     """
     n = g.n
     if not 1 <= k <= 2 * n:

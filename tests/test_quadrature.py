@@ -21,7 +21,6 @@ from hubauth import (
     from_edges,
     gauss_estimate,
     power_singular_pair,
-    resolvent_bipartite,
     spectrum_interval,
 )
 from hubauth.graph import GramOperator, spmv
@@ -114,30 +113,6 @@ def test_spectrum_interval_runs_only_the_sigma1_iteration(monkeypatch):
     assert used < len(calls)
     assert est.sigma1 == lead.sigma1 and np.array_equal(est.vector, lead.vector)
     assert spectrum_interval(g, est) == iv
-
-
-def test_resolvent_and_spectrum_interval_share_one_power_iteration(monkeypatch):
-    g = zipf_offset_graph(300, 4, seed=5)
-    alone = hubauth.linalg._leading_singular_pair(zipf_offset_graph(300, 4, seed=5), 1e-10, 5000)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return spmv(*args, **kwargs)
-
-    monkeypatch.setattr(hubauth.linalg, "spmv", counted)
-    hub = resolvent_bipartite(g, side="hub")
-    iv = spectrum_interval(g)
-    # two products per power step and one for sigma_1, once for both callers
-    assert alone.iterations > 1
-    assert len(calls) == 2 * alone.iterations + 1
-    lead = leading_singular_pair(g)
-    assert lead is leading_singular_pair(g, 1e-10, 5000)
-    assert lead.sigma1 == alone.sigma1 and np.array_equal(lead.vector, alone.vector)
-    assert hub.params["c"] == 0.9 / alone.sigma1
-    assert iv == spectrum_interval(zipf_offset_graph(300, 4, seed=5), alone)
-    with pytest.raises(ValueError):
-        lead.vector[0] = 0.0
 
 
 # -------------------------------------------------------------- gauss_estimate
