@@ -32,7 +32,6 @@ from .graph import (
 )
 from .linalg import (
     DENSE_DIM_LIMIT,
-    JacobiMatrix,
     LanczosRun,
     SpectralEstimate,
     dense_expm,
@@ -46,7 +45,6 @@ from .quadrature import (
     ResolventKernel,
     SpectrumInterval,
     bilinear_estimate,
-    gauss_estimate,
     spectrum_interval,
 )
 from .rankers import (

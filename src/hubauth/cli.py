@@ -241,8 +241,9 @@ def cmd_spectrum(args):
         estrada = None
     ritz = None
     if args.ritz_out:
-        run = LanczosRun(BipartiteOperator(g), 0).extend(args.pmax)
-        nodes, _ = tridiag_eigen(run.jacobi())
+        run = LanczosRun(BipartiteOperator(g), [0]).extend(args.pmax)
+        alpha, beta = run.coefficients(run.steps)
+        nodes, _ = tridiag_eigen(alpha[0], beta[0, :-1])
         ritz = nodes
         with open(args.ritz_out, "w", encoding="utf-8") as fh:
             for t in nodes:

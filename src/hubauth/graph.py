@@ -268,14 +268,13 @@ class DirectedGraph:
 
 @dataclass(frozen=True)
 class BipartiteOperator:
-    """Symmetric operator [[0, A], [A^T, 0]] of dimension 2n, matvec only.
+    """Symmetric operator [[0, A], [A^T, 0]] of dimension 2n, never formed.
 
     Index i < n addresses node i in its hub role; index n + i addresses the
-    same node in its authority role.  The matrix itself is never formed:
-    dense methods work from the eigendecomposition of a Gram matrix
-    (``linalg.dense_gram``), and every quadrature rule runs on
-    ``GramOperator``.  Lanczos on this operator gives ``spectrum
-    --ritz-out`` its Ritz values of B.
+    same node in its authority role.  Dense methods work from the
+    eigendecomposition of a Gram matrix (``linalg.dense_gram``), and every
+    quadrature rule runs on ``GramOperator``.  Lanczos on this operator
+    gives ``spectrum --ritz-out`` its Ritz values of B.
     """
 
     graph: DirectedGraph
@@ -284,14 +283,15 @@ class BipartiteOperator:
     def dim(self):
         return 2 * self.graph.n
 
-    def matvec(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}, got {x.shape}")
+    def matmat(self, X):
+        """The operator applied to a vector (2n,) or to each column of a 2n x b block."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim not in (1, 2) or X.shape[0] != self.dim:
+            raise ValueError(f"expected {self.dim} rows, got shape {X.shape}")
         n = self.graph.n
-        top = self.graph.forward @ x[n:]
-        bottom = self.graph.reverse @ x[:n]
-        return np.concatenate([top, bottom])
+        return np.concatenate([self.graph.forward @ X[n:], self.graph.reverse @ X[:n]])
+
+    matvec = matmat  # perfbench/tracer.py looks this name up
 
 
 @dataclass(frozen=True)
@@ -320,8 +320,6 @@ class GramOperator:
         if self.side == "hub":
             return g.forward @ (g.reverse @ X)
         return g.reverse @ (g.forward @ X)
-
-    matvec = matmat
 
     def _factors(self):
         """(first, second): row j of ``first`` lists the i with a term in M e_j, row i of ``second`` its k."""
@@ -353,14 +351,6 @@ class GramOperator:
         terms = second.data[pair_pos]
         terms *= np.repeat(first.data[pos], pair_counts)
         return bins, terms
-
-    def columns(self, nodes):
-        """The columns M e_j of ``nodes`` as the rows of a len(nodes) x n array, equal to ``matmat``'s.
-
-        Costs the pair terms plus n per column, not two block products.
-        """
-        bins, terms = self.column_pairs(nodes)
-        return np.bincount(bins, weights=terms, minlength=len(nodes) * self.dim).reshape(len(nodes), self.dim)
 
 
 def _row_positions(indptr, rows):

@@ -1,6 +1,10 @@
-"""Numerical kernels: batched Lanczos, tridiagonal eigensolver, the shared dense
+"""Numerical kernels: block Lanczos, tridiagonal eigensolver, the shared dense
 Gram eigendecompositions, matrix exponentials, and power-iteration spectral
 estimates.
+
+A ``LanczosRun`` starts from node indices or from a block of unit rows and
+hands out its Jacobi matrices as (b, p) coefficient arrays; the Gauss rules
+of ``quadrature`` and ``tridiag_eigen`` read them from there.
 
 Everything here is deterministic: start vectors are fixed (unit vectors for
 Lanczos, normalized ones for power iterations) so repeated runs produce
@@ -18,7 +22,6 @@ from .graph import spmv
 
 __all__ = [
     "DENSE_DIM_LIMIT",
-    "JacobiMatrix",
     "LanczosRun",
     "LeadingPair",
     "SpectralEstimate",
@@ -39,46 +42,21 @@ DENSE_DIM_LIMIT = 4000
 BREAKDOWN_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class JacobiMatrix:
-    """Symmetric tridiagonal matrix from Lanczos (diagonal alpha, off-diagonal beta)."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    def __post_init__(self):
-        if len(self.beta) != max(len(self.alpha) - 1, 0):
-            raise ValueError("beta must have one entry less than alpha")
-        if len(self.beta) and not np.all(self.beta > 0):
-            raise ValueError("off-diagonal entries must be strictly positive")
-
-    @property
-    def order(self):
-        return len(self.alpha)
-
-    def dense(self):
-        J = np.diag(self.alpha)
-        if self.order > 1:
-            J += np.diag(self.beta, 1) + np.diag(self.beta, -1)
-        return J
-
-
 def _start_block(start, dim):
     """(start vectors as the rows of a b x dim array, start_index) for LanczosRun."""
     start = np.asarray(start)
-    if start.dtype.kind == "f":
-        if start.shape != (dim,):
-            raise ValueError(f"start vector must have length {dim}, got shape {start.shape}")
-        return start[None].copy(), -1
-    if start.dtype.kind not in "iu" or start.ndim > 1 or start.size == 0:
-        raise ValueError("start must be a node index, a sequence of node indices or a unit vector")
-    index = np.atleast_1d(start)
-    bad = index[(index < 0) | (index >= dim)]
+    if start.dtype.kind == "f" and start.ndim == 2 and start.shape[0]:
+        if start.shape[1] != dim:
+            raise ValueError(f"start rows must have length {dim}, got shape {start.shape}")
+        return start.copy(), None
+    if start.dtype.kind not in "iu" or start.ndim != 1 or start.size == 0:
+        raise ValueError("start must be a sequence of node indices or a b x dim block of unit rows")
+    bad = start[(start < 0) | (start >= dim)]
     if bad.size:
         raise ValueError(f"start index {bad[0]} outside [0, {dim})")
-    block = np.zeros((index.size, dim))
-    block[np.arange(index.size), index] = 1.0
-    return block, (int(start) if start.ndim == 0 else index)
+    block = np.zeros((start.size, dim))
+    block[np.arange(start.size), start] = 1.0
+    return block, start
 
 
 class LanczosRun:
@@ -87,15 +65,16 @@ class LanczosRun:
     A run advances b independent recurrences together, one column per start
     vector: each step applies the symmetric operator ``op`` (such as
     ``graph.GramOperator``) once to the dim x b block of current vectors
-    (``op.matmat``; ``op.matvec`` for a one-column run), reorthogonalizes
-    every column against its own basis only (stacked matrix products over
-    the columns), and lets each column break down on its own.  ``start`` is
-    a node index (a one-column run from that unit coordinate vector), a
-    sequence of node indices (one column each) or a unit float vector.
+    (``op.matmat``), reorthogonalizes every column against its own basis
+    only (stacked matrix products over the columns), and lets each column
+    break down on its own.  ``start`` is a sequence of node indices (one
+    column from each unit coordinate vector; ``start_index`` holds them) or
+    a b x dim float block of unit rows (``start_index`` is None).
 
     ``steps`` counts block steps; ``lengths`` and ``broken`` hold each
-    column's completed steps and breakdown flag.  The basis is retained so a
-    run can be extended to a higher order later without recomputation.
+    column's completed steps and breakdown flag, and ``coefficients`` the
+    Jacobi entries.  The basis is retained so a run can be extended to a
+    higher order later without recomputation.
     """
 
     def __init__(self, op, start):
@@ -115,7 +94,7 @@ class LanczosRun:
 
     @property
     def breakdown(self):
-        """Whether every column has broken down (the one column, for a one-column run)."""
+        """Whether every column has broken down."""
         return bool(self.broken.all())
 
     def reserve(self, steps):
@@ -126,12 +105,6 @@ class LanczosRun:
             grown[:, : self.steps + 1] = self._basis[:, : self.steps + 1]
             self._basis = grown
         return self
-
-    def _apply(self, V):
-        """The operator applied to each row of V (b x dim), as a new b x dim array."""
-        if self.columns == 1:
-            return np.array(self.op.matvec(V[0]), dtype=float)[None]
-        return np.ascontiguousarray(self.op.matmat(V.T).T)
 
     def extend(self, p):
         """Run Lanczos until every column has p steps or has broken down.
@@ -146,7 +119,7 @@ class LanczosRun:
         while self.steps < p and not self.breakdown:
             j = self.steps
             V = self._basis[:, j]
-            W = self._apply(V)
+            W = np.ascontiguousarray(self.op.matmat(V.T).T)
             a = np.einsum("ji,ji->j", V, W)
             W -= a[:, None] * V
             if j > 0:
@@ -176,7 +149,7 @@ class LanczosRun:
         self.lengths = self.lengths[keep]
         self.broken = self.broken[keep]
         self._scale = self._scale[keep]
-        self.start_index = np.atleast_1d(self.start_index)[keep]
+        self.start_index = None if self.start_index is None else self.start_index[keep]
         self.columns = keep.size
 
     def coefficients(self, p):
@@ -190,33 +163,22 @@ class LanczosRun:
         shape = (self.columns, p)
         return np.array(self.alpha[:p]).T.reshape(shape), np.array(self.beta[:p]).T.reshape(shape)
 
-    def jacobi(self, p=None, col=0):
-        """Jacobi matrix of the leading p completed steps of one column."""
-        if p is None:
-            p = int(self.lengths[col])
-        if p > self.lengths[col]:
-            raise ValueError(f"only {self.lengths[col]} steps available, asked for {p}")
-        alpha, beta = self.coefficients(p)
-        return JacobiMatrix(alpha[col], beta[col, : p - 1])
 
-    def basis(self, col=0):
-        """Orthonormal Lanczos vectors of one column computed so far (columns)."""
-        count = self.lengths[col] + (not self.broken[col])
-        return self._basis[col, :count].T.copy()
+def tridiag_eigen(alpha, beta):
+    """Eigenvalues and squared first eigenvector entries of a Jacobi matrix.
 
-
-def tridiag_eigen(J):
-    """Eigenvalues of a Jacobi matrix plus squared first eigenvector entries.
-
+    alpha is its diagonal and beta its off-diagonal, one entry shorter.
     LAPACK ``dstev`` (implicit QL/QR) does the eigensolve.  Nodes are
     returned ascending; weights sum to 1.
     """
-    alpha = np.asarray(J.alpha, dtype=float)
-    beta = np.asarray(J.beta, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (max(alpha.size - 1, 0),):
+        raise ValueError("beta must have one entry less than alpha")
     if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
         raise ConvergenceError("tridiagonal eigensolve given non-finite entries")
-    if J.order <= 1:
-        return alpha.copy(), np.ones(J.order)
+    if alpha.size <= 1:
+        return alpha.copy(), np.ones(alpha.size)
     # imported here so that loading the package does not load scipy.linalg
     from scipy.linalg.lapack import dstev
 
@@ -306,7 +268,6 @@ class SpectralEstimate:
     sigma2: float
     iterations: int
     converged: bool
-    residual: float
     vector: np.ndarray = None
 
 
@@ -376,9 +337,8 @@ def power_singular_pair(g, tol=1e-10, max_iter=5000):
     """
     n = g.n
     if g.m == 0:
-        return SpectralEstimate(0.0, 0.0, 0, True, 0.0)
+        return SpectralEstimate(0.0, 0.0, 0, True)
     sigma1, x, iterations, converged = leading_singular_pair(g, tol, max_iter)
-    residual = float(np.linalg.norm(spmv(g, spmv(g, x), transpose=True) - sigma1**2 * x))
 
     # one-shot deflation for the gap diagnostic
     z = _ramp_start(n)
@@ -401,7 +361,7 @@ def power_singular_pair(g, tol=1e-10, max_iter=5000):
             z = y
         sigma2 = float(np.linalg.norm(spmv(g, z)))
     sigma2 = min(sigma2, sigma1)
-    return SpectralEstimate(sigma1, sigma2, iterations, converged, residual, x)
+    return SpectralEstimate(sigma1, sigma2, iterations, converged, x)
 
 
 def spectral_radius(g, tol=1e-10, max_iter=5000):

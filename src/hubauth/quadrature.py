@@ -9,11 +9,15 @@ what makes certified score brackets possible.
 
 Every rule runs on M = A A^T (hubs) or A^T A (authorities), whose spectra
 lie in [0, sigma_1^2]; an order p costs p Lanczos steps on M, each one
-product with A and one with A^T.  The blocks of the bipartite exponential
-e^B, B = [[0, A], [A^T, 0]], are functions of M: the hub block is
-cosh(sqrt(A A^T)), the authority block cosh(sqrt(A^T A)) and the coupling
-block A g(A^T A) with g(x) = sinh(sqrt(x)) / sqrt(x); the resolvent's hub
-block is (I - c^2 A A^T)^{-1}.  The left Radau node is exactly 0, and the
+product with A and one with A^T.  Each rule is evaluated for a stack of
+Jacobi matrices at once, read from a ``LanczosRun``'s (b, p) coefficient
+arrays: Gauss by ``_gauss_stacked``, the Radau pair by ``_radau_pair``.
+
+The blocks of the bipartite exponential e^B, B = [[0, A], [A^T, 0]], are
+functions of M: the hub block is cosh(sqrt(A A^T)), the authority block
+cosh(sqrt(A^T A)) and the coupling block A g(A^T A) with
+g(x) = sinh(sqrt(x)) / sqrt(x); the resolvent's hub block is
+(I - c^2 A A^T)^{-1}.  The left Radau node is exactly 0, and the
 right one is the proved bound from ``spectrum_interval``.  Off-diagonal
 entries come from polarization (``bilinear_estimate``).
 
@@ -43,7 +47,6 @@ __all__ = [
     "spectrum_interval",
     "block_width",
     "check_p_max",
-    "gauss_estimate",
     "radau_bounds_from_run",
     "first_lanczos_step",
     "order_one_bounds",
@@ -98,7 +101,8 @@ class CoshSqrtKernel:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         root = np.sqrt(np.abs(x))
-        return np.where(x >= 0, np.cosh(root), np.cos(root))
+        with np.errstate(over="ignore"):  # an overflow is caught where scores are checked
+            return np.where(x >= 0, np.cosh(root), np.cos(root))
 
     def check_nodes(self, nodes):
         return None
@@ -119,7 +123,8 @@ class SinhcSqrtKernel:
         x = np.asarray(x, dtype=float)
         root = np.sqrt(np.abs(x))
         safe = np.where(root > 0, root, 1.0)
-        return np.where(root > 0, np.where(x >= 0, np.sinh(root), np.sin(root)) / safe, 1.0)
+        with np.errstate(over="ignore"):  # an overflow is caught where scores are checked
+            return np.where(root > 0, np.where(x >= 0, np.sinh(root), np.sin(root)) / safe, 1.0)
 
     def check_nodes(self, nodes):
         return None
@@ -161,7 +166,7 @@ class NodeBounds:
 
     def __post_init__(self):
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise ValueError(f"non-finite bracket for node {self.node}")
+            raise ConvergenceError(f"non-finite bracket for node {self.node} (floating-point overflow)")
         if self.lower > self.upper:
             raise ValueError(f"inverted bracket for node {self.node}: [{self.lower}, {self.upper}]")
 
@@ -209,15 +214,6 @@ def check_p_max(p_max):
     """Reject a maximum order below the schedule's first one."""
     if p_max < P_START:
         raise ParameterError(f"p_max must be at least {P_START}, got {p_max}")
-
-
-def gauss_estimate(J, f):
-    """Plain Gauss rule: e_1^T f(J) e_1 via the Jacobi eigenpairs.
-
-    For every admitted kernel this is a lower bound on the true quadratic form.
-    """
-    f = _require_kernel(f)
-    return float(_gauss_stacked(J.alpha[None], J.beta[None], f)[0])
 
 
 def _stacked(alpha, beta):
@@ -276,9 +272,23 @@ def _radau_pair(alpha, beta, iv, f):
     return np.minimum(low, high), np.maximum(low, high)
 
 
-def _node_bounds(nodes, lower, upper, order, exact):
-    columns = (np.asarray(a).tolist() for a in (nodes, lower, upper, order, exact))
-    return [NodeBounds(v, lo, up, p=p, exact=ex) for v, lo, up, p, ex in zip(*columns)]
+def _brackets(nodes, alpha, beta, lengths, exact, p, iv, f):
+    """One NodeBounds per column from its Jacobi entries alpha, beta (m, >= p).
+
+    A column in ``exact`` has its whole Krylov space within its length: its
+    Gauss value at that length is exact and the bracket collapses.  Every
+    other column gets the Gauss-Radau pair at order p.
+    """
+    lower = np.empty(exact.size)
+    upper = np.empty(exact.size)
+    # ascending distinct lengths; np.unique would import numpy.ma (NumPy 2.4)
+    for length in np.flatnonzero(np.bincount(lengths[exact])):
+        cols = exact & (lengths == length)
+        lower[cols] = upper[cols] = _gauss_stacked(alpha[cols, :length], beta[cols, : length - 1], f)
+    if not exact.all():
+        lower[~exact], upper[~exact] = _radau_pair(alpha[~exact, :p], beta[~exact, :p], iv, f)
+    columns = (np.asarray(a).tolist() for a in (nodes, lower, upper, np.where(exact, lengths, p), exact))
+    return [NodeBounds(v, lo, up, p=order, exact=ex) for v, lo, up, order, ex in zip(*columns)]
 
 
 def radau_bounds_from_run(run, p, iv, f):
@@ -293,19 +303,9 @@ def radau_bounds_from_run(run, p, iv, f):
     """
     f = _require_kernel(f)
     run.extend(p + 1)
+    alpha, beta = run.coefficients(run.steps)
     exact = run.broken & (run.lengths <= p + 1)
-    lower = np.empty(run.columns)
-    upper = np.empty(run.columns)
-    order = np.where(exact, run.lengths, p)
-    # ascending distinct lengths; np.unique would import numpy.ma (NumPy 2.4)
-    for length in np.flatnonzero(np.bincount(run.lengths[exact])):
-        cols = exact & (run.lengths == length)
-        alpha, beta = run.coefficients(length)
-        lower[cols] = upper[cols] = _gauss_stacked(alpha[cols], beta[cols, : length - 1], f)
-    if not exact.all():
-        alpha, beta = run.coefficients(p)
-        lower[~exact], upper[~exact] = _radau_pair(alpha[~exact], beta[~exact], iv, f)
-    return _node_bounds(run.start_index, lower, upper, order, exact)
+    return _brackets(run.start_index, alpha, beta, run.lengths, exact, p, iv, f)
 
 
 def first_lanczos_step(op, nodes):
@@ -355,14 +355,7 @@ def order_one_bounds(op, nodes, iv, f):
     """
     f = _require_kernel(f)
     alpha, beta, exact = first_lanczos_step(op, nodes)
-    alpha, beta = alpha[:, None], beta[:, None]
-    lower = np.empty(exact.size)
-    upper = np.empty(exact.size)
-    if exact.any():
-        lower[exact] = upper[exact] = _gauss_stacked(alpha[exact], beta[exact, :0], f)
-    if not exact.all():
-        lower[~exact], upper[~exact] = _radau_pair(alpha[~exact], beta[~exact], iv, f)
-    return _node_bounds(nodes, lower, upper, np.ones(exact.size, dtype=int), exact)
+    return _brackets(nodes, alpha[:, None], beta[:, None], np.ones(exact.size, dtype=int), exact, 1, iv, f)
 
 
 def _intersect(old, new):
@@ -437,5 +430,6 @@ def _quadratic_form(op, w, p, f):
     norm_sq = float(w @ w)
     if norm_sq == 0.0:
         return 0.0  # u = v: q(u - v) is a form of the zero vector
-    run = LanczosRun(op, w / np.sqrt(norm_sq)).extend(p)
-    return norm_sq * gauss_estimate(run.jacobi(), f)
+    run = LanczosRun(op, (w / np.sqrt(norm_sq))[None]).extend(p)
+    alpha, beta = run.coefficients(run.steps)
+    return norm_sq * float(_gauss_stacked(alpha, beta[:, :-1], f)[0])

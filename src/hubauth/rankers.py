@@ -67,7 +67,7 @@ class ScoreVector:
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=float)
         if not np.all(np.isfinite(self.scores)):
-            raise ValueError(f"{self.method}/{self.side}: non-finite scores")
+            raise ConvergenceError(f"{self.method}/{self.side}: non-finite scores (floating-point overflow)")
 
 
 @dataclass
@@ -194,7 +194,9 @@ def exp_centrality_exact(g, side=None):
     vectors = []
     for name in _sides(side):
         lam, Q = dense_gram(g, name)
-        vectors.append(ScoreVector("exp-exact", name, (Q**2) @ COSH_SQRT(lam)))
+        with np.errstate(invalid="ignore"):  # an overflowed cosh times 0; ScoreVector reports it
+            scores = (Q**2) @ COSH_SQRT(lam)
+        vectors.append(ScoreVector("exp-exact", name, scores))
     return tuple(vectors) if side is None else vectors[0]
 
 
@@ -349,14 +351,16 @@ def _spectral_side(side, s, vectors, k, tol):
         t = t_end
     # bipartite term t has the singular vector of sigma_t (t < n) or of sigma_{2n-1-t} (-sigma)
     terms = np.arange(len(lams))
-    coef = np.bincount(np.minimum(terms, 2 * n - 1 - terms), weights=0.5 * weights * np.exp(lams), minlength=len(s))
+    with np.errstate(over="ignore", invalid="ignore"):  # ScoreVector reports the overflow
+        coef = np.bincount(np.minimum(terms, 2 * n - 1 - terms), weights=0.5 * weights * np.exp(lams), minlength=len(s))
+        scores = (vectors**2) @ coef
     degenerate = len(s) > 1 and s[0] - s[1] < tol * max(s[0], 1e-300)
     diag = {
         "degenerate": bool(degenerate),
         "cut_ambiguous": bool(cut_ambiguous),
         "eigenvalues": lams[: min(k, len(lams))].tolist(),
     }
-    return ScoreVector("spectral", side, (vectors**2) @ coef, {"k": k}, diag)
+    return ScoreVector("spectral", side, scores, {"k": k}, diag)
 
 
 def katz_row_col(g, c=None, tol=1e-10, max_iter=200000):

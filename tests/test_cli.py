@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -459,27 +460,60 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded(ex1_file, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "args",
-    [["topk", "--k", "2", "--side", "hub", "--json"], ["rank", "--method", "exp-quad", "--side", "hub", "--json"]],
-    ids=["topk", "exp-quad"],
+    "args,spans",
+    [
+        (["topk", "--k", "2", "--side", "hub", "--json"], ["quadrature.radau", "linalg.lanczos"]),
+        (["rank", "--method", "exp-quad", "--side", "hub", "--json"], ["quadrature.radau", "linalg.lanczos"]),
+        (["spectrum", "--pmax", "8", "--ritz-out", "RITZ", "--json"], ["linalg.tridiag_eigen", "linalg.lanczos"]),
+    ],
+    ids=["topk", "exp-quad", "spectrum-ritz"],
 )
-def test_benchmark_tracer_runs_and_leaves_output_unchanged(ex1_file, tmp_path, args):
-    # perfbench/tracer.py wraps program functions by name; renaming one would otherwise break only the benchmark
+def test_benchmark_tracer_runs_and_leaves_output_unchanged(ex1_file, tmp_path, args, spans):
+    # perfbench/tracer.py wraps program functions by name, all of them whatever
+    # the command; renaming or deleting one would otherwise break only the benchmark
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    argv = args[:1] + ["--input", ex1_file, "--base", "1"] + args[1:]
+
+    def argv(ritz):
+        return [str(tmp_path / ritz) if a == "RITZ" else a for a in args[:1] + ["--input", ex1_file, "--base", "1"] + args[1:]]
+
     spans_path = tmp_path / "spans.json"
     traced = subprocess.run(
-        [sys.executable, os.path.join(root, "perfbench", "tracer.py"), str(spans_path)] + argv,
+        [sys.executable, os.path.join(root, "perfbench", "tracer.py"), str(spans_path)] + argv("traced.txt"),
         capture_output=True, env=env,
     )
-    plain = subprocess.run([sys.executable, "-m", "hubauth.cli"] + argv, capture_output=True, env=env)
+    plain = subprocess.run([sys.executable, "-m", "hubauth.cli"] + argv("plain.txt"), capture_output=True, env=env)
     assert traced.returncode == 0, traced.stderr
     assert plain.returncode == 0, plain.stderr
     assert traced.stdout == plain.stdout
+    if "RITZ" in args:
+        assert (tmp_path / "traced.txt").read_text() == (tmp_path / "plain.txt").read_text() != ""
     names = [span[0] for span in json.loads(spans_path.read_text())["spans"]]
-    assert names.count("quadrature.radau") > 0
-    assert names.count("linalg.lanczos") > 0
+    for name in spans:
+        assert names.count(name) > 0, name
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["rank", "--method", "exp-exact", "--side", "hub"],
+        ["rank", "--method", "spectral", "--side", "hub"],
+        ["rank", "--method", "exp-quad", "--side", "hub"],
+        ["topk", "--k", "1", "--side", "hub"],
+    ],
+    ids=["exp-exact", "spectral", "exp-quad", "topk"],
+)
+def test_overflow_exits_3_with_one_error_line(tmp_path, capsys, args):
+    # sigma_1 = 1000: cosh(1000) and e^1000 overflow double precision.  That is
+    # a numerical failure, reported once, with no NumPy warning on the way
+    p = tmp_path / "heavy.txt"
+    p.write_text("0 1 1000\n1 0 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(args[:1] + ["--input", str(p)] + args[1:], capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "overflow" in err
 
 
 def _count_calls(monkeypatch, module, name):

@@ -342,7 +342,7 @@ def test_gram_operator_applies_a_a_transpose_and_its_mirror(ex1):
         op = GramOperator(ex1, side)
         assert op.dim == ex1.n
         np.testing.assert_allclose(op.matmat(X), G @ X, rtol=1e-14, atol=1e-14)
-        np.testing.assert_allclose(op.matvec(X[:, 0]), G @ X[:, 0], rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(op.matmat(X[:, 0]), G @ X[:, 0], rtol=1e-14, atol=1e-14)
     with pytest.raises(ValueError, match="side"):
         GramOperator(ex1, "both")
 

@@ -9,7 +9,6 @@ import hubauth.linalg
 from hubauth import (
     BipartiteOperator,
     ConvergenceError,
-    JacobiMatrix,
     LanczosRun,
     SizeLimitError,
     dense_expm,
@@ -33,48 +32,57 @@ class _OneByOne:
 
     dim = 1
 
-    def matvec(self, x):
-        return 2.0 * x
+    def matmat(self, X):
+        return 2.0 * X
+
+
+def _jacobi(run, col=0):
+    """alpha and beta of one column's Jacobi matrix over its completed steps."""
+    p = int(run.lengths[col])
+    alpha, beta = run.coefficients(p)
+    return alpha[col], beta[col, : p - 1]
+
+
+def _dense(alpha, beta):
+    return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
 
 
 def test_lanczos_one_dimensional_operator():
-    run = LanczosRun(_OneByOne(), 0).extend(5)
-    J, breakdown = run.jacobi(), run.breakdown
-    assert breakdown
-    assert J.order == 1
-    assert J.alpha[0] == pytest.approx(2.0)
+    run = LanczosRun(_OneByOne(), [0]).extend(5)
+    alpha, beta = _jacobi(run)
+    assert run.breakdown
+    assert alpha.size == 1 and beta.size == 0
+    assert alpha[0] == pytest.approx(2.0)
 
 
 def test_lanczos_two_cycle_hand_values():
     # bipartite operator of the 2-cycle: Krylov space from e_0 is 2-dimensional,
     # J = [[0, 1], [1, 0]], eigenvalues -1 and +1
     g = from_edges([(0, 1), (1, 0)])
-    run = LanczosRun(BipartiteOperator(g), 0).extend(8)
-    J, breakdown = run.jacobi(), run.breakdown
-    assert breakdown
-    assert np.allclose(J.alpha, [0.0, 0.0], atol=1e-14)
-    assert np.allclose(J.beta, [1.0], atol=1e-14)
-    nodes, _ = tridiag_eigen(J)
+    run = LanczosRun(BipartiteOperator(g), [0]).extend(8)
+    alpha, beta = _jacobi(run)
+    assert run.breakdown
+    assert np.allclose(alpha, [0.0, 0.0], atol=1e-14)
+    assert np.allclose(beta, [1.0], atol=1e-14)
+    nodes, _ = tridiag_eigen(alpha, beta)
     assert np.allclose(nodes, [-1.0, 1.0], atol=1e-14)
 
 
 def test_lanczos_ritz_values_within_spectrum(ex1):
     M = dense_bipartite(ex1)
     spectrum = np.linalg.eigvalsh(M)
-    J = LanczosRun(BipartiteOperator(ex1), 0).extend(8).jacobi()
-    ritz, _ = tridiag_eigen(J)
+    ritz, _ = tridiag_eigen(*_jacobi(LanczosRun(BipartiteOperator(ex1), [0]).extend(8)))
     assert ritz.min() >= spectrum.min() - 1e-10
     assert ritz.max() <= spectrum.max() + 1e-10
 
 
 def test_lanczos_basis_orthonormal_and_similar(ex1):
     op = BipartiteOperator(ex1)
-    run = LanczosRun(op, 2).extend(6)
-    Q = run.basis()[:, : run.steps]
+    run = LanczosRun(op, [2]).extend(6)
+    Q = run._basis[0, : run.steps].T
     assert np.allclose(Q.T @ Q, np.eye(run.steps), atol=1e-10)
     M = dense_bipartite(ex1)
-    J = run.jacobi().dense()
-    assert np.allclose(Q.T @ M @ Q, J, atol=1e-10)
+    assert np.allclose(Q.T @ M @ Q, _dense(*_jacobi(run)), atol=1e-10)
 
 
 def test_lanczos_block_columns_match_one_column_runs():
@@ -86,14 +94,15 @@ def test_lanczos_block_columns_match_one_column_runs():
     assert block.steps == 6
     assert list(block.lengths) == [1, 6, 6, 6]
     assert list(block.broken) == [True, False, False, False]
-    assert block.jacobi(col=0).alpha[0] == 0.0
+    assert _jacobi(block, 0)[0][0] == 0.0
     for col, node in enumerate(nodes):
-        alone = LanczosRun(op, node).extend(6)
+        alone = LanczosRun(op, [node]).extend(6)
         assert block.lengths[col] == alone.steps
         assert bool(block.broken[col]) == alone.breakdown
-        np.testing.assert_allclose(block.jacobi(col=col).alpha, alone.jacobi().alpha, rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(block.jacobi(col=col).beta, alone.jacobi().beta, rtol=1e-13)
-        np.testing.assert_allclose(block.basis(col), alone.basis(), atol=1e-13)
+        for mine, theirs in zip(_jacobi(block, col), _jacobi(alone)):
+            np.testing.assert_allclose(mine, theirs, rtol=1e-13, atol=1e-15)
+        count = alone.steps + (not alone.breakdown)
+        np.testing.assert_allclose(block._basis[col, :count], alone._basis[0, :count], atol=1e-13)
 
 
 def test_lanczos_retain_keeps_the_listed_columns():
@@ -103,8 +112,8 @@ def test_lanczos_retain_keeps_the_listed_columns():
     assert list(run.start_index) == [2, 0]
     run.extend(3)
     for col, node in enumerate([2, 0]):
-        alone = LanczosRun(op, node).extend(3)
-        np.testing.assert_allclose(run.jacobi(col=col).alpha, alone.jacobi().alpha, rtol=1e-13, atol=1e-15)
+        alone = LanczosRun(op, [node]).extend(3)
+        np.testing.assert_allclose(_jacobi(run, col)[0], _jacobi(alone)[0], rtol=1e-13, atol=1e-15)
 
 
 def test_lanczos_reserve_keeps_one_basis_array_across_extends():
@@ -122,39 +131,43 @@ def test_lanczos_reserve_keeps_one_basis_array_across_extends():
 
 def test_lanczos_from_a_unit_vector(ex1):
     op = BipartiteOperator(ex1)
-    v = np.zeros(op.dim)
-    v[2] = 1.0
-    from_vector = LanczosRun(op, v).extend(5)
-    from_index = LanczosRun(op, 2).extend(5)
-    assert from_vector.start_index == -1
-    assert np.array_equal(from_vector.jacobi().alpha, from_index.jacobi().alpha)
-    assert np.array_equal(from_vector.jacobi().beta, from_index.jacobi().beta)
+    rows = np.zeros((2, op.dim))
+    rows[0, 2] = rows[1, 5] = 1.0
+    from_rows = LanczosRun(op, rows).extend(5)
+    from_index = LanczosRun(op, [2, 5]).extend(5)
+    assert from_rows.start_index is None
+    for a, b in zip(from_rows.coefficients(5), from_index.coefficients(5)):
+        assert np.array_equal(a, b)
+    # the retired start forms: a scalar index and a 1-D float vector
+    for start in (2, np.int64(2), rows[0], [], np.zeros((0, op.dim))):
+        with pytest.raises(ValueError, match="start must be"):
+            LanczosRun(op, start)
     with pytest.raises(ValueError, match="length"):
-        LanczosRun(op, np.ones(3))
+        LanczosRun(op, np.ones((1, 3)))
     with pytest.raises(ValueError, match="outside"):
         LanczosRun(op, [0, op.dim])
 
 
 def test_lanczos_isolated_node_breaks_down_immediately():
     g = from_edges([(0, 1)], n=3)
-    run = LanczosRun(BipartiteOperator(g), 2).extend(10)
-    J, breakdown = run.jacobi(), run.breakdown
-    assert breakdown
-    assert J.order == 1
-    assert J.alpha[0] == 0.0
+    run = LanczosRun(BipartiteOperator(g), [2]).extend(10)
+    alpha, beta = _jacobi(run)
+    assert run.breakdown
+    assert alpha.size == 1 and beta.size == 0
+    assert alpha[0] == 0.0
 
 
 # --------------------------------------------------------------- tridiag_eigen
 
 
 def test_tridiag_eigen_symmetric_two_by_two():
-    nodes, weights = tridiag_eigen(JacobiMatrix(np.zeros(2), np.array([1.0])))
+    nodes, weights = tridiag_eigen(np.zeros(2), np.array([1.0]))
     assert np.allclose(nodes, [-1.0, 1.0])
     assert np.allclose(weights, [0.5, 0.5])
 
 
 def test_tridiag_eigen_scalar():
-    nodes, weights = tridiag_eigen(JacobiMatrix(np.array([2.0]), np.array([])))
+    nodes, weights = tridiag_eigen(np.array([2.0]), np.array([]))
     assert np.allclose(nodes, [2.0])
     assert np.allclose(weights, [1.0])
 
@@ -176,9 +189,8 @@ def test_tridiag_eigen_matches_dense_solver():
         beta[-1] = 1e-14 * np.abs(alpha).max()
         cases.append((alpha, beta))
     for alpha, beta in cases:
-        J = JacobiMatrix(alpha, beta)
-        nodes, weights = tridiag_eigen(J)
-        w, Q = np.linalg.eigh(J.dense())
+        nodes, weights = tridiag_eigen(alpha, beta)
+        w, Q = np.linalg.eigh(_dense(alpha, beta))
         scale = np.abs(w).max()
         assert np.abs(nodes - w).max() <= 1e-12 * scale
         assert np.abs(weights - Q[0] ** 2).max() <= 1e-12
@@ -187,15 +199,17 @@ def test_tridiag_eigen_matches_dense_solver():
 
 def test_tridiag_eigen_rejects_non_finite_entries():
     with pytest.raises(ConvergenceError):
-        tridiag_eigen(JacobiMatrix(np.array([np.nan, 0.0]), np.array([1.0])))
+        tridiag_eigen(np.array([np.nan, 0.0]), np.array([1.0]))
+    with pytest.raises(ValueError, match="one entry less"):
+        tridiag_eigen(np.zeros(3), np.ones(3))
 
 
 def test_tridiag_eigen_interlacing():
     rng = np.random.default_rng(5)
     alpha = rng.normal(size=8)
     beta = np.abs(rng.normal(size=7)) + 0.1
-    full, _ = tridiag_eigen(JacobiMatrix(alpha, beta))
-    lead, _ = tridiag_eigen(JacobiMatrix(alpha[:7], beta[:6]))
+    full, _ = tridiag_eigen(alpha, beta)
+    lead, _ = tridiag_eigen(alpha[:7], beta[:6])
     for i, t in enumerate(lead):
         assert full[i] <= t + 1e-12 <= full[i + 1] + 2e-12
 
@@ -345,6 +359,5 @@ def test_sigma1_dominates_ritz_values(ex1, random_suite):
         sigma1 = power_singular_pair(g).sigma1
         op = BipartiteOperator(g)
         for node in range(min(4, 2 * g.n)):
-            J = LanczosRun(op, node).extend(9).jacobi()
-            ritz, _ = tridiag_eigen(J)
+            ritz, _ = tridiag_eigen(*_jacobi(LanczosRun(op, [node]).extend(9)))
             assert ritz.max() <= sigma1 * (1 + 1e-8) + 1e-12

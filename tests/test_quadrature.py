@@ -13,13 +13,12 @@ import pytest
 import hubauth.linalg
 import hubauth.quadrature
 from hubauth import (
-    JacobiMatrix,
+    ConvergenceError,
     NodeBounds,
     ParameterError,
     ResolventKernel,
     bilinear_estimate,
     from_edges,
-    gauss_estimate,
     power_singular_pair,
     spectrum_interval,
 )
@@ -31,6 +30,7 @@ from hubauth.quadrature import (
     P_STEP,
     SINHC_SQRT,
     BracketRun,
+    _gauss_stacked,
     order_one_bounds,
     radau_bounds_from_run,
 )
@@ -55,6 +55,18 @@ def _diagonal(E, g, side):
 def _radau(op, node, p, iv, f):
     """The order-p bracket of one node from a fresh one-column block run."""
     return radau_bounds_from_run(LanczosRun(op, [node]), p, iv, f)[0]
+
+
+def _gauss(alpha, beta, f):
+    """The Gauss rule of one Jacobi matrix (diagonal alpha, off-diagonal beta)."""
+    return float(_gauss_stacked(np.array([alpha], dtype=float), np.array([beta], dtype=float), f)[0])
+
+
+def _run_gauss(run, f, p=None):
+    """The Gauss rule at order p (all completed steps by default) of a one-column run."""
+    p = run.steps if p is None else p
+    alpha, beta = run.coefficients(p)
+    return _gauss(alpha[0], beta[0, : p - 1], f)
 
 
 def _unit(n, i):
@@ -115,28 +127,27 @@ def test_spectrum_interval_runs_only_the_sigma1_iteration(monkeypatch):
     assert spectrum_interval(g, est) == iv
 
 
-# -------------------------------------------------------------- gauss_estimate
+# ------------------------------------------------------------------ Gauss rule
 
 
 def test_gauss_estimate_scalar_exp():
-    J = JacobiMatrix(np.array([4.0]), np.array([]))
-    assert gauss_estimate(J, COSH_SQRT) == pytest.approx(math.cosh(2.0), abs=1e-12)
-    assert gauss_estimate(J, SINHC_SQRT) == pytest.approx(math.sinh(2.0) / 2.0, abs=1e-12)
+    assert _gauss([4.0], [], COSH_SQRT) == pytest.approx(math.cosh(2.0), abs=1e-12)
+    assert _gauss([4.0], [], SINHC_SQRT) == pytest.approx(math.sinh(2.0) / 2.0, abs=1e-12)
 
 
 def test_gauss_estimate_symmetric_pair_is_cosh():
     # the 2-cycle, a symmetric pair: A A^T = I, so node 0's hub score is cosh(1), printed 1.5431
-    run = LanczosRun(GramOperator(from_edges([(0, 1), (1, 0)]), "hub"), 0).extend(4)
+    run = LanczosRun(GramOperator(from_edges([(0, 1), (1, 0)]), "hub"), [0]).extend(4)
     assert run.breakdown and run.steps == 1
-    assert gauss_estimate(run.jacobi(), COSH_SQRT) == pytest.approx(math.cosh(1.0), abs=1e-12)
-    assert gauss_estimate(run.jacobi(), COSH_SQRT) == pytest.approx(1.5431, abs=5e-5)
+    assert _run_gauss(run, COSH_SQRT) == pytest.approx(math.cosh(1.0), abs=1e-12)
+    assert _run_gauss(run, COSH_SQRT) == pytest.approx(1.5431, abs=5e-5)
 
 
 def test_gauss_estimate_lower_bounds_dense_truth(ex1):
     E = scipy_expm(dense_bipartite(ex1))
     for side in SIDES:
-        run = LanczosRun(GramOperator(ex1, side), 0).extend(2)
-        value = gauss_estimate(run.jacobi(2), COSH_SQRT)
+        run = LanczosRun(GramOperator(ex1, side), [0]).extend(2)
+        value = _run_gauss(run, COSH_SQRT, 2)
         assert value <= _diagonal(E, ex1, side)[0] + 1e-12
 
 
@@ -144,7 +155,7 @@ def test_cosh_sqrt_kernel_is_its_series_on_both_sides_of_zero():
     x = np.array([-3.0, -1e-20, 0.0, 1e-20, 0.5, 4.0])
     series = sum(x**k / math.factorial(2 * k) for k in range(40))
     np.testing.assert_allclose(COSH_SQRT(x), series, rtol=1e-15)
-    assert gauss_estimate(JacobiMatrix(np.array([4.0]), np.array([])), COSH_SQRT) == pytest.approx(math.cosh(2.0))
+    assert _gauss([4.0], [], COSH_SQRT) == pytest.approx(math.cosh(2.0))
 
 
 def test_sinhc_sqrt_kernel_is_its_series_on_both_sides_of_zero():
@@ -154,16 +165,26 @@ def test_sinhc_sqrt_kernel_is_its_series_on_both_sides_of_zero():
     assert SINHC_SQRT(0.0) == 1.0
 
 
-def test_gauss_estimate_rejects_foreign_functions():
-    J = JacobiMatrix(np.array([0.0]), np.array([]))
+def test_gauss_estimate_rejects_foreign_functions(ex1):
+    op = GramOperator(ex1, "hub")
     with pytest.raises(ParameterError, match="kernel"):
-        gauss_estimate(J, np.exp)
+        _radau(op, 0, 2, spectrum_interval(ex1), np.exp)
+    with pytest.raises(ParameterError, match="kernel"):
+        bilinear_estimate(op, _unit(4, 0), _unit(4, 1), 2, np.exp)
 
 
 def test_resolvent_pole_inside_interval_rejected():
-    J = JacobiMatrix(np.array([0.0, 0.0]), np.array([2.0]))  # nodes at +-2
     with pytest.raises(ParameterError, match="pole"):
-        gauss_estimate(J, ResolventKernel(1.0))
+        _gauss([0.0, 0.0], [2.0], ResolventKernel(1.0))  # nodes at +-2
+
+
+def test_node_bounds_report_overflow_as_a_numerical_failure():
+    # a non-finite end comes from an overflowed kernel; an inverted one is a caller's error
+    for lower, upper in ((1.0, math.inf), (math.nan, 2.0)):
+        with pytest.raises(ConvergenceError, match="overflow"):
+            NodeBounds(0, lower, upper, p=3)
+    with pytest.raises(ValueError, match="inverted"):
+        NodeBounds(0, 2.0, 1.0, p=3)
 
 
 # -------------------------------------------------------- radau_bounds_from_run
@@ -331,8 +352,8 @@ def test_gauss_below_radau_upper_at_equal_p(ex1):
     for side in SIDES:
         op = GramOperator(ex1, side)
         for p in (1, 2, 3):
-            run = LanczosRun(op, 0).extend(p + 1)
-            gauss = gauss_estimate(run.jacobi(p), COSH_SQRT)
+            run = LanczosRun(op, [0]).extend(p + 1)
+            gauss = _run_gauss(run, COSH_SQRT, p)
             upper = _radau(op, 0, p, iv, COSH_SQRT).upper
             assert gauss <= upper + 1e-12
 
@@ -354,7 +375,7 @@ def test_resolvent_brackets_reproduce_dense_diagonal(ex1):
 def test_breakdown_gauss_matches_dense(ex3):
     # star center: Krylov space exhausts quickly, the estimate must be exact
     E = scipy_expm(dense_bipartite(ex3))
-    run = LanczosRun(GramOperator(ex3, "hub"), 5).extend(12)
+    run = LanczosRun(GramOperator(ex3, "hub"), [5]).extend(12)
     assert run.breakdown
-    value = gauss_estimate(run.jacobi(), COSH_SQRT)
+    value = _run_gauss(run, COSH_SQRT)
     assert value == pytest.approx(E[5, 5], abs=1e-10)
