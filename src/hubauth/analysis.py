@@ -1,13 +1,15 @@
-"""Cross-method ranking comparison and spectral diagnostics."""
+"""Cross-method ranking comparison and spectral diagnostics.
+
+The spectral diagnostics import ``linalg`` and ``quadrature`` when they
+run, so comparing two rankings loads neither.
+"""
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SizeLimitError
-from .linalg import DENSE_DIM_LIMIT, power_singular_pair
-from .quadrature import COSH_SQRT
+from .errors import ConvergenceError, SizeLimitError
 
 __all__ = [
     "ComparisonReport",
@@ -139,6 +141,8 @@ def compare(a, b, ks=(1, 3, 5, 10)):
 
 def spectral_gap(g, tol=1e-10):
     """Relative gap (sigma1 - sigma2) / sigma1 with a plain-language annotation."""
+    from .linalg import power_singular_pair
+
     est = power_singular_pair(g, tol=tol)
     if est.sigma1 <= 0:
         return GapReport(0.0, 0.0, 0.0, "empty spectrum; no meaningful rankings")
@@ -169,11 +173,19 @@ def estrada_index(g):
     """Trace of the bipartite exponential: twice the cosh-sum of the singular values.
 
     The singular values are the square roots of the eigenvalues of A^T A;
-    only those eigenvalues are computed, no eigenvectors.
+    only those eigenvalues are computed, no eigenvectors.  Raises
+    ConvergenceError when the index overflows double precision.
     """
+    from .linalg import DENSE_DIM_LIMIT
+    from .quadrature import COSH_SQRT
+
     if g.n > DENSE_DIM_LIMIT:
         raise SizeLimitError(f"estrada index needs the dense singular spectrum (n <= {DENSE_DIM_LIMIT})")
     A = g.forward.toarray()
     gram = A.T @ A
     del A  # eigvalsh copies its input; the dense A need not stay alive beside both
-    return float(2.0 * COSH_SQRT(np.linalg.eigvalsh(gram)).sum())
+    with np.errstate(over="ignore"):  # an overflowed term makes the sum inf, reported below
+        index = float(2.0 * COSH_SQRT(np.linalg.eigvalsh(gram)).sum())
+    if not math.isfinite(index):
+        raise ConvergenceError("estrada index: non-finite trace (floating-point overflow)")
+    return index

@@ -3,21 +3,25 @@
 Output is CSV by default or JSON with --json, written to stdout or --out.
 Node ids are echoed in the index base of the input file.  Exit codes:
 0 success, 1 malformed input, 2 invalid parameters, 3 numerical failure.
+
+Each command imports the modules it uses when it runs (``rankers`` itself
+imports ``linalg`` and ``quadrature`` per method), so a process that ranks
+by degree or PageRank never loads the Lanczos, quadrature, top-k or
+comparison code.
 """
 
 import argparse
+import dataclasses
 import gc
 import io
-import json
+import itertools
 import sys
 
 import numpy as np
 
-from . import analysis, rankers, topk
+from . import rankers
 from .errors import ConvergenceError, GraphFormatError, ParameterError, SizeLimitError
 from .graph import BipartiteOperator, load_edge_list, load_matrix_market
-from .linalg import DENSE_DIM_LIMIT, LanczosRun, tridiag_eigen
-from .quadrature import NodeBounds
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -80,8 +84,8 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, NodeBounds):
-        return {"node": obj.node, "lower": obj.lower, "upper": obj.upper, "p": obj.p, "exact": obj.exact}
+    if dataclasses.is_dataclass(obj):  # quadrature.NodeBounds, the one kind in any diagnostics
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.integer,)):
@@ -91,6 +95,12 @@ def _jsonable(obj):
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     return obj
+
+
+def _json_text(payload):
+    import json  # about 1.5 ms to import; CSV output never needs it
+
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _emit(text, args):
@@ -121,16 +131,18 @@ def cmd_rank(args):
             "index_base": g.index_base,
             "rows": rows,
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload)
     else:
-        spec = _score_spec(args.precision)
-        lines = [f"{v},{x:{spec}},{r}\n" for v, x, r in zip(nodes, scores, ranks)]
-        text = "node,score,rank\n" + "".join(lines)
+        row = f"%d,%{_score_spec(args.precision)},%d\n"
+        cells = tuple(itertools.chain.from_iterable(zip(nodes, scores, ranks)))
+        text = "node,score,rank\n" + (row * len(nodes)) % cells
     _emit(text, args)
     return EXIT_OK
 
 
 def cmd_topk(args):
+    from . import topk
+
     g = _load_graph(args)
     kwargs = dict(
         side=args.side,
@@ -170,7 +182,7 @@ def cmd_topk(args):
             },
             "ties": report.ties_note,
         }
-        text = json.dumps(_jsonable(payload), indent=2) + "\n"
+        text = _json_text(_jsonable(payload))
     else:
         buf = io.StringIO()
         buf.write("node,rank,lower,upper,p,exact\n")
@@ -194,6 +206,8 @@ def cmd_topk(args):
 
 
 def cmd_compare(args):
+    from . import analysis
+
     if len(args.method) != 2:
         raise ParameterError("compare needs exactly two --method flags")
     g = _load_graph(args)
@@ -217,7 +231,7 @@ def cmd_compare(args):
                 for k, tops in report.top_members.items()
             },
         }
-        text = json.dumps(_jsonable(payload), indent=2) + "\n"
+        text = _json_text(_jsonable(payload))
     else:
         buf = io.StringIO()
         buf.write("metric,value\n")
@@ -232,6 +246,8 @@ def cmd_compare(args):
 
 
 def cmd_spectrum(args):
+    from . import analysis
+
     g = _load_graph(args)
     gap = analysis.spectral_gap(g, tol=args.tol)
     sym = analysis.symmetry_fraction(g)
@@ -241,6 +257,8 @@ def cmd_spectrum(args):
         estrada = None
     ritz = None
     if args.ritz_out:
+        from .linalg import LanczosRun, tridiag_eigen
+
         run = LanczosRun(BipartiteOperator(g), [0]).extend(args.pmax)
         alpha, beta = run.coefficients(run.steps)
         nodes, _ = tridiag_eigen(alpha[0], beta[0, :-1])
@@ -261,7 +279,7 @@ def cmd_spectrum(args):
         }
         if ritz is not None:
             payload["ritz_values"] = ritz
-        text = json.dumps(_jsonable(payload), indent=2) + "\n"
+        text = _json_text(_jsonable(payload))
     else:
         buf = io.StringIO()
         buf.write("metric,value\n")

@@ -4,6 +4,9 @@ Every ranker returns nonnegative per-node scores plus diagnostics; the
 tie-aware RankTable derived from a ScoreVector is what rankings and
 comparisons operate on.  Hub scores always live on the original node ids;
 the bipartite doubling is internal.
+
+Each ranker imports what it needs of ``linalg`` and ``quadrature`` when it
+runs, so degree and PageRank rankings load neither module.
 """
 
 import math
@@ -13,25 +16,6 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError, SizeLimitError
 from .graph import GramOperator, degrees, spmv
-from .linalg import (
-    DENSE_DIM_LIMIT,
-    _ramp_start,
-    dense_gram,
-    expm_action,
-    leading_singular_pair,
-    power_singular_pair,
-    spectral_radius,
-)
-from .quadrature import (
-    COSH_SQRT,
-    SINHC_SQRT,
-    BracketRun,
-    ResolventKernel,
-    bilinear_estimate,
-    block_width,
-    check_p_max,
-    spectrum_interval,
-)
 
 __all__ = [
     "TIE_REL_TOL",
@@ -96,17 +80,21 @@ def rank_table(sv, tie_tol=TIE_REL_TOL):
 
     Nodes are sorted by descending score, ids ascending on equal scores.  A
     node joins its predecessor's tie group when the gap between them is at
-    most ``tie_tol * max(1, |predecessor's score|)``, so ties chain.
+    most ``tie_tol`` (>= 0) ``* max(1, |predecessor's score|)``, so ties chain.
     """
+    if not tie_tol >= 0:
+        raise ParameterError(f"tie_tol must be >= 0, got {tie_tol}")
     scores = sv.scores
     n = len(scores)
-    by_score = np.lexsort((np.arange(n), -scores))
+    # equal scores may come out in any order: they share a tie group, and the
+    # groups are put in id order below
+    by_score = np.argsort(-scores)
     s = scores[by_score]
     heads = np.ones(n, dtype=bool)
     heads[1:] = s[:-1] - s[1:] > tie_tol * np.maximum(1.0, np.abs(s[:-1]))
     group = np.cumsum(heads) - 1
     starts = np.flatnonzero(heads)
-    flat = by_score[np.lexsort((by_score, group))]
+    flat = np.sort(group * n + by_score) % n  # by group, then id; n^2 < 2^62 fits int64
     ranks = np.zeros(n, dtype=int)
     ranks[flat] = starts[group] + 1
     order = flat.tolist()
@@ -130,6 +118,8 @@ def hits(g, tol=1e-10, max_iter=1000, init=None):
     A^T A is (near-)degenerate the result depends on the start vector; the
     ``degenerate`` diagnostic flags that condition.
     """
+    from .linalg import power_singular_pair
+
     if g.m < 1:
         raise ParameterError("HITS requires at least one edge")
     n = g.n
@@ -189,6 +179,9 @@ def exp_centrality_exact(g, side=None):
     Returns (hub, authority), or with ``side`` set only that side's
     ScoreVector, computed without factoring the other Gram matrix.
     """
+    from .linalg import DENSE_DIM_LIMIT, dense_gram
+    from .quadrature import COSH_SQRT
+
     if 2 * g.n > DENSE_DIM_LIMIT:
         raise SizeLimitError(f"dense path limited to 2n <= {DENSE_DIM_LIMIT}")
     vectors = []
@@ -219,6 +212,8 @@ def _refine_sides(g, iv, f, p_max, width_tol, sides):
     narrower than ``width_tol`` relative to the score, or at ``p_max``, and
     each block's run is dropped before the next block starts.
     """
+    from .quadrature import BracketRun, block_width
+
     n = g.n
     width = block_width(n)
 
@@ -260,6 +255,8 @@ def exp_centrality_quadrature(g, p_max=40, width_tol=1e-8, side=None):
     dropped.  Returns (hub, authority), or with ``side`` set only that
     side's ScoreVector, computed without touching the other half.
     """
+    from .quadrature import COSH_SQRT, check_p_max, spectrum_interval
+
     sides = _sides(side)
     check_p_max(p_max)
     iv = spectrum_interval(g)
@@ -293,6 +290,8 @@ def truncated_spectral_scores(g, k, tol=TIE_REL_TOL, side=None):
     per side: each comes from that side's own sigma_t, so the hub and
     authority copies need not be identical.
     """
+    from .linalg import DENSE_DIM_LIMIT, _ramp_start, dense_gram
+
     n = g.n
     if not 1 <= k <= 2 * n:
         raise ParameterError(f"k must be in [1, {2 * n}], got {k}")
@@ -369,6 +368,8 @@ def katz_row_col(g, c=None, tol=1e-10, max_iter=200000):
     Solved by the fixed-point iteration y <- 1 + cAy (a Neumann series);
     converges for 0 < c < 1/rho(A).  Default c = 1/(rho(A) + 0.1).
     """
+    from .linalg import spectral_radius
+
     rad = spectral_radius(g)
     if c is None:
         c = 1.0 / (rad.value + 0.1)
@@ -410,6 +411,9 @@ def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, side=N
     0 < c < 1/sigma_1.  Returns (hub, authority), or with ``side`` set only
     that side's ScoreVector (either path then skips the other half).
     """
+    from .linalg import DENSE_DIM_LIMIT, dense_gram, leading_singular_pair
+    from .quadrature import ResolventKernel, check_p_max, spectrum_interval
+
     n = g.n
     sides = _sides(side)
     est = leading_singular_pair(g)
@@ -443,6 +447,8 @@ def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, side=N
 
 def expA_row_col_sums(g):
     """Row sums of e^A as hub scores, column sums as authority scores."""
+    from .linalg import expm_action
+
     ones = np.ones(g.n)
     hub = expm_action(g, ones)
     authority = expm_action(g, ones, transpose=True)
@@ -461,18 +467,21 @@ def pagerank(g, alpha=0.85, tol=1e-12, max_iter=20000, reverse=False):
     """
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
-    work = g.reversed() if reverse else g
-    n = work.n
-    out_strength = work.out_strengths()
+    A = g.reverse if reverse else g.forward
+    n = A.shape[0]
+    out_strength = A.row_sums()
     dangling = out_strength == 0.0
     inv_out = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, out_strength))
+    dangling_nodes = np.flatnonzero(dangling)
     x = np.ones(n) / n
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        contrib = spmv(work, x * inv_out, transpose=True)
-        dangling_mass = float(x[dangling].sum())
-        x_new = alpha * (contrib + dangling_mass / n) + (1.0 - alpha) / n
+        dangling_mass = float(x[dangling_nodes].sum())
+        # not in place: with no edges the product is integer zeros
+        x_new = A.rmatvec(x * inv_out) + dangling_mass / n
+        x_new *= alpha
+        x_new += (1.0 - alpha) / n
         x_new /= x_new.sum()
         iterations += 1
         delta = np.linalg.norm(x_new - x, 1)
@@ -510,8 +519,11 @@ def communicability(g, i, j, kind="hub_authority", mode="dense", p=20):
     coupling block A g(A^T A).  Dense mode applies the kernel to the
     eigenvalues of that Gram matrix (``dense_gram``); quadrature mode
     estimates the form by polarization, with p Lanczos steps per quadratic
-    form.
+    form.  Raises ConvergenceError when the entry overflows double precision.
     """
+    from .linalg import DENSE_DIM_LIMIT, dense_gram
+    from .quadrature import COSH_SQRT, SINHC_SQRT, bilinear_estimate
+
     n = g.n
     if not (0 <= i < n and 0 <= j < n):
         raise ParameterError("node ids out of range")
@@ -529,7 +541,13 @@ def communicability(g, i, j, kind="hub_authority", mode="dense", p=20):
     if kind == "hub_authority":
         u, f = spmv(g, u, transpose=True), SINHC_SQRT
     side = "hub" if kind == "hub" else "authority"
-    if mode == "quadrature":
-        return float(bilinear_estimate(GramOperator(g, side), u, v, p, f))
-    lam, Q = dense_gram(g, side)
-    return float(((u @ Q) * f(lam)) @ Q[j])
+    # an overflowed kernel value times a zero weight is NaN, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "quadrature":
+            value = float(bilinear_estimate(GramOperator(g, side), u, v, p, f))
+        else:
+            lam, Q = dense_gram(g, side)
+            value = float(((u @ Q) * f(lam)) @ Q[j])
+    if not math.isfinite(value):
+        raise ConvergenceError(f"communicability ({kind}, {mode}): non-finite value (floating-point overflow)")
+    return value

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from hubauth import from_edges
+from hubauth import from_edges, spmv
 from hubauth.quadrature import P_START
 
 # three small example digraphs with known score tables (stored 0-based)
@@ -137,3 +137,27 @@ def permuted_graph(g, perm):
     """Relabel nodes by perm (perm[old] = new)."""
     edges = [(perm[u], perm[v], w) for u, v, w in g.edges()]
     return from_edges(edges, n=g.n, weighted=g.weighted)
+
+
+def pagerank_reference(g, alpha=0.85, tol=1e-12, max_iter=20000, reverse=False):
+    """(scores, iterations) of PageRank's power iteration with A^T y taken by
+    ``spmv`` on the rows of A^T: the reference ``rankers.pagerank``, which
+    scatters from the rows of A instead, must equal bit for bit."""
+    work = g.reversed() if reverse else g
+    n = work.n
+    out_strength = work.out_strengths()
+    dangling = out_strength == 0.0
+    inv_out = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, out_strength))
+    x = np.ones(n) / n
+    iterations = 0
+    for _ in range(max_iter):
+        contrib = spmv(work, x * inv_out, transpose=True)
+        dangling_mass = float(x[dangling].sum())
+        x_new = alpha * (contrib + dangling_mass / n) + (1.0 - alpha) / n
+        x_new /= x_new.sum()
+        iterations += 1
+        delta = np.linalg.norm(x_new - x, 1)
+        x = x_new
+        if delta < tol:
+            break
+    return x, iterations

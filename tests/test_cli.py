@@ -420,6 +420,14 @@ def test_every_exported_name_resolves():
         assert [name for name in names if not hasattr(module, name)] == [], info.name
         checked.add(info.name)
     assert {"analysis", "graph", "linalg", "quadrature", "rankers", "topk"} <= checked
+    # the package's own names load on first access, from the module that defines them
+    assert hubauth.pagerank is hubauth.rankers.pagerank and hubauth.LanczosRun is hubauth.linalg.LanczosRun
+    probe = "import hubauth\nfrom hubauth import *\nprint(sorted(set(hubauth.__all__) - set(dir())))\n"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+    with pytest.raises(AttributeError):
+        hubauth.no_such_name
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded(ex1_file, tmp_path):
@@ -457,6 +465,20 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded(ex1_file, tmp_path):
     assert "scipy.stats loaded: False" in lines
     assert "method_b,spectral/hub" in lines
     assert lines[-1] == "scipy loaded: []"
+
+
+def test_pagerank_and_degree_runs_load_no_lanczos_quadrature_topk_or_analysis(ex1_file):
+    # each command imports the modules it uses, and these two methods use
+    # only graph and rankers
+    unused = ["hubauth.linalg", "hubauth.quadrature", "hubauth.topk", "hubauth.analysis"]
+    rank = ["rank", "--input", ex1_file, "--base", "1"]
+    shapes = [rank + ["--method", "pagerank", "--side", side] + extra for side in ("hub", "authority") for extra in ([], ["--json"])]
+    shapes.append(rank + ["--method", "degree", "--side", "hub", "--json"])
+    for argv in shapes:
+        probe = f"import sys, hubauth.cli\nassert hubauth.cli.main({argv!r}) == 0\nprint([m for m in {unused!r} if m in sys.modules])\n"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]", argv
 
 
 @pytest.mark.parametrize(
@@ -500,8 +522,10 @@ def test_benchmark_tracer_runs_and_leaves_output_unchanged(ex1_file, tmp_path, a
         ["rank", "--method", "spectral", "--side", "hub"],
         ["rank", "--method", "exp-quad", "--side", "hub"],
         ["topk", "--k", "1", "--side", "hub"],
+        ["spectrum"],
+        ["spectrum", "--json"],
     ],
-    ids=["exp-exact", "spectral", "exp-quad", "topk"],
+    ids=["exp-exact", "spectral", "exp-quad", "topk", "spectrum", "spectrum-json"],
 )
 def test_overflow_exits_3_with_one_error_line(tmp_path, capsys, args):
     # sigma_1 = 1000: cosh(1000) and e^1000 overflow double precision.  That is

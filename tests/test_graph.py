@@ -1,6 +1,7 @@
 """Graph construction, file ingestion, degrees, and the bipartite operator."""
 
 import io
+import os
 import sys
 from unittest import mock
 
@@ -86,12 +87,29 @@ def _entries(m):
     return dict(zip(zip(rows.tolist(), m.indices.tolist()), m.data.tolist()))
 
 
-def _outcome(text, index_base, n):
+def _outcome(source, index_base=0, n=None):
     try:
-        g = load_edge_list(io.StringIO(text), index_base=index_base, n=n)
+        g = load_edge_list(source, index_base=index_base, n=n)
     except GraphFormatError as exc:
         return type(exc).__name__, str(exc)
     return "graph", g.n, g.m, g.weighted, g.self_loops_dropped, [_csr(m) for m in (g.forward, g.reverse)]
+
+
+@pytest.fixture(scope="module")
+def edge_file(tmp_path_factory):
+    """A function writing text to one file and returning its path."""
+    path = tmp_path_factory.mktemp("edges") / "graph.txt"
+
+    def write(text):
+        path.write_bytes(text.encode())
+        return str(path)
+
+    return write
+
+
+# a clean file given by path is read by NumPy from the file, a text stream
+# from the text: each route must agree with the per-line loop
+_ROUTES = {"stream": lambda text, edge_file: io.StringIO(text), "path": lambda text, edge_file: edge_file(text)}
 
 
 _ODD_ID = st.sampled_from(
@@ -145,15 +163,57 @@ def _edge_list_text(draw):
     return text, index_base, draw(st.one_of(st.none(), st.integers(0, 8)))
 
 
+@pytest.mark.parametrize("route", _ROUTES)
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_edge_list_text())
-def test_loader_matches_the_per_line_loop(case):
+def test_loader_matches_the_per_line_loop(edge_file, route, case):
     # the per-line loop alone is the reference: the array parser must give the
     # same graph, or the same error for the same first bad line
     text, index_base, n = case
-    outcome = _outcome(text, index_base, n)
+    outcome = _outcome(_ROUTES[route](text, edge_file), index_base, n)
     with mock.patch.object(graph, "_parse_array", return_value=None):
-        assert _outcome(text, index_base, n) == outcome
+        assert _outcome(_ROUTES[route](text, edge_file), index_base, n) == outcome
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# source target\n0 1\n1 2\n",
+        "0 1\r\n1 2\r\n",
+        "0 1\r1 2\n",  # read with universal newlines: a line end on both routes
+        "0 1\n1 2 2.5\n",
+        "0 1 2.5\n1 2\n",
+        "0 x\n1 2\n",
+        "0 1\n1 2 w\n",
+        f"0 {graph.NODE_LIMIT}\n",
+        "\ufeff0 1\n1 2\n",
+    ],
+    ids=["comment", "crlf", "lone-cr", "mixed-2-3", "mixed-3-2", "bad-id", "bad-weight", "at-limit", "bom"],
+)
+@pytest.mark.parametrize("name", ["graph.txt", "graph.gz"])
+def test_path_and_stream_of_one_file_parse_alike(tmp_path, name, text):
+    # "graph.gz" holds plain text: NumPy would decompress a path by its name,
+    # so that file must not reach NumPy by path
+    path = tmp_path / name
+    path.write_bytes(text.encode())
+    by_path = _outcome(str(path))
+    with open(path, encoding="utf-8") as stream:
+        assert _outcome(stream) == by_path
+    with mock.patch.object(graph, "_parse_array", return_value=None):
+        assert _outcome(str(path)) == by_path
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_pipe_given_by_path_is_read_once():
+    # a pipe's data is gone once read, so NumPy must not open it again by name
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"0 1\n1 2\n")
+    os.close(write_end)
+    try:
+        g = load_edge_list(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert _entries(g.forward) == {(0, 1): 1.0, (1, 2): 1.0}
 
 
 @pytest.mark.parametrize(
@@ -176,10 +236,15 @@ def test_well_formed_files_never_reach_the_per_line_loop(monkeypatch, tmp_path, 
         raise AssertionError("well-formed input fell back to the per-line parser")
 
     monkeypatch.setattr(graph, "_parse_lines", refuse)
+    loadtxt, read = np.loadtxt, []
+    monkeypatch.setattr(np, "loadtxt", lambda source, **kw: read.append(source) or loadtxt(source, **kw))
     path = tmp_path / "graph.txt"
     path.write_bytes(text.encode())
     for source in (io.StringIO(text), str(path)):
+        read.clear()
         g = load_edge_list(source, index_base=index_base, n=n)
+        # NumPy reads a comment-free file given by path from the file, not from the text
+        assert [isinstance(r, str) for r in read] == [source == str(path) and "#" not in text] * len(read)
         assert _entries(g.forward) == pytest.approx(edges)
         assert g.n == (n if n is not None else max(max(e) for e in edges) + 1)
         assert g.weighted == weighted
@@ -415,12 +480,13 @@ def test_csr_matches_scipy(case):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     blocks = [rng.standard_normal((n, b)) for b in (1, 3, n + 2)]
-    for mat, ref in zip((g.forward, g.reverse), refs):
+    for mat, ref, transposed in zip((g.forward, g.reverse), refs, refs[::-1]):
         for mine, theirs in ((mat.indptr, ref.indptr), (mat.indices, ref.indices), (mat.data, ref.data)):
             assert np.array_equal(mine, theirs)
         assert mat.shape == ref.shape and mat.nnz == ref.nnz
         assert np.array_equal(mat.toarray(), ref.toarray())
         assert np.array_equal(mat @ x, ref @ x)
+        assert np.array_equal(mat.rmatvec(x), transposed @ x)
         assert np.array_equal(mat.row_sums(), np.asarray(ref.sum(axis=1)).ravel())
         _assert_block_products_match(mat, ref, blocks)
     forward = refs[0]
@@ -443,9 +509,10 @@ def test_duplicates_sum_in_input_order_and_long_rows_match_scipy():
     assert _entries(g.reverse) == {(v, u): w for (u, v), w in expected.items()}
     x = rng.standard_normal(n)
     blocks = [rng.standard_normal((n, b)) for b in (1, 7, n + 2)]
-    for mat in (g.forward, g.reverse):
+    for mat, transposed in ((g.forward, g.reverse), (g.reverse, g.forward)):
         ref = scipy.sparse.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
         assert np.array_equal(mat @ x, ref @ x)
+        assert np.array_equal(mat.rmatvec(x), transposed @ x)
         assert np.array_equal(mat.row_sums(), np.asarray(ref.sum(axis=1)).ravel())
         _assert_block_products_match(mat, ref, blocks)
     # the five rows of A, about 45 entries each, are all tails of the NumPy kernel

@@ -1,6 +1,7 @@
 """Golden score tables, oracle cross-checks, and ranking mechanics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from conftest import (
     dense_bipartite,
     edgeless_graph,
     google_stationary_dense,
+    pagerank_reference,
     path_graph,
     random_digraph,
     scipy_expm,
@@ -69,6 +71,9 @@ def test_rank_table_relative_tie_tolerance():
     scores = np.array([2.0, 2.0 + 1e-10, 1.0])
     table = rank_table(ScoreVector("t", "hub", scores))
     assert table.groups == [[0, 1], [2]]
+    # equal scores always share a group, which puts them in id order
+    with pytest.raises(ParameterError):
+        rank_table(ScoreVector("t", "hub", scores), tie_tol=-1e-9)
 
 
 def _rank_table_loop(scores, tie_tol=TIE_REL_TOL):
@@ -494,6 +499,25 @@ def test_pagerank_alpha_range(ex1):
         pagerank(ex1, alpha=1.0)
 
 
+@st.composite
+def _pagerank_graphs(draw):
+    """Digraphs with duplicate edges, self-loops and dangling nodes; weighted
+    ones with zero weights (a dangling row that stores an entry) too."""
+    n = draw(st.integers(1, 30))
+    weight = st.sampled_from([1.0, 1.0, 0.0, 0.5, 2.0, 3.25]) if draw(st.booleans()) else st.just(1.0)
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight), max_size=4 * n))
+    return from_edges(edges, n=n, weighted=any(w != 1.0 for _, _, w in edges))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_pagerank_graphs(), st.booleans(), st.sampled_from([0.5, 0.85, 0.99]))
+def test_pagerank_equals_the_reference_loop_bit_for_bit(g, reverse, alpha):
+    sv = pagerank(g, alpha=alpha, reverse=reverse)
+    scores, iterations = pagerank_reference(g, alpha=alpha, reverse=reverse)
+    assert np.array_equal(sv.scores, scores)
+    assert sv.diagnostics["iterations"] == iterations
+
+
 # ---------------------------------------------------------------------- degree
 
 
@@ -551,6 +575,18 @@ def test_communicability_quadrature_matches_dense(ex1, kind):
             dense = communicability(g, i, j, kind=kind, mode="dense")
             quad = communicability(g, i, j, kind=kind, mode="quadrature", p=20)
             assert quad == pytest.approx(dense, rel=1e-12, abs=1e-12), (g.n, i, j)
+
+
+@pytest.mark.parametrize("mode", ["dense", "quadrature"])
+@pytest.mark.parametrize("kind", ["hub", "authority", "hub_authority"])
+def test_communicability_overflow_raises_convergence_error(kind, mode):
+    # sigma_1 = 1000: cosh(1000) overflows double precision, which must not
+    # come back as NaN or pass by as a NumPy warning
+    g = from_edges([(0, 1, 1000.0), (1, 0, 2.0)], weighted=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="overflow"):
+            communicability(g, 0, 1, kind=kind, mode=mode, p=2)
 
 
 def test_communicability_rejects_same_node_hub_kind(ex1):

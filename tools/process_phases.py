@@ -7,13 +7,19 @@ perfbench/workloads.py) it times fresh processes that import
 import is done and again in its first atexit callback; the parent stamps
 the spawn and the return of ``wait``.  So
 
-    startup = spawn -> import done: the interpreter, NumPy and hubauth
-    run     = import done -> atexit: the command, its output, sys.exit
+    startup = spawn -> import done: the interpreter, NumPy and the hubauth
+              modules ``hubauth.cli`` imports itself
+    run     = import done -> atexit: the command (with the hubauth modules
+              it imports), its output, sys.exit
     exit    = atexit -> wait returns: the final collection, module
               teardown and process exit
 
 No tracer span sees the last one.  It prints one JSON line per workload
-with each phase's median in ms and whether every run wrote the same bytes.
+with each phase's median in ms, whether every run wrote the same bytes, and
+per tree ``bytecode_cached``: whether the children could write bytecode
+(``sys.dont_write_bytecode`` false) and whether ``hubauth/__pycache__``
+exists after the runs.  Without cached bytecode every process compiles
+the hubauth modules it imports from source, which start-up then includes.
 Given several ``--src`` trees it runs them in turn, rotating which goes
 first, on the same input.
 
@@ -44,7 +50,7 @@ import hubauth.cli
 imported = time.time()
 def stamp(path=sys.argv[1]):
     with open(path, "w") as fh:
-        fh.write(f"{imported!r} {time.time()!r}")
+        fh.write(f"{imported!r} {time.time()!r} {int(sys.dont_write_bytecode)}")
 atexit.register(stamp)
 sys.argv = ["hubauth"] + sys.argv[2:]
 warnings.filterwarnings("ignore", category=RuntimeWarning, module="runpy")
@@ -54,7 +60,7 @@ PHASES = ("startup", "run", "exit", "wall")
 
 
 def run(src, argv, out_path, workdir):
-    """One fresh process on tree ``src``; returns (exit code, phase seconds, output bytes)."""
+    """One fresh process on tree ``src``; returns (exit code, phase seconds, output bytes, dont_write_bytecode)."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     stamp_path, stdout_path, stderr_path = (os.path.join(workdir, name) for name in ("stamp", "stdout", "stderr"))
@@ -73,14 +79,15 @@ def run(src, argv, out_path, workdir):
         with open(stderr_path, encoding="utf-8", errors="replace") as fh:
             raise RuntimeError(f"{src}: the child exited {code} before its atexit stamp:\n{fh.read()}")
     with open(stamp_path) as fh:
-        imported, exiting = map(float, fh.read().split())
+        imported, exiting, dont_write = fh.read().split()
+    imported, exiting = float(imported), float(exiting)
     phases = dict(startup=imported - spawned, run=exiting - imported, exit=done - exiting, wall=done - spawned)
     output = b""
     for path in (stdout_path, out_path):
         if os.path.exists(path):
             with open(path, "rb") as fh:
                 output += fh.read()
-    return code, phases, output
+    return code, phases, output, dont_write == "1"
 
 
 def main():
@@ -101,20 +108,28 @@ def main():
             graphs.write_edges(graph_path, src, dst)
             argv = workload.argv(graph_path, out_path, n)
             times = {tree: {phase: [] for phase in PHASES} for tree in trees}
-            codes, outputs = set(), set()
+            codes, outputs, dont_write = set(), set(), {}
             for i in range(args.runs):
                 for tree in trees[i % len(trees):] + trees[: i % len(trees)]:
-                    code, phases, output = run(tree, argv, out_path, workdir)
+                    code, phases, output, no_bytecode = run(tree, argv, out_path, workdir)
                     codes.add(code)
                     outputs.add(output)
+                    dont_write[tree] = no_bytecode  # the same environment every run
                     for phase, seconds in phases.items():
                         times[tree][phase].append(seconds)
             medians = {
                 tree: {phase: round(1000 * statistics.median(v), 1) for phase, v in spans.items()}
                 for tree, spans in times.items()
             }
+            bytecode = {
+                tree: {
+                    "dont_write_bytecode": dont_write[tree],
+                    "pycache": os.path.isdir(os.path.join(tree, "hubauth", "__pycache__")),
+                }
+                for tree in trees
+            }
             point = {"workload": name, "seed": args.seed, "n": n, "runs": args.runs, "exit_codes": sorted(codes)}
-            print(json.dumps(dict(point, same_bytes=len(outputs) == 1, median_ms=medians)), flush=True)
+            print(json.dumps(dict(point, same_bytes=len(outputs) == 1, median_ms=medians, bytecode_cached=bytecode)), flush=True)
 
 
 if __name__ == "__main__":
