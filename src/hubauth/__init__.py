@@ -10,9 +10,9 @@ drive a top-k selection without resolving all scores.  HITS, Katz,
 bipartite resolvent, exponential row/column sums, PageRank, and degree
 baselines ride along for comparison.
 
-The names below are loaded on first access (PEP 562), each from its own
-module, so a process imports only the modules it uses: ``hubauth.from_edges``
-loads ``graph``, not the Lanczos and quadrature code.
+The names below, and the submodules that define them, are loaded on first
+access (PEP 562), so a process imports only the modules it uses:
+``hubauth.from_edges`` loads ``graph``, not the Lanczos and quadrature code.
 """
 
 import importlib
@@ -80,9 +80,11 @@ __all__ = list(_MODULE_OF)
 
 
 def __getattr__(name):
+    if name in _SOURCES:
+        # a submodule, as when this file imported every one of them
+        return importlib.import_module(f".{name}", __name__)
     module = _MODULE_OF.get(name)
     if module is None:
-        # also how "from hubauth import graph" learns to import the submodule
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{module}", __name__), name)
     globals()[name] = value

@@ -467,9 +467,9 @@ def pagerank(g, alpha=0.85, tol=1e-12, max_iter=20000, reverse=False):
     """
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
-    A = g.reverse if reverse else g.forward
-    n = A.shape[0]
-    out_strength = A.row_sums()
+    work = g.reversed() if reverse else g
+    n = work.n
+    out_strength = work.out_strengths()
     dangling = out_strength == 0.0
     inv_out = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, out_strength))
     dangling_nodes = np.flatnonzero(dangling)
@@ -479,7 +479,7 @@ def pagerank(g, alpha=0.85, tol=1e-12, max_iter=20000, reverse=False):
     for _ in range(max_iter):
         dangling_mass = float(x[dangling_nodes].sum())
         # not in place: with no edges the product is integer zeros
-        x_new = A.rmatvec(x * inv_out) + dangling_mass / n
+        x_new = spmv(work, x * inv_out, transpose=True) + dangling_mass / n
         x_new *= alpha
         x_new += (1.0 - alpha) / n
         x_new /= x_new.sum()

@@ -151,7 +151,7 @@ def pagerank_reference(g, alpha=0.85, tol=1e-12, max_iter=20000, reverse=False):
     x = np.ones(n) / n
     iterations = 0
     for _ in range(max_iter):
-        contrib = spmv(work, x * inv_out, transpose=True)
+        contrib = work.reverse @ (x * inv_out)
         dangling_mass = float(x[dangling].sum())
         x_new = alpha * (contrib + dangling_mass / n) + (1.0 - alpha) / n
         x_new /= x_new.sum()

@@ -426,8 +426,19 @@ def test_every_exported_name_resolves():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+    # every submodule is an attribute of a fresh "import hubauth", as when the
+    # package imported them all
+    probe = (
+        "import hubauth\n"
+        "print(hubauth.linalg.LanczosRun is hubauth.LanczosRun, hubauth.topk.__name__, hubauth.errors.__name__)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True hubauth.topk hubauth.errors\n"
     with pytest.raises(AttributeError):
         hubauth.no_such_name
+    with pytest.raises(AttributeError):
+        hubauth.cli_not_a_module
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded(ex1_file, tmp_path):
@@ -487,8 +498,10 @@ def test_pagerank_and_degree_runs_load_no_lanczos_quadrature_topk_or_analysis(ex
         (["topk", "--k", "2", "--side", "hub", "--json"], ["quadrature.radau", "linalg.lanczos"]),
         (["rank", "--method", "exp-quad", "--side", "hub", "--json"], ["quadrature.radau", "linalg.lanczos"]),
         (["spectrum", "--pmax", "8", "--ritz-out", "RITZ", "--json"], ["linalg.tridiag_eigen", "linalg.lanczos"]),
+        # PageRank's A^T products are graph.spmv calls, counted on ingest-pagerank
+        (["rank", "--method", "pagerank", "--side", "hub"], ["graph.spmv", "rankers.pagerank"]),
     ],
-    ids=["topk", "exp-quad", "spectrum-ritz"],
+    ids=["topk", "exp-quad", "spectrum-ritz", "pagerank"],
 )
 def test_benchmark_tracer_runs_and_leaves_output_unchanged(ex1_file, tmp_path, args, spans):
     # perfbench/tracer.py wraps program functions by name, all of them whatever

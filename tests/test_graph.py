@@ -203,6 +203,46 @@ def test_path_and_stream_of_one_file_parse_alike(tmp_path, name, text):
         assert _outcome(str(path)) == by_path
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda path: path.write_bytes(b"5 6\n6 7\n7 8\n"),
+        # same size: only the modification time tells
+        lambda path: path.write_bytes(b"3 4\n4 5\n") or os.utime(path, ns=(0, 10**9)),
+        lambda path: path.unlink(),
+    ],
+    ids=["rewritten", "same-size", "deleted"],
+)
+def test_a_file_changed_between_the_two_reads_parses_as_first_read(monkeypatch, tmp_path, change):
+    # the text is checked on the first read; rows NumPy reads by path after
+    # the file changed must not be used
+    path = tmp_path / "graph.txt"
+    path.write_bytes(b"0 1\n1 2\n")
+    loadtxt, by_path = np.loadtxt, []
+
+    def change_then_load(source, **kw):
+        if isinstance(source, str):
+            by_path.append(source)
+            change(path)
+        return loadtxt(source, **kw)
+
+    monkeypatch.setattr(np, "loadtxt", change_then_load)
+    g = load_edge_list(str(path))
+    assert by_path == [str(path)]
+    assert _entries(g.forward) == {(0, 1): 1.0, (1, 2): 1.0} and g.n == 3
+
+
+def test_an_unchanged_file_numpy_rejects_is_not_parsed_again(monkeypatch, tmp_path):
+    # mixed 2/3-token lines are valid but not NumPy's: on to the per-line loop at once
+    path = tmp_path / "graph.txt"
+    path.write_bytes(b"0 1\n1 2 2.5\n")
+    loadtxt, read = np.loadtxt, []
+    monkeypatch.setattr(np, "loadtxt", lambda source, **kw: read.append(source) or loadtxt(source, **kw))
+    g = load_edge_list(str(path))
+    assert read == [str(path)]
+    assert _entries(g.forward) == {(0, 1): 1.0, (1, 2): 2.5}
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_a_pipe_given_by_path_is_read_once():
     # a pipe's data is gone once read, so NumPy must not open it again by name
@@ -508,6 +548,8 @@ def test_duplicates_sum_in_input_order_and_long_rows_match_scipy():
     assert _entries(g.forward) == expected
     assert _entries(g.reverse) == {(v, u): w for (u, v), w in expected.items()}
     x = rng.standard_normal(n)
+    # spmv's A^T.x, scattered from A, adds in the order of A^T's rows
+    assert np.array_equal(spmv(g, x, transpose=True), g.reverse @ x)
     blocks = [rng.standard_normal((n, b)) for b in (1, 7, n + 2)]
     for mat, transposed in ((g.forward, g.reverse), (g.reverse, g.forward)):
         ref = scipy.sparse.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
@@ -611,6 +653,8 @@ def test_reversed_graph(ex1):
     rev = ex1.reversed()
     assert np.array_equal(rev.out_degrees(), ex1.in_degrees())
     assert _csr(rev.forward) == _csr(ex1.reverse)
+    # flipping back needs no sort: A is the reversed graph's A^T
+    assert rev.reverse is ex1.forward
 
 
 def test_path_graph_structure():
