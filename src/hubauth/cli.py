@@ -57,7 +57,7 @@ def _run_method(g, method, side, args):
     elif method == "exp-quad":
         return rankers.exp_centrality_quadrature(g, p_max=args.pmax, side=side)
     elif method == "spectral":
-        return rankers.truncated_spectral_scores(g, k=args.k if args.k else 1, side=side)
+        return rankers.truncated_spectral_scores(g, k=1 if args.k is None else args.k, side=side)
     elif method == "katz":
         hub, auth = rankers.katz_row_col(g, c=args.c)
     elif method == "resolvent":

@@ -478,7 +478,7 @@ def load_edge_list(source, index_base=0, n=None):
     finally:
         if owned:
             stream.close()
-    us, vs, ws = _parse_array(text, index_base, n, file) or _parse_lines(text, index_base, n)
+    us, vs, ws = _read_edges(text, "#", index_base, n, (2, 3), 1, file)
     return _graph_from_arrays(us, vs, ws, n, index_base, weighted=bool(np.any(ws != 1.0)))
 
 
@@ -508,13 +508,28 @@ def _file_key(st):
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
 
-_COMMENT_LINE = re.compile(r"^[^\S\n]*#[^\n]*", re.MULTILINE)
-_FIRST_DATA = re.compile(r"\S[^\n]*")
 _EDGE_FIELDS = [("u", np.int64), ("v", np.int64), ("w", np.float64)]
 
 
-def _parse_array(text, index_base, n, file=None):
-    """Edge arrays (u, v, w) of a well-formed edge list, read by NumPy's C parser.
+def _read_edges(text, comment, base, n, columns, first_line, file=None):
+    """Edge arrays (us, vs, ws), 0-based, of the rows of ``text``; raises at the first bad line.
+
+    Blank lines and lines whose first non-blank character is ``comment`` are
+    skipped.  Every other line is a row of u, v and an optional weight
+    (1.0 when absent), its token count one of ``columns``: ids from
+    ``base`` on and below ``base + n`` (below ``NODE_LIMIT`` with ``n``
+    None), the weight finite and non-negative.  The first line of ``text``
+    is line ``first_line``.  NumPy's reader (``_parse_array``) takes a
+    well-formed text, reading ``file`` by path where it can; anything else
+    goes to the line reader (``_parse_lines``), which names the bad line.
+    """
+    return _parse_array(text, comment, base, n, columns, file) or _parse_lines(
+        text, comment, base, n, columns, first_line
+    )
+
+
+def _parse_array(text, comment, base, n, columns, file=None):
+    """Edge arrays (u, v, w) of a well-formed text (see ``_read_edges``), read by NumPy's C parser.
 
     ``file`` (``_plain_file``), the file ``text`` was read from, is handed
     to NumPy by path in place of the text when the text has no comment:
@@ -525,34 +540,35 @@ def _parse_array(text, index_base, n, file=None):
     file is unchanged since ``text`` was read; else ``text`` is parsed.
 
     Returns None when the text is anything else -- a lone carriage return,
-    mixed 2/3-token lines, a token NumPy does not parse, or a row that
-    fails a check -- and ``_parse_lines`` then decides, reporting the
-    first bad line in file order.
+    rows of differing token counts, a token NumPy does not parse (a comment
+    after data among them), or a row that fails a check -- and
+    ``_parse_lines`` then decides, reporting the first bad line in file
+    order.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
         if "\r" in text:
             return None
-    if "#" in text:
+    if comment in text:
         file = None
-        text = _COMMENT_LINE.sub("", text)
-    first = _FIRST_DATA.search(text)
+        text = re.sub(rf"^[^\S\n]*{re.escape(comment)}[^\n]*", "", text, flags=re.MULTILINE)
+    first = re.search(r"\S[^\n]*", text)
     if first is None:
         return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
-    columns = len(first.group().split())
-    if columns not in (2, 3):
+    width = len(first.group().split())
+    if width not in columns:
         return None
-    rows = _load_rows(text, file, _EDGE_FIELDS[:columns])
+    rows = _load_rows(text, file, _EDGE_FIELDS[:width])
     if rows is None:
         return None
-    ws = rows["w"] if columns == 3 else np.ones(len(rows))
+    ws = rows["w"] if width == 3 else np.ones(len(rows))
     if not (np.isfinite(ws).all() and (ws >= 0).all()):
         return None
     # compare before subtracting the base: int64 ids wrap below the minimum
-    if min(rows["u"].min(), rows["v"].min()) < index_base:
+    if min(rows["u"].min(), rows["v"].min()) < base:
         return None
-    us = rows["u"] - index_base
-    vs = rows["v"] - index_base
+    us = rows["u"] - base
+    vs = rows["v"] - base
     bound = NODE_LIMIT if n is None else min(n, NODE_LIMIT)
     if max(us.max(), vs.max()) >= bound:
         return None
@@ -583,16 +599,17 @@ def _load_rows(text, file, dtype):
         return None
 
 
-def _parse_lines(text, index_base, n):
-    """Edge arrays (u, v, w) parsed line by line, raising at the first bad line."""
+def _parse_lines(text, comment, base, n, columns, first_line):
+    """Edge arrays (u, v, w) of a text (see ``_read_edges``) parsed line by line, raising at the first bad line."""
     us, vs, ws = [], [], []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=first_line):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line.startswith(comment):
             continue
         tokens = line.split()
-        if len(tokens) not in (2, 3):
-            raise GraphFormatError(f"line {lineno}: expected 2 or 3 tokens, got {len(tokens)}")
+        if len(tokens) not in columns:
+            expected = " or ".join(map(str, columns))
+            raise GraphFormatError(f"line {lineno}: expected {expected} tokens, got {len(tokens)}")
         try:
             u = int(tokens[0])
             v = int(tokens[1])
@@ -603,14 +620,14 @@ def _parse_lines(text, index_base, n):
             raise GraphFormatError(f"line {lineno}: non-finite weight {tokens[2]}")
         if w < 0:
             raise GraphFormatError(f"line {lineno}: negative weight {w}")
-        u -= index_base
-        v -= index_base
+        u -= base
+        v -= base
         if u < 0 or v < 0:
-            raise GraphFormatError(f"line {lineno}: node id below index base {index_base}")
+            raise GraphFormatError(f"line {lineno}: node id below index base {base}")
         if n is not None and (u >= n or v >= n):
             raise GraphFormatError(f"line {lineno}: node id out of declared range")
         if max(u, v) >= NODE_LIMIT:
-            raise GraphFormatError(f"line {lineno}: node id {max(u, v) + index_base} at or above the limit {NODE_LIMIT}")
+            raise GraphFormatError(f"line {lineno}: node id {max(u, v) + base} at or above the limit {NODE_LIMIT}")
         us.append(u)
         vs.append(v)
         ws.append(w)
@@ -626,7 +643,9 @@ def load_matrix_market(source):
 
     Supports pattern/real/integer fields with general or symmetric symmetry;
     symmetric files are expanded to both edge directions.  Complex fields,
-    array format, and non-square matrices are rejected.
+    array format, and non-square matrices are rejected.  The entries after
+    the size line are a 1-based edge list with ``%`` comment lines, read as
+    ``load_edge_list`` reads its rows; their count must be the declared one.
     """
     stream, owned = _open_text(source)
     try:
@@ -641,119 +660,33 @@ def load_matrix_market(source):
             raise GraphFormatError(f"unsupported MatrixMarket field '{fld}'")
         if sym not in _MM_SYMMETRIES:
             raise GraphFormatError(f"unsupported MatrixMarket symmetry '{sym}'")
+        lineno, tokens = 1, []
+        while not tokens or tokens[0].startswith("%"):
+            line = stream.readline()
+            if not line:
+                raise GraphFormatError("missing size line")
+            lineno, tokens = lineno + 1, line.split()
         text = stream.read()
     finally:
         if owned:
             stream.close()
-    pattern = fld == "pattern"
-    symmetric = sym == "symmetric"
-    us, vs, ws, n = _mm_array(text, pattern, symmetric) or _mm_lines(text, pattern, symmetric)
-    weighted = not pattern and bool(np.any(ws != 1.0))
-    return _graph_from_arrays(us, vs, ws, n, 0, weighted)
-
-
-_MM_DATA_LINE = re.compile(r"^[^\S\n]*[^%\s][^\n]*", re.MULTILINE)
-_MM_TRAILING_COMMENT = re.compile(r"^[^\S\n]*[^%\s][^%\n]*%", re.MULTILINE)
-
-
-def _mm_array(text, pattern, symmetric):
-    """(us, vs, ws, n) of a well-formed Matrix Market body, the entries read by NumPy's C parser.
-
-    ``text`` is everything after the header line.  Returns None for
-    anything else -- a bad size line, a lone carriage return, a comment
-    after data, a token or row NumPy declines, an entry out of range or
-    with a negative or non-finite weight, or an entry count other than the
-    declared one -- and ``_mm_lines`` then decides, reporting the first bad
-    line.
-    """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if "\r" in text:
-            return None
-    size = _MM_DATA_LINE.search(text)
-    if size is None:
-        return None
     try:
-        nrows, ncols, declared = (int(t) for t in size.group().split())
+        nrows, ncols, declared = (int(t) for t in tokens)
     except ValueError:
-        return None
-    body = text[size.end() :]
-    if nrows != ncols or nrows >= NODE_LIMIT or ("%" in body and _MM_TRAILING_COMMENT.search(body)):
-        return None
-    fields = _EDGE_FIELDS[: 2 if pattern else 3]
-    if _MM_DATA_LINE.search(body) is None:
-        rows = np.empty(0, dtype=fields)
-    else:
-        try:
-            rows = np.loadtxt(io.StringIO(body), dtype=fields, comments="%", ndmin=1)
-        except ValueError:
-            return None
-    if rows.size != declared:
-        return None
-    ws = np.ones(rows.size) if pattern else rows["w"]
-    if rows.size and (
-        min(rows["u"].min(), rows["v"].min()) < 1
-        or max(rows["u"].max(), rows["v"].max()) > nrows
-        or not (np.isfinite(ws).all() and (ws >= 0).all())
-    ):
-        return None
-    us, vs = rows["u"] - 1, rows["v"] - 1
-    if symmetric:
+        raise GraphFormatError(f"line {lineno}: bad size line") from None
+    if nrows != ncols:
+        raise GraphFormatError(f"matrix is {nrows}x{ncols}, graphs require square")
+    if nrows >= NODE_LIMIT:
+        raise GraphFormatError(f"line {lineno}: dimension {nrows} at or above the limit {NODE_LIMIT}")
+    us, vs, ws = _read_edges(text, "%", 1, nrows, (2,) if fld == "pattern" else (3,), lineno + 1)
+    if us.size != declared:
+        raise GraphFormatError(f"size line declares {declared} entries, file has {us.size}")
+    if sym == "symmetric":
         # each off-diagonal entry (u, v) is followed by its mirror (v, u)
         keep = np.column_stack([np.ones(us.size, dtype=bool), us != vs]).ravel()
         us, vs = np.column_stack([us, vs]).ravel()[keep], np.column_stack([vs, us]).ravel()[keep]
         ws = np.repeat(ws, 2)[keep]
-    return us, vs, ws, nrows
-
-
-def _mm_lines(text, pattern, symmetric):
-    """(us, vs, ws, n) of a Matrix Market body parsed line by line, raising at the first bad line."""
-    dims = None
-    us, vs, ws = [], [], []
-    declared_nnz = 0
-    entry_lines = 0
-    for lineno, raw in enumerate(text.split("\n"), start=2):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        tokens = line.split()
-        if dims is None:
-            try:
-                nrows, ncols, declared_nnz = (int(t) for t in tokens)
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: bad size line") from None
-            if nrows != ncols:
-                raise GraphFormatError(f"matrix is {nrows}x{ncols}, graphs require square")
-            if nrows >= NODE_LIMIT:
-                raise GraphFormatError(f"line {lineno}: dimension {nrows} at or above the limit {NODE_LIMIT}")
-            dims = (nrows, ncols)
-            continue
-        expected = 2 if pattern else 3
-        if len(tokens) != expected:
-            raise GraphFormatError(f"line {lineno}: expected {expected} tokens, got {len(tokens)}")
-        try:
-            u = int(tokens[0]) - 1
-            v = int(tokens[1]) - 1
-            w = 1.0 if pattern else float(tokens[2])
-        except ValueError as exc:
-            raise GraphFormatError(f"line {lineno}: {exc}") from None
-        if u < 0 or v < 0 or u >= dims[0] or v >= dims[0]:
-            raise GraphFormatError(f"line {lineno}: entry index out of range")
-        if w < 0:
-            raise GraphFormatError(f"line {lineno}: negative weight {w}")
-        entry_lines += 1
-        us.append(u)
-        vs.append(v)
-        ws.append(w)
-        if symmetric and u != v:
-            us.append(v)
-            vs.append(u)
-            ws.append(w)
-    if dims is None:
-        raise GraphFormatError("missing size line")
-    if entry_lines != declared_nnz:
-        raise GraphFormatError(f"size line declares {declared_nnz} entries, file has {entry_lines}")
-    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), np.array(ws, dtype=float), dims[0]
+    return _graph_from_arrays(us, vs, ws, nrows, 0, weighted=bool(np.any(ws != 1.0)))
 
 
 def write_edge_list(g, target=None):

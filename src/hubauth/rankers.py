@@ -116,12 +116,16 @@ def hits(g, tol=1e-10, max_iter=1000, init=None):
     until the max-norm change of both iterates drops below ``tol``.
     Reported scores are rescaled to sum 1.  When the dominant eigenvalue of
     A^T A is (near-)degenerate the result depends on the start vector; the
-    ``degenerate`` diagnostic flags that condition.
+    ``degenerate`` diagnostic flags that condition.  Raises ParameterError
+    when no step completes (``max_iter`` < 1, or A x = 0 for the start
+    vector, as when every edge weighs 0).
     """
     from .linalg import power_singular_pair
 
     if g.m < 1:
         raise ParameterError("HITS requires at least one edge")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     n = g.n
     if init is None:
         x = np.ones(n) / math.sqrt(n)
@@ -154,6 +158,9 @@ def hits(g, tol=1e-10, max_iter=1000, init=None):
         if change < tol:
             converged = True
             break
+    if not iterations:
+        # only the first step can stop: later A x is A A^T y / |A^T y|, not 0
+        raise ParameterError("HITS took no step: A x is zero for the start vector (do all edges weigh 0?)")
     est = power_singular_pair(g, tol=min(tol, 1e-10))
     degenerate = est.sigma1 - est.sigma2 < max(tol, 1e-12) * est.sigma1 if est.sigma1 > 0 else True
     diag = {

@@ -32,7 +32,7 @@ from .quadrature import (
     order_one_bounds,
     spectrum_interval,
 )
-from .rankers import TIE_REL_TOL
+from .rankers import TIE_REL_TOL, ScoreVector, rank_table
 
 __all__ = ["TopKReport", "identify_top_k", "rank_in_top_m"]
 
@@ -65,10 +65,6 @@ class TopKReport:
     @property
     def max_iterations(self):
         return max(self.iterations.values(), default=0)
-
-
-def _tied(a, b, tie_tol):
-    return abs(a - b) <= tie_tol * max(1.0, abs(a), abs(b))
 
 
 def _cut(threshold, tie_tol):
@@ -173,35 +169,19 @@ class _BracketPool:
 
 
 def _select_members(candidates, pool, k, tie_tol):
-    """Pick k members from the surviving candidates, ids ascending inside ties."""
-    mids = {v: pool.bounds[v].midpoint for v in candidates}
-    ordered = sorted(candidates, key=lambda v: (-mids[v], v))
-    groups = []
-    current = [ordered[0]]
-    for prev, v in zip(ordered, ordered[1:]):
-        if _tied(mids[prev], mids[v], tie_tol):
-            current.append(v)
-        else:
-            groups.append(sorted(current))
-            current = [v]
-    groups.append(sorted(current))
-    members = []
-    ties_note = None
-    for grp in groups:
-        if len(members) + len(grp) <= k:
-            members.extend(grp)
-        else:
-            slots = k - len(members)
-            if slots > 0:
-                members.extend(grp[:slots])
-                ties_note = (
-                    f"{len(grp)} candidates tied at the rank-{len(members) - slots + 1} "
-                    f"boundary; admitted lowest node ids"
-                )
-            break
-        if len(members) == k:
-            break
-    return members, ties_note
+    """Pick k members from the surviving candidates by bracket midpoint, ids ascending inside ties.
+
+    The tie groups are ``rank_table``'s.  When one straddles the k-th place,
+    its lowest ids are admitted and the note says so.
+    """
+    nodes = sorted(candidates)
+    table = rank_table(ScoreVector("midpoint", "", [pool.bounds[v].midpoint for v in nodes]), tie_tol)
+    members = [nodes[i] for i in table.order[:k]]
+    if k < len(nodes) and table.ranks[table.order[k]] == table.ranks[table.order[k - 1]]:
+        rank = table.ranks[table.order[k]]
+        tied = int(np.count_nonzero(table.ranks == rank))
+        return members, f"{tied} candidates tied at the rank-{rank} boundary; admitted lowest node ids"
+    return members, None
 
 
 def _topk_engine(g, k, side, p_max, m, exclude_degree_one, order_members, tie_tol):

@@ -42,6 +42,15 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def _loads(text):
+    """The JSON value of ``text``, read strictly: NaN and Infinity are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_rank_exp_exact_hub_example1(ex1_file, capsys):
     code, out, _ = run_cli(
         ["rank", "--input", ex1_file, "--base", "1", "--method", "exp-exact", "--side", "hub"],
@@ -103,7 +112,7 @@ def test_rank_json_mirrors_csv_numbers(ex1_file, capsys):
         capsys,
     )
     assert code == 0 and code2 == 0
-    payload = json.loads(json_out)
+    payload = _loads(json_out)
     csv_scores = {row.split(",")[0]: float(row.split(",")[1]) for row in csv_out.strip().splitlines()[1:]}
     for row in payload["rows"]:
         csv_val = csv_scores[str(row["node"])]
@@ -148,13 +157,65 @@ def test_rank_mtx_input(tmp_path, capsys):
     assert out.strip().splitlines()[1] == "0,2.3319,1"  # mtx ids echoed 0-based
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("method", ["degree", "pagerank"])
+def test_mtx_non_finite_weight_exits_1_naming_its_line(tmp_path, capsys, method, weight):
+    p = tmp_path / "bad.mtx"
+    p.write_text(f"%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 {weight}\n2 3 1\n")
+    code, out, err = run_cli(
+        ["rank", "--input", str(p), "--format", "mtx", "--method", method, "--side", "hub"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: line 3: non-finite weight {weight}\n"
+
+
+def test_rank_hits_json_reports_a_finite_residual(ex1_file, capsys):
+    code, out, _ = run_cli(
+        ["rank", "--input", ex1_file, "--base", "1", "--method", "hits", "--side", "hub", "--json"], capsys
+    )
+    assert code == 0
+    assert _loads(out)["diagnostics"]["residual"] < 1e-10
+
+
+@pytest.mark.parametrize(
+    "text,extra,message",
+    [
+        (EX1_TEXT, ["--max-iter", "0"], "max_iter must be at least 1"),
+        ("0 1 0\n1 2 0\n", [], "HITS took no step"),
+    ],
+    ids=["max-iter-0", "zero-weights"],
+)
+def test_rank_hits_without_a_step_exits_2(tmp_path, capsys, text, extra, message):
+    # no step leaves no residual and no scores to report
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    code, out, err = run_cli(
+        ["rank", "--input", str(p), "--method", "hits", "--side", "hub", "--json"] + extra, capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_rank_spectral_k_below_one_exits_2(ex1_file, capsys, k):
+    code, out, err = run_cli(
+        ["rank", "--input", ex1_file, "--base", "1", "--method", "spectral", "--side", "hub", "--k", k], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: k must be in [1, 8], got {k}\n"
+
+
 def test_topk_example3_hub(ex3_file, capsys):
     code, out, _ = run_cli(
         ["topk", "--input", ex3_file, "--base", "1", "--k", "1", "--side", "hub", "--json"],
         capsys,
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = _loads(out)
     assert [m["node"] for m in payload["members"]] == [6]
     assert payload["members"][0]["exact"]
     assert payload["certified"]
@@ -204,7 +265,7 @@ def test_topk_with_m_relaxation(ex1_file, capsys):
         capsys,
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = _loads(out)
     assert payload["m"] == 2
     assert payload["iterations"]["max"] <= 4  # Gram steps: the order-3 first round
 
@@ -226,7 +287,7 @@ def test_topk_json_reports_one_step_for_nodes_dropped_at_order_one(tmp_path, cap
         patched.setattr(topk._BracketPool, "start", order_three_first_round)
         code, reference_text, _ = run_cli(args, capsys)
     assert code == 0
-    payload, reference = json.loads(text), json.loads(reference_text)
+    payload, reference = _loads(text), _loads(reference_text)
     dropped = [str(v) for v in range(3, 10)]
     assert [payload["iterations"]["per_node"].pop(v) for v in dropped] == [1] * 7
     assert [reference["iterations"]["per_node"].pop(v) for v in dropped] == [4] * 7
@@ -270,7 +331,7 @@ def test_compare_exp_vs_katz_hub_full_report(ex1_file, capsys):
         capsys,
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = _loads(out)
     assert payload["method_a"] == "exp-exact/hub"
     assert payload["method_b"] == "katz/hub"
     assert -1.0 <= payload["kendall_tau_b"] <= 1.0
@@ -303,7 +364,7 @@ def test_spectrum_example2_degenerate(tmp_path, capsys):
         ["spectrum", "--input", str(p), "--base", "1", "--json"], capsys
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = _loads(out)
     assert payload["relative_gap"] == pytest.approx(0.0, abs=1e-8)
     assert "degenerate" in payload["annotation"]
 
@@ -523,7 +584,7 @@ def test_benchmark_tracer_runs_and_leaves_output_unchanged(ex1_file, tmp_path, a
     assert traced.stdout == plain.stdout
     if "RITZ" in args:
         assert (tmp_path / "traced.txt").read_text() == (tmp_path / "plain.txt").read_text() != ""
-    names = [span[0] for span in json.loads(spans_path.read_text())["spans"]]
+    names = [span[0] for span in _loads(spans_path.read_text())["spans"]]
     for name in spans:
         assert names.count(name) > 0, name
 
@@ -596,7 +657,7 @@ def test_rank_exp_quad_side_matches_both_sides(ex1_file, capsys):
             capsys,
         )
         assert code == 0
-        rows = json.loads(out)["rows"]
+        rows = _loads(out)["rows"]
         assert {r["node"] - 1: r["score"] for r in rows} == dict(enumerate(sv.scores.tolist()))
 
 

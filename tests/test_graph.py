@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -87,9 +88,9 @@ def _entries(m):
     return dict(zip(zip(rows.tolist(), m.indices.tolist()), m.data.tolist()))
 
 
-def _outcome(source, index_base=0, n=None):
+def _outcome(source, load=load_edge_list, **kwargs):
     try:
-        g = load_edge_list(source, index_base=index_base, n=n)
+        g = load(source, **kwargs)
     except GraphFormatError as exc:
         return type(exc).__name__, str(exc)
     return "graph", g.n, g.m, g.weighted, g.self_loops_dropped, [_csr(m) for m in (g.forward, g.reverse)]
@@ -124,55 +125,93 @@ _SEP = st.sampled_from([" ", "  ", "\t", " \t "])
 
 
 @st.composite
-def _data_line(draw, index_base, weighted, odd):
-    # an odd line may carry an unusual id or weight, the other token count,
-    # or a fourth token or a '#' after its data
-    def pick(plain, unusual):
-        return draw(st.one_of(plain, unusual) if odd else plain)
-
+def _data_line(draw, index_base, weighted, odd, comment="#", weight=_WEIGHT):
+    # an odd line has one oddity or two: an unusual id or weight, the other
+    # token count, or a fourth token or a comment after its data
+    oddities = draw(st.lists(st.sampled_from(["u", "v", "w", "count", "extra"]), min_size=1, max_size=2)) if odd else []
     ids = st.integers(index_base, index_base + 5).map(str)
-    tokens = [pick(ids, _ODD_ID), pick(ids, _ODD_ID)]
-    if weighted != (odd and draw(st.booleans())):
-        tokens.append(pick(_WEIGHT, _ODD_WEIGHT))
-    if odd and draw(st.booleans()):
-        tokens.append(draw(st.sampled_from(["#", "# note", "3", "#3"])))
+    tokens = [draw(_ODD_ID if "u" in oddities else ids), draw(_ODD_ID if "v" in oddities else ids)]
+    if weighted != ("count" in oddities):
+        tokens.append(draw(_ODD_WEIGHT if "w" in oddities else weight))
+    if "extra" in oddities:
+        tokens.append(draw(st.sampled_from([comment, f"{comment} note", "3", f"{comment}3"])))
     line = tokens[0]
     for tok in tokens[1:]:
         line += draw(_SEP) + tok
     return draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", " ", "\t"]))
 
 
-_NON_DATA = st.sampled_from(["", "   ", "\t", "# header", "  # indented", "\t#", "#0 1"])
+def _non_data(comment):
+    return st.sampled_from(["", "   ", "\t", f"{comment} header", f"  {comment} indented", f"\t{comment}", f"{comment}0 1"])
+
+
+def _join_lines(draw, lines):
+    """The lines with LF or CRLF ends, a few lone CRs, sometimes no end on the last."""
+    ends = st.sampled_from(["\n", "\r\n"] if draw(st.integers(0, 4)) else ["\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
 
 
 @st.composite
 def _edge_list_text(draw):
-    """(text, index_base, n): mostly well-formed edge lists (2 or 3 tokens
-    throughout, LF or CRLF ends) with blank and comment lines, a few odd
-    lines and lone CRs, sometimes with a declared node count."""
+    """(text, load_edge_list, kwargs): mostly well-formed edge lists (2 or 3
+    tokens throughout, LF or CRLF ends) with blank and comment lines, a few
+    odd lines and lone CRs, sometimes with a declared node count."""
     index_base = draw(st.sampled_from([0, 1]))
     weighted = draw(st.booleans())
     lines = []
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.integers(0, 9))
-        lines.append(draw(_NON_DATA) if kind < 2 else draw(_data_line(index_base, weighted, odd=kind == 9)))
-    ends = st.sampled_from(["\n", "\r\n"] if draw(st.integers(0, 4)) else ["\n", "\r\n", "\r"])
-    text = "".join(line + draw(ends) for line in lines)
-    if draw(st.booleans()):
-        text = text.rstrip("\r\n")
-    return text, index_base, draw(st.one_of(st.none(), st.integers(0, 8)))
+        lines.append(draw(_non_data("#")) if kind < 2 else draw(_data_line(index_base, weighted, odd=kind == 9)))
+    kwargs = {"index_base": index_base, "n": draw(st.one_of(st.none(), st.integers(0, 8)))}
+    return _join_lines(draw, lines), load_edge_list, kwargs
+
+
+# integer and real Matrix Market weights, across many decades
+_MM_WEIGHT = {
+    "integer": st.integers(0, 10**12).map(str),
+    "real": st.one_of(
+        _WEIGHT,
+        st.builds("{}.{}e{}".format, st.integers(0, 9), st.integers(0, 10**9), st.integers(-300, 300)),
+    ),
+}
+
+
+@st.composite
+def _matrix_market_text(draw):
+    """(text, load_matrix_market, {}): mostly well-formed Matrix Market files
+    of every field and symmetry -- ids 1 to 6, so entries repeat, weights
+    across many decades, blank and comment lines, LF or CRLF ends -- with a
+    few odd lines and lone CRs, and now and then a wrong entry count or size."""
+    field = draw(st.sampled_from(["pattern", "integer", "real"]))
+    symmetry = draw(st.sampled_from(["general", "symmetric"]))
+    weight = _MM_WEIGHT.get(field, _WEIGHT)
+    odd = draw(st.booleans())
+    entries = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 9))
+        line = _data_line(1, field != "pattern", odd=odd and kind >= 8, comment="%", weight=weight)
+        entries.append(draw(_non_data("%")) if kind < 2 else draw(line))
+    count = sum(1 for e in entries if e.strip() and not e.strip().startswith("%"))
+    n = draw(st.sampled_from([6, 7, 5]))
+    size = draw(st.sampled_from([f"{n} {n} {count}", f" {n}\t{n}  {count}"]))
+    if odd and draw(st.integers(0, 4)) == 0:
+        size = draw(st.sampled_from([f"{n} {n} {count + 1}", f"{n} {n + 1} {count}", f"{n} {n}"]))
+    head = [f"%%MatrixMarket matrix coordinate {field} {symmetry}", *draw(st.lists(_non_data("%"), max_size=2)), size]
+    return _join_lines(draw, head + entries), load_matrix_market, {}
 
 
 @pytest.mark.parametrize("route", _ROUTES)
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(_edge_list_text())
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_edge_list_text(), _matrix_market_text()))
 def test_loader_matches_the_per_line_loop(edge_file, route, case):
-    # the per-line loop alone is the reference: the array parser must give the
-    # same graph, or the same error for the same first bad line
-    text, index_base, n = case
-    outcome = _outcome(_ROUTES[route](text, edge_file), index_base, n)
+    # for edge lists and Matrix Market files alike the per-line loop alone is
+    # the reference: the array parser must give the same graph, bit for bit,
+    # or the same error for the same first bad line
+    text, load, kwargs = case
+    outcome = _outcome(_ROUTES[route](text, edge_file), load, **kwargs)
     with mock.patch.object(graph, "_parse_array", return_value=None):
-        assert _outcome(_ROUTES[route](text, edge_file), index_base, n) == outcome
+        assert _outcome(_ROUTES[route](text, edge_file), load, **kwargs) == outcome
 
 
 @pytest.mark.parametrize(
@@ -256,6 +295,10 @@ def test_a_pipe_given_by_path_is_read_once():
     assert _entries(g.forward) == {(0, 1): 1.0, (1, 2): 1.0}
 
 
+def _refuse_per_line_loop(*args):
+    raise AssertionError("well-formed input fell back to the per-line parser")
+
+
 @pytest.mark.parametrize(
     "text,index_base,n,edges,weighted",
     [
@@ -272,10 +315,7 @@ def test_a_pipe_given_by_path_is_read_once():
     ],
 )
 def test_well_formed_files_never_reach_the_per_line_loop(monkeypatch, tmp_path, text, index_base, n, edges, weighted):
-    def refuse(*args):
-        raise AssertionError("well-formed input fell back to the per-line parser")
-
-    monkeypatch.setattr(graph, "_parse_lines", refuse)
+    monkeypatch.setattr(graph, "_parse_lines", _refuse_per_line_loop)
     loadtxt, read = np.loadtxt, []
     monkeypatch.setattr(np, "loadtxt", lambda source, **kw: read.append(source) or loadtxt(source, **kw))
     path = tmp_path / "graph.txt"
@@ -376,22 +416,21 @@ def _mm_text(rng, field, symmetry, n=30, entries=200):
 
 @pytest.mark.parametrize("field", ["pattern", "integer", "real"])
 @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
-def test_matrix_market_array_reader_equals_the_line_reader(field, symmetry):
-    # same edge arrays, in the same order (duplicate sums depend on it), bit for bit
+def test_well_formed_matrix_market_never_reaches_the_per_line_loop(monkeypatch, field, symmetry):
+    monkeypatch.setattr(graph, "_parse_lines", _refuse_per_line_loop)
     rng = np.random.default_rng(5)
-    pattern, symmetric = field == "pattern", symmetry == "symmetric"
     for _ in range(5):
         text = _mm_text(rng, field, symmetry)
-        body = text.split("\n", 1)[1]
-        fast = graph._mm_array(body, pattern, symmetric)
-        assert fast is not None
-        slow = graph._mm_lines(body, pattern, symmetric)
-        for a, b in zip(fast[:3], slow[:3]):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert fast[3] == slow[3]
         g = load_matrix_market(io.StringIO(text))
-        assert g.n == fast[3]
-        assert _csr(g.forward) == _csr(graph._graph_from_arrays(*slow[:3], slow[3], 0, False).forward)
+        # SciPy's reader takes no blank or comment line among the entries, and
+        # sums repeated entries in its own order: equal to rounding
+        header, *rest = text.splitlines()
+        entries = [line for line in rest if line.strip() and not line.strip().startswith("%")]
+        coo = scipy.io.mmread(io.StringIO("\n".join([header, *entries]) + "\n"))
+        off = coo.row != coo.col  # self-loops are dropped
+        oracle = scipy.sparse.csr_matrix((coo.data[off], (coo.row[off], coo.col[off])), shape=coo.shape)
+        assert g.n == oracle.shape[0]
+        assert _entries(g.forward) == pytest.approx(_entries(oracle), rel=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -400,8 +439,8 @@ def test_matrix_market_array_reader_equals_the_line_reader(field, symmetry):
         ("3 3 2\n1 2\n2 3 % note\n", "line 4: expected 2 tokens, got 4"),
         ("3 3 2\n1 2\n2 x\n", "line 4: invalid literal"),
         ("3 3 2\n1 2\n2 1.0\n", "line 4: invalid literal"),
-        ("3 3 2\n1 2\n\n4 1\n", "line 5: entry index out of range"),
-        ("3 3 2\n0 2\n2 1\n", "line 3: entry index out of range"),
+        ("3 3 2\n1 2\n\n4 1\n", "line 5: node id out of declared range"),
+        ("3 3 2\n0 2\n2 1\n", "line 3: node id below index base 1"),
         ("3 3 3\n1 2\n2 1\n", "declares 3 entries, file has 2"),
         ("% only comments\n", "missing size line"),
         ("3 3\n1 2\n", "line 2: bad size line"),
@@ -410,7 +449,6 @@ def test_matrix_market_array_reader_equals_the_line_reader(field, symmetry):
 def test_matrix_market_bad_line_keeps_the_line_reader_message(body, message):
     with pytest.raises(GraphFormatError, match=message):
         load_matrix_market(io.StringIO("%%MatrixMarket matrix coordinate pattern general\n" + body))
-    assert graph._mm_array(body, True, False) is None
 
 
 def test_matrix_market_negative_weight_keeps_its_line():

@@ -173,6 +173,21 @@ def test_hits_requires_edges():
         hits(edgeless_graph(3))
 
 
+@pytest.mark.parametrize(
+    "edges,kwargs,message",
+    [
+        ([(0, 1), (1, 2)], {"max_iter": 0}, "max_iter must be at least 1"),
+        ([(0, 1, 0.0), (1, 2, 0.0)], {}, "took no step"),
+        # the start vector sits on node 0, which has no in-edge: A x = 0
+        ([(0, 1), (1, 2)], {"init": np.array([1.0, 0.0, 0.0])}, "took no step"),
+    ],
+    ids=["max-iter-0", "zero-weights", "init-without-in-edges"],
+)
+def test_hits_without_a_step_raises(edges, kwargs, message):
+    with pytest.raises(ParameterError, match=message):
+        hits(from_edges(edges), **kwargs)
+
+
 def test_hits_custom_init(ex1):
     hub_default, _ = hits(ex1)
     hub_custom, _ = hits(ex1, init=np.array([1.0, 2.0, 3.0, 4.0]))
