@@ -36,6 +36,7 @@ _SOURCES = {
         "degrees",
         "from_edges",
         "load_edge_list",
+        "load_graph",
         "load_matrix_market",
         "spmv",
         "write_edge_list",

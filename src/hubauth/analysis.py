@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, SizeLimitError
+from .errors import ConvergenceError, ParameterError, SizeLimitError
 
 __all__ = [
     "ComparisonReport",
@@ -143,6 +143,8 @@ def spectral_gap(g, tol=1e-10):
     """Relative gap (sigma1 - sigma2) / sigma1 with a plain-language annotation."""
     from .linalg import power_singular_pair
 
+    if not tol > 0:
+        raise ParameterError(f"tol must be positive, got {tol}")
     est = power_singular_pair(g, tol=tol)
     if est.sigma1 <= 0:
         return GapReport(0.0, 0.0, 0.0, "empty spectrum; no meaningful rankings")

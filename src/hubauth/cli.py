@@ -2,7 +2,8 @@
 
 Output is CSV by default or JSON with --json, written to stdout or --out.
 Node ids are echoed in the index base of the input file.  Exit codes:
-0 success, 1 malformed input, 2 invalid parameters, 3 numerical failure.
+0 success, 1 malformed or unreadable input, 2 invalid parameters,
+3 numerical failure.
 
 Each command imports the modules it uses when it runs (``rankers`` itself
 imports ``linalg`` and ``quadrature`` per method), so a process that ranks
@@ -11,7 +12,6 @@ comparison code.
 """
 
 import argparse
-import dataclasses
 import gc
 import io
 import itertools
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rankers
 from .errors import ConvergenceError, GraphFormatError, ParameterError, SizeLimitError
-from .graph import BipartiteOperator, load_edge_list, load_matrix_market
+from .graph import BipartiteOperator, load_graph
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -42,8 +42,7 @@ METHOD_CHOICES = [
 
 
 def _load_graph(args):
-    loaders = {"edgelist": lambda p: load_edge_list(p, index_base=args.base), "mtx": lambda p: load_matrix_market(p)}
-    return loaders[args.format](args.input)
+    return load_graph(args.input, index_base=args.base)
 
 
 def _run_method(g, method, side, args):
@@ -57,7 +56,7 @@ def _run_method(g, method, side, args):
     elif method == "exp-quad":
         return rankers.exp_centrality_quadrature(g, p_max=args.pmax, side=side)
     elif method == "spectral":
-        return rankers.truncated_spectral_scores(g, k=1 if args.k is None else args.k, side=side)
+        return rankers.truncated_spectral_scores(g, k=args.k, side=side)
     elif method == "katz":
         hub, auth = rankers.katz_row_col(g, c=args.c)
     elif method == "resolvent":
@@ -79,28 +78,17 @@ def _fmt_score(x, precision):
     return format(x, _score_spec(precision))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if dataclasses.is_dataclass(obj):  # quadrature.NodeBounds, the one kind in any diagnostics
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
+def _json_value(obj):
+    """A NumPy value as its Python value; a quadrature.NodeBounds, the one object in any diagnostics, as its fields."""
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+    return vars(obj)
 
 
 def _json_text(payload):
     import json  # about 1.5 ms to import; CSV output never needs it
 
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, default=_json_value) + "\n"
 
 
 def _emit(text, args):
@@ -126,8 +114,8 @@ def cmd_rank(args):
         payload = {
             "method": sv.method,
             "side": sv.side,
-            "params": _jsonable(sv.params),
-            "diagnostics": _jsonable(sv.diagnostics),
+            "params": sv.params,
+            "diagnostics": sv.diagnostics,
             "index_base": g.index_base,
             "rows": rows,
         }
@@ -182,7 +170,7 @@ def cmd_topk(args):
             },
             "ties": report.ties_note,
         }
-        text = _json_text(_jsonable(payload))
+        text = _json_text(payload)
     else:
         buf = io.StringIO()
         buf.write("node,rank,lower,upper,p,exact\n")
@@ -231,7 +219,7 @@ def cmd_compare(args):
                 for k, tops in report.top_members.items()
             },
         }
-        text = _json_text(_jsonable(payload))
+        text = _json_text(payload)
     else:
         buf = io.StringIO()
         buf.write("metric,value\n")
@@ -248,6 +236,8 @@ def cmd_compare(args):
 def cmd_spectrum(args):
     from . import analysis
 
+    if args.ritz_out and args.pmax < 1:
+        raise ParameterError(f"--pmax must be at least 1 for --ritz-out, got {args.pmax}")
     g = _load_graph(args)
     gap = analysis.spectral_gap(g, tol=args.tol)
     sym = analysis.symmetry_fraction(g)
@@ -279,7 +269,7 @@ def cmd_spectrum(args):
         }
         if ritz is not None:
             payload["ritz_values"] = ritz
-        text = _json_text(_jsonable(payload))
+        text = _json_text(payload)
     else:
         buf = io.StringIO()
         buf.write("metric,value\n")
@@ -298,20 +288,29 @@ def cmd_spectrum(args):
 
 
 def _add_common(parser):
-    parser.add_argument("--input", required=True, help="path to the graph file")
-    parser.add_argument("--format", choices=["edgelist", "mtx"], default="edgelist")
-    parser.add_argument("--base", type=int, choices=[0, 1], default=0, help="node index base of the input")
+    parser.add_argument(
+        "--input", required=True,
+        help="path to the graph file: Matrix Market if its first line starts with %%%%MatrixMarket, else an edge list",
+    )
+    parser.add_argument("--base", type=int, choices=[0, 1], default=0, help="node index base of an edge-list input")
     parser.add_argument("--out", default=None, help="write output to this file instead of stdout")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     parser.add_argument("--precision", choices=["default", "full"], default="default")
-    parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
-    parser.add_argument("--tol", type=float, default=1e-10)
+
+
+def _add_method_params(parser):
+    """The side and method parameters of rank and compare."""
+    parser.add_argument("--side", choices=["hub", "authority"], required=True)
+    parser.add_argument("--k", type=int, default=1, help="number of spectral terms (method=spectral)")
+    parser.add_argument("--c", type=float, default=None, help="walk damping (katz / resolvent)")
+    parser.add_argument("--alpha", type=float, default=0.85, help="pagerank damping factor")
+    parser.add_argument("--tol", type=float, default=1e-10, help="hits stopping tolerance")
+    parser.add_argument("--max-iter", type=int, default=1000, dest="max_iter", help="hits step limit")
     parser.add_argument(
         "--pmax", type=int, default=40,
-        help="maximum quadrature order per node for exp-quad, resolvent and topk (at least 3; one order "
-        "costs one product with A and one with A^T); for spectrum --ritz-out, the Lanczos steps",
+        help="maximum quadrature order per node for exp-quad and resolvent (at least 3; one order "
+        "costs one product with A and one with A^T)",
     )
-    parser.add_argument("--max-iter", type=int, default=1000, dest="max_iter")
 
 
 def build_parser():
@@ -324,11 +323,8 @@ def build_parser():
     p_rank = sub.add_parser("rank", help="score and rank all nodes with one method")
     _add_common(p_rank)
     p_rank.add_argument("--method", choices=METHOD_CHOICES, required=True)
-    p_rank.add_argument("--side", choices=["hub", "authority"], required=True)
     p_rank.add_argument("--top", type=int, default=None, help="print only the N best nodes")
-    p_rank.add_argument("--k", type=int, default=None, help="number of spectral terms (method=spectral)")
-    p_rank.add_argument("--c", type=float, default=None, help="walk damping (katz / resolvent)")
-    p_rank.add_argument("--alpha", type=float, default=0.85, help="pagerank damping factor")
+    _add_method_params(p_rank)
     p_rank.set_defaults(func=cmd_rank)
 
     p_topk = sub.add_parser("topk", help="identify the top-k nodes with certified brackets")
@@ -337,43 +333,44 @@ def build_parser():
     p_topk.add_argument("--k", type=int, required=True)
     p_topk.add_argument("--m", type=int, default=None, help="relax: certify top-k within top-m only")
     p_topk.add_argument("--exclude-degree-one", action="store_true")
-    p_topk.set_defaults(func=cmd_topk, pmax=64)  # refinement is incremental; allow more depth
+    # refinement is incremental, so top-k allows more depth than rank
+    p_topk.add_argument("--pmax", type=int, default=64, help="maximum quadrature order per node (at least 3)")
+    p_topk.set_defaults(func=cmd_topk)
 
     p_cmp = sub.add_parser("compare", help="compare the rankings of two methods")
     _add_common(p_cmp)
     p_cmp.add_argument("--method", action="append", choices=METHOD_CHOICES, required=True, help="give twice")
-    p_cmp.add_argument("--side", choices=["hub", "authority"], required=True)
     p_cmp.add_argument("--ks", default="1,3,5,10", help="comma list of overlap depths")
-    p_cmp.add_argument("--k", type=int, default=None, help="number of spectral terms (method=spectral)")
-    p_cmp.add_argument("--c", type=float, default=None)
-    p_cmp.add_argument("--alpha", type=float, default=0.85)
+    _add_method_params(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_spec = sub.add_parser("spectrum", help="spectral gap, symmetry, and size diagnostics")
     _add_common(p_spec)
+    p_spec.add_argument("--tol", type=float, default=1e-10, help="power iteration tolerance for the spectral gap")
+    p_spec.add_argument("--pmax", type=int, default=40, help="Lanczos steps for --ritz-out")
     p_spec.add_argument("--ritz-out", default=None, help="dump Ritz values of the bipartite operator here")
     p_spec.set_defaults(func=cmd_spectrum)
 
     return parser
 
 
+# Each error kind's exit code; the first match wins, so undecodable input
+# (a UnicodeDecodeError is a ValueError) and SizeLimitError (also one) come
+# before ValueError.
+EXIT_CODES = (
+    ((GraphFormatError, UnicodeDecodeError, OSError), EXIT_INPUT),
+    ((ConvergenceError, SizeLimitError, FloatingPointError), EXIT_NUMERICAL),
+    ((ParameterError, ValueError), EXIT_PARAMS),
+)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GraphFormatError as exc:
+    except tuple(kind for kinds, _ in EXIT_CODES for kind in kinds) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ConvergenceError, SizeLimitError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ParameterError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
+        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 
 def entry():

@@ -29,6 +29,7 @@ __all__ = [
     "BipartiteOperator",
     "GramOperator",
     "from_edges",
+    "load_graph",
     "load_edge_list",
     "load_matrix_market",
     "write_edge_list",
@@ -454,6 +455,24 @@ def _open_text(source):
     return open(source, "r", encoding="utf-8"), True
 
 
+def load_graph(path, index_base=0):
+    """Load the graph file at ``path``, Matrix Market or edge list as its first line says.
+
+    A file whose first line, stripped, starts with ``%%MatrixMarket`` goes
+    to ``load_matrix_market``, any other to ``load_edge_list`` with
+    ``index_base``.  A regular file is handed on by path, so an edge list
+    keeps NumPy's path route; anything else, such as a pipe, can be read
+    only once and is handed on as the text read here.
+    """
+    with open(path, "r", encoding="utf-8") as stream:
+        first = stream.readline()
+        if not stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+            path = io.StringIO(first + stream.read())
+    if _is_matrix_market(first):
+        return load_matrix_market(path)
+    return load_edge_list(path, index_base=index_base)
+
+
 def load_edge_list(source, index_base=0, n=None):
     """Load a whitespace-separated edge list ("u v" or "u v w" per line).
 
@@ -634,6 +653,11 @@ def _parse_lines(text, comment, base, n, columns, first_line):
     return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), np.array(ws, dtype=float)
 
 
+def _is_matrix_market(header):
+    """Whether ``header``, a file's first line, is a Matrix Market banner line."""
+    return header.strip().startswith("%%MatrixMarket")
+
+
 _MM_FIELDS = {"real", "integer", "pattern"}
 _MM_SYMMETRIES = {"general", "symmetric"}
 
@@ -651,7 +675,7 @@ def load_matrix_market(source):
     try:
         header = stream.readline()
         parts = header.strip().split()
-        if len(parts) != 5 or not parts[0].startswith("%%MatrixMarket"):
+        if len(parts) != 5 or not _is_matrix_market(header):
             raise GraphFormatError("missing MatrixMarket header")
         _, obj, fmt, fld, sym = (p.lower() for p in parts)
         if obj != "matrix" or fmt != "coordinate":

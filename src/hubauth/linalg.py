@@ -158,8 +158,8 @@ class LanczosRun:
         Column c's entries are valid up to its own length; beta[c, p-1]
         couples its order-p matrix to step p+1.
         """
-        if p > self.steps:
-            raise ValueError(f"only {self.steps} steps available, asked for {p}")
+        if not 0 <= p <= self.steps:
+            raise ValueError(f"asked for {p} steps; 0 to {self.steps} are available")
         shape = (self.columns, p)
         return np.array(self.alpha[:p]).T.reshape(shape), np.array(self.beta[:p]).T.reshape(shape)
 

@@ -70,7 +70,7 @@ class ResolventKernel:
     name = "resolvent"
 
     def __post_init__(self):
-        if self.c <= 0:
+        if not self.c > 0:
             raise ParameterError(f"resolvent parameter must be positive, got {self.c}")
 
     @property

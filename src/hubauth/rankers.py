@@ -117,8 +117,8 @@ def hits(g, tol=1e-10, max_iter=1000, init=None):
     Reported scores are rescaled to sum 1.  When the dominant eigenvalue of
     A^T A is (near-)degenerate the result depends on the start vector; the
     ``degenerate`` diagnostic flags that condition.  Raises ParameterError
-    when no step completes (``max_iter`` < 1, or A x = 0 for the start
-    vector, as when every edge weighs 0).
+    when ``tol`` is not positive or no step completes (``max_iter`` < 1,
+    or A x = 0 for the start vector, as when every edge weighs 0).
     """
     from .linalg import power_singular_pair
 
@@ -126,6 +126,8 @@ def hits(g, tol=1e-10, max_iter=1000, init=None):
         raise ParameterError("HITS requires at least one edge")
     if max_iter < 1:
         raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
+    if not tol > 0:
+        raise ParameterError(f"tol must be positive, got {tol}")
     n = g.n
     if init is None:
         x = np.ones(n) / math.sqrt(n)
@@ -380,10 +382,9 @@ def katz_row_col(g, c=None, tol=1e-10, max_iter=200000):
     rad = spectral_radius(g)
     if c is None:
         c = 1.0 / (rad.value + 0.1)
-    if c <= 0 or (rad.value > 0 and c >= 1.0 / rad.value):
-        raise ParameterError(
-            f"katz parameter must satisfy 0 < c < 1/rho(A) ~= {1.0 / rad.value if rad.value > 0 else math.inf:.6g}, got {c}"
-        )
+    bound = 1.0 / rad.value if rad.value > 0 else math.inf
+    if not 0 < c < bound:  # written so that a NaN c fails too
+        raise ParameterError(f"katz parameter must satisfy 0 < c < 1/rho(A) ~= {bound:.6g}, got {c}")
 
     def solve(transpose):
         ones = np.ones(g.n)
@@ -426,10 +427,9 @@ def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, side=N
     est = leading_singular_pair(g)
     if c is None:
         c = 0.9 / est.sigma1 if est.sigma1 > 0 else 0.5
-    if c <= 0 or (est.sigma1 > 0 and c >= 1.0 / est.sigma1):
-        raise ParameterError(
-            f"resolvent parameter must satisfy 0 < c < 1/sigma_1 ~= {1.0 / est.sigma1 if est.sigma1 > 0 else math.inf:.6g}, got {c}"
-        )
+    bound = 1.0 / est.sigma1 if est.sigma1 > 0 else math.inf
+    if not 0 < c < bound:  # written so that a NaN c fails too
+        raise ParameterError(f"resolvent parameter must satisfy 0 < c < 1/sigma_1 ~= {bound:.6g}, got {c}")
     if mode not in ("auto", "dense", "quadrature"):
         raise ParameterError(f"unknown mode '{mode}'")
     if mode == "auto":

@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -119,11 +120,96 @@ def test_rank_json_mirrors_csv_numbers(ex1_file, capsys):
         assert float(f"{row['score']:.12g}") == pytest.approx(csv_val, rel=1e-11)
 
 
-def test_rank_deterministic_across_threads(ex1_file, capsys):
-    args = ["rank", "--input", ex1_file, "--base", "1", "--method", "exp-quad", "--side", "hub", "--precision", "full"]
-    _, out1, _ = run_cli(args + ["--threads", "1"], capsys)
-    _, out4, _ = run_cli(args + ["--threads", "4"], capsys)
-    assert out1 == out4
+COMMANDS = {
+    "rank": ["rank", "--method", "degree", "--side", "hub"],
+    "topk": ["topk", "--k", "1", "--side", "hub"],
+    "compare": ["compare", "--method", "degree", "--method", "hits", "--side", "hub"],
+    "spectrum": ["spectrum"],
+}
+
+
+@pytest.mark.parametrize(
+    "removed",
+    [f"{command} --threads 1" for command in COMMANDS]
+    + [f"{command} --format mtx" for command in COMMANDS]
+    + ["rank --format edgelist", "topk --tol 5", "topk --max-iter -3", "spectrum --max-iter 10"],
+)
+def test_flags_a_command_does_not_read_exit_2(ex1_file, capsys, removed):
+    # the input's first line names its format, and every command runs single-threaded
+    command, *flag = removed.split()
+    args = COMMANDS[command]
+    with pytest.raises(SystemExit) as exc:
+        main(args[:1] + ["--input", ex1_file, "--base", "1"] + args[1:] + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+EX1_MTX_BODY = "4 4 7\n1 2\n1 3\n2 1\n2 3\n3 2\n3 4\n4 2\n"
+EX1_ZERO_BASED = "# example 1, 0-based\n0 1\n0 2\n1 0\n1 2\n2 1\n2 3\n3 1\n"
+
+
+@pytest.mark.parametrize("indent", ["", "  \t"])
+def test_matrix_market_and_edge_list_are_told_apart_by_the_first_line(tmp_path, capsys, indent):
+    mtx, edges = tmp_path / "ex1.mtx", tmp_path / "ex1.txt"
+    mtx.write_text(f"{indent}%%MatrixMarket matrix coordinate pattern general\n" + EX1_MTX_BODY)
+    edges.write_text(EX1_ZERO_BASED)
+    args = ["--method", "exp-exact", "--side", "hub", "--json"]
+    from_mtx = run_cli(["rank", "--input", str(mtx)] + args, capsys)
+    from_edges = run_cli(["rank", "--input", str(edges)] + args, capsys)
+    assert from_mtx == from_edges and from_mtx[0] == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo") or not os.path.exists("/dev/stdin"), reason="needs FIFOs and /dev/stdin")
+@pytest.mark.parametrize(
+    "text,base",
+    [(EX1_TEXT, "1"), ("%%MatrixMarket matrix coordinate pattern general\n% comment\n" + EX1_MTX_BODY, "0")],
+    ids=["edge-list", "matrix-market"],
+)
+def test_pipe_input_matches_the_regular_file(tmp_path, capsys, monkeypatch, text, base):
+    # a pipe can be read only once: the header is taken from the text read,
+    # not from a second open, and NumPy is never handed the pipe's path
+    loadtxt, read = np.loadtxt, []
+    monkeypatch.setattr(np, "loadtxt", lambda source, **kw: read.append(source) or loadtxt(source, **kw))
+    regular = tmp_path / "graph.txt"
+    regular.write_text(text)
+    args = ["--base", base, "--method", "pagerank", "--side", "authority", "--precision", "full"]
+    expected = run_cli(["rank", "--input", str(regular)] + args, capsys)
+    assert expected[0] == 0 and expected[2] == ""
+    # a regular edge list reaches NumPy by path
+    assert [isinstance(r, str) for r in read] == [base == "1"]
+    read.clear()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)  # blocks until read
+    writer.start()
+    from_fifo = run_cli(["rank", "--input", str(fifo)] + args, capsys)
+    writer.join(timeout=10)
+    assert from_fifo == expected
+    assert not any(isinstance(r, str) for r in read)
+    from_stdin = subprocess.run(
+        [sys.executable, "-m", "hubauth.cli", "rank", "--input", "/dev/stdin"] + args,
+        input=text, capture_output=True, text=True, env=_child_env(),
+    )
+    assert (from_stdin.returncode, from_stdin.stdout, from_stdin.stderr) == expected
+
+
+@pytest.mark.parametrize(
+    "make,extra,message",
+    [
+        (lambda p: p.write_bytes(b"0 1\n1 \xff\n"), [], "codec can't decode byte 0xff"),
+        (lambda p: p.mkdir(), [], "Is a directory"),
+        (lambda p: p.write_text(EX1_TEXT), ["--out", "DIR"], "Is a directory"),
+    ],
+    ids=["non-utf-8", "directory", "directory-out"],
+)
+def test_unreadable_input_and_unwritable_output_exit_1(tmp_path, capsys, make, extra, message):
+    p = tmp_path / "graph"
+    make(p)
+    extra = [str(tmp_path) if a == "DIR" else a for a in extra]
+    code, out, err = run_cli(["rank", "--input", str(p), "--method", "degree", "--side", "hub"] + extra, capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
 
 
 def test_rank_out_file(ex1_file, tmp_path, capsys):
@@ -150,7 +236,7 @@ def test_rank_mtx_input(tmp_path, capsys):
     p = tmp_path / "ex1.mtx"
     p.write_text("%%MatrixMarket matrix coordinate pattern general\n4 4 7\n1 2\n1 3\n2 1\n2 3\n3 2\n3 4\n4 2\n")
     code, out, _ = run_cli(
-        ["rank", "--input", str(p), "--format", "mtx", "--method", "exp-exact", "--side", "hub"],
+        ["rank", "--input", str(p), "--method", "exp-exact", "--side", "hub"],
         capsys,
     )
     assert code == 0
@@ -163,7 +249,7 @@ def test_mtx_non_finite_weight_exits_1_naming_its_line(tmp_path, capsys, method,
     p = tmp_path / "bad.mtx"
     p.write_text(f"%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 {weight}\n2 3 1\n")
     code, out, err = run_cli(
-        ["rank", "--input", str(p), "--format", "mtx", "--method", method, "--side", "hub"],
+        ["rank", "--input", str(p), "--method", method, "--side", "hub"],
         capsys,
     )
     assert code == 1
@@ -197,6 +283,28 @@ def test_rank_hits_without_a_step_exits_2(tmp_path, capsys, text, extra, message
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["rank", "--method", "katz", "--c", "nan"], "katz parameter must satisfy 0 < c < 1/rho(A)"),
+        (["rank", "--method", "resolvent", "--c", "nan"], "resolvent parameter must satisfy 0 < c < 1/sigma_1"),
+        (["rank", "--method", "hits", "--tol", "-1"], "tol must be positive, got -1.0"),
+        (["rank", "--method", "hits", "--tol", "nan"], "tol must be positive, got nan"),
+        (["compare", "--method", "degree", "--method", "hits", "--tol", "0"], "tol must be positive, got 0.0"),
+        (["spectrum", "--tol", "-1"], "tol must be positive, got -1.0"),
+        (["spectrum", "--tol", "nan"], "tol must be positive, got nan"),
+    ],
+    ids=["katz-c-nan", "resolvent-c-nan", "hits-tol-negative", "hits-tol-nan", "compare-tol-zero", "spectrum-tol-negative", "spectrum-tol-nan"],
+)
+def test_out_of_range_c_and_tol_exit_2(ex1_file, capsys, args, message):
+    # written as not (0 < x < bound), each range check refuses NaN as well
+    side = [] if args[0] == "spectrum" else ["--side", "hub"]
+    code, out, err = run_cli(args[:1] + ["--input", ex1_file, "--base", "1"] + args[1:] + side, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])
@@ -387,6 +495,17 @@ def test_spectrum_ritz_dump(ex1_file, tmp_path, capsys):
     np.testing.assert_allclose(values, np.sort(np.concatenate([-sigma, sigma])), rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("pmax", ["0", "-5"])
+def test_spectrum_ritz_dump_without_a_step_exits_2(ex1_file, tmp_path, capsys, pmax):
+    dump = tmp_path / "ritz.txt"
+    code, out, err = run_cli(
+        ["spectrum", "--input", ex1_file, "--base", "1", "--pmax", pmax, "--ritz-out", str(dump)], capsys
+    )
+    assert code == 2
+    assert out == "" and not dump.exists()
+    assert err == f"error: --pmax must be at least 1 for --ritz-out, got {pmax}\n"
+
+
 def _child_env():
     """This process's environment with the imported hubauth's source dir on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(hubauth.__file__))
@@ -463,8 +582,7 @@ def test_huge_node_ids_exit_1_before_allocating(tmp_path, capsys, name, text, me
     # each input is rejected while parsing; none reaches an array of n entries
     p = tmp_path / name
     p.write_text(text)
-    fmt = "mtx" if name.endswith(".mtx") else "edgelist"
-    code, out, err = run_cli(["rank", "--input", str(p), "--format", fmt, "--method", "degree", "--side", "hub"], capsys)
+    code, out, err = run_cli(["rank", "--input", str(p), "--method", "degree", "--side", "hub"], capsys)
     assert code == 1
     assert out == ""
     assert err == f"error: {message} {graph.NODE_LIMIT}\n"
@@ -560,7 +678,7 @@ def test_pagerank_and_degree_runs_load_no_lanczos_quadrature_topk_or_analysis(ex
         (["rank", "--method", "exp-quad", "--side", "hub", "--json"], ["quadrature.radau", "linalg.lanczos"]),
         (["spectrum", "--pmax", "8", "--ritz-out", "RITZ", "--json"], ["linalg.tridiag_eigen", "linalg.lanczos"]),
         # PageRank's A^T products are graph.spmv calls, counted on ingest-pagerank
-        (["rank", "--method", "pagerank", "--side", "hub"], ["graph.spmv", "rankers.pagerank"]),
+        (["rank", "--method", "pagerank", "--side", "hub"], ["graph.load", "graph.spmv", "rankers.pagerank"]),
     ],
     ids=["topk", "exp-quad", "spectrum-ritz", "pagerank"],
 )

@@ -68,6 +68,15 @@ def test_lanczos_two_cycle_hand_values():
     assert np.allclose(nodes, [-1.0, 1.0], atol=1e-14)
 
 
+@pytest.mark.parametrize("p", [-1, 3])
+def test_lanczos_coefficients_outside_the_steps_taken_are_refused(p):
+    # a negative p would slice from the end and hand back the wrong steps
+    run = LanczosRun(BipartiteOperator(from_edges([(0, 1), (1, 2)])), [0]).extend(2)
+    assert [a.shape for a in run.coefficients(0)] == [(1, 0), (1, 0)]
+    with pytest.raises(ValueError, match=f"asked for {p} steps; 0 to 2 are available"):
+        run.coefficients(p)
+
+
 def test_lanczos_ritz_values_within_spectrum(ex1):
     M = dense_bipartite(ex1)
     spectrum = np.linalg.eigvalsh(M)

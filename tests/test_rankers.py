@@ -420,6 +420,8 @@ def test_katz_rejects_out_of_range_c(ex1):
         katz_row_col(ex1, c=10.0)
     with pytest.raises(ParameterError):
         katz_row_col(ex1, c=-0.1)
+    with pytest.raises(ParameterError):
+        katz_row_col(ex1, c=math.nan)
 
 
 # ------------------------------------------------------------------- resolvent
@@ -450,6 +452,8 @@ def test_resolvent_rejects_out_of_range_c(ex1):
     sigma1 = power_singular_pair(ex1).sigma1
     with pytest.raises(ParameterError):
         resolvent_bipartite(ex1, c=1.1 / sigma1)
+    with pytest.raises(ParameterError):
+        resolvent_bipartite(ex1, c=math.nan)
 
 
 # ---------------------------------------------------------------- expsum
