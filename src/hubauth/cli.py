@@ -1,9 +1,9 @@
 """Command-line surface: rank, topk, compare, and spectrum subcommands.
 
 Output is CSV by default or JSON with --json, written to stdout or --out.
-Node ids are echoed in the index base of the input file.  Exit codes:
-0 success, 1 malformed or unreadable input, 2 invalid parameters,
-3 numerical failure.
+Edge-list node ids are echoed in the --base index base, Matrix Market ids
+0-based (--base is refused for them).  Exit codes: 0 success, 1 malformed
+or unreadable input, 2 invalid parameters, 3 numerical failure.
 
 Each command imports the modules it uses when it runs (``rankers`` itself
 imports ``linalg`` and ``quadrature`` per method), so a process that ranks
@@ -292,7 +292,7 @@ def _add_common(parser):
         "--input", required=True,
         help="path to the graph file: Matrix Market if its first line starts with %%%%MatrixMarket, else an edge list",
     )
-    parser.add_argument("--base", type=int, choices=[0, 1], default=0, help="node index base of an edge-list input")
+    parser.add_argument("--base", type=int, choices=[0, 1], help="node index base of an edge-list input (default 0)")
     parser.add_argument("--out", default=None, help="write output to this file instead of stdout")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     parser.add_argument("--precision", choices=["default", "full"], default="default")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, ParameterError
 
 __all__ = [
     "DirectedGraph",
@@ -455,22 +455,25 @@ def _open_text(source):
     return open(source, "r", encoding="utf-8"), True
 
 
-def load_graph(path, index_base=0):
+def load_graph(path, index_base=None):
     """Load the graph file at ``path``, Matrix Market or edge list as its first line says.
 
     A file whose first line, stripped, starts with ``%%MatrixMarket`` goes
-    to ``load_matrix_market``, any other to ``load_edge_list`` with
-    ``index_base``.  A regular file is handed on by path, so an edge list
-    keeps NumPy's path route; anything else, such as a pipe, can be read
-    only once and is handed on as the text read here.
+    to ``load_matrix_market`` (the format fixes its ids, so an
+    ``index_base`` is a ParameterError), any other to ``load_edge_list``
+    with ``index_base`` (default 0).  A regular file is handed on by path,
+    so an edge list keeps NumPy's path route; anything else, such as a
+    pipe, can be read only once and is handed on as the text read here.
     """
     with open(path, "r", encoding="utf-8") as stream:
         first = stream.readline()
         if not stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
             path = io.StringIO(first + stream.read())
     if _is_matrix_market(first):
+        if index_base is not None:
+            raise ParameterError("an index base applies to edge lists only; Matrix Market ids are 1-based")
         return load_matrix_market(path)
-    return load_edge_list(path, index_base=index_base)
+    return load_edge_list(path, index_base=index_base or 0)
 
 
 def load_edge_list(source, index_base=0, n=None):

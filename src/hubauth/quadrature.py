@@ -51,6 +51,7 @@ __all__ = [
     "first_lanczos_step",
     "order_one_bounds",
     "BracketRun",
+    "BracketPool",
     "bilinear_estimate",
 ]
 
@@ -413,6 +414,55 @@ class BracketRun:
         """Keep only the columns listed in ``keep``, in that order."""
         self.run.retain(keep)
         self.bounds = [self.bounds[j] for j in keep]
+
+
+class BracketPool:
+    """Each node's bracket (``bounds``, None until it has one) and run length (``steps``) on ``op``.
+
+    Runs live only inside ``advance``, one block of ``width`` nodes at a
+    time, so memory stays at one block's basis whatever the dimension.  A
+    column's arithmetic depends neither on its block nor on the rebuild that
+    resumes it, so neither do the brackets.
+    """
+
+    def __init__(self, op, iv, f):
+        self.op = op
+        self.iv = iv
+        self.f = f
+        self.width = block_width(op.dim)
+        self.bounds = [None] * op.dim
+        self.steps = [0] * op.dim
+
+    def _store(self, bounds, lengths):
+        for b, length in zip(bounds, lengths):
+            self.bounds[b.node] = b
+            self.steps[b.node] = int(length)
+
+    def first_pass(self, nodes):
+        """Order-1 brackets for ``nodes`` (``order_one_bounds``), 1 step each; returns them."""
+        bounds = order_one_bounds(self.op, nodes, self.iv, self.f)
+        self._store(bounds, [1] * len(bounds))
+        return bounds
+
+    def advance(self, nodes, p_max, done=lambda b: True):
+        """Take ``nodes`` one schedule step, then on until each bracket is ``done`` or at p_max.
+
+        Each block of ``width`` nodes, which share one order, is rebuilt from
+        its start vectors and stored brackets; after each step the columns
+        whose bracket is ``done`` leave it.  By default every node takes one step.
+        """
+        nodes = list(nodes)
+        for first in range(0, len(nodes), self.width):
+            chunk = nodes[first : first + self.width]
+            stored = None if self.bounds[chunk[0]] is None else [self.bounds[v] for v in chunk]
+            block = BracketRun(self.op, chunk, self.iv, self.f, stored, stored[0].p if stored else 0)
+            while True:
+                self._store(block.refine(p_max), block.run.lengths)
+                if not block.refinable(p_max):
+                    break
+                block.retain([j for j, b in enumerate(block.bounds) if not done(b)])
+                if not block.run.columns:
+                    break
 
 
 def bilinear_estimate(op, u, v, p, f):

@@ -210,45 +210,26 @@ def _sides(side):
     return (side,)
 
 
-def _refine_sides(g, iv, f, p_max, width_tol, sides):
-    """Brackets for every node on the given sides: one (bounds, unresolved) pair per side.
+def _side_brackets(g, side, iv, f, p_max, width_tol):
+    """One side's brackets for every node, and the nodes whose bracket is unresolved at ``p_max``.
 
     Hub i is e_i^T f(A A^T) e_i and authority i is e_i^T f(A^T A) e_i, with
-    f the Gram form of the kernel and brackets on ``iv`` = [0, b^2];
-    brackets carry the bipartite index of their node (i for hub i, n + i
-    for authority i).  Nodes are refined in blocks of ``block_width(n)``
-    start vectors; a node leaves its block once its bracket is exact,
-    narrower than ``width_tol`` relative to the score, or at ``p_max``, and
-    each block's run is dropped before the next block starts.
+    f the Gram form of the kernel and brackets on ``iv`` = [0, b^2], carrying
+    the bipartite index of their node (n + i for authority i).  Each node is
+    advanced until its bracket is exact or narrower than ``width_tol``
+    relative to the score.
     """
-    from .quadrature import BracketRun, block_width
-
-    n = g.n
-    width = block_width(n)
+    from .quadrature import BracketPool
 
     def settled(b):
         return b.exact or b.width <= width_tol * max(1.0, abs(b.lower))
 
-    results = []
-    for side in sides:
-        op = GramOperator(g, side)
-        bounds = [None] * n
-        for first in range(0, n, width):
-            block = BracketRun(op, np.arange(first, min(first + width, n)), iv, f)
-            while True:
-                brackets = block.refine(p_max)
-                for b in brackets:
-                    bounds[b.node] = b
-                if not block.refinable(p_max):
-                    break
-                block.retain([j for j, b in enumerate(brackets) if not settled(b)])
-                if not block.run.columns:
-                    break
-        unresolved = [i for i, b in enumerate(bounds) if not settled(b)]
-        if side == "authority":
-            bounds = [replace(b, node=n + b.node) for b in bounds]
-        results.append((bounds, unresolved))
-    return results
+    pool = BracketPool(GramOperator(g, side), iv, f)
+    pool.advance(range(g.n), p_max, settled)
+    unresolved = [i for i, b in enumerate(pool.bounds) if not settled(b)]
+    if side == "authority":
+        return [replace(b, node=g.n + b.node) for b in pool.bounds], unresolved
+    return pool.bounds, unresolved
 
 
 def exp_centrality_quadrature(g, p_max=40, width_tol=1e-8, side=None):
@@ -271,7 +252,8 @@ def exp_centrality_quadrature(g, p_max=40, width_tol=1e-8, side=None):
     iv = spectrum_interval(g)
     params = {"p_max": p_max, "width_tol": width_tol}
     vectors = []
-    for name, (bounds, unresolved) in zip(sides, _refine_sides(g, iv, COSH_SQRT, p_max, width_tol, sides)):
+    for name in sides:
+        bounds, unresolved = _side_brackets(g, name, iv, COSH_SQRT, p_max, width_tol)
         diag = {"bounds": bounds, "unresolved": unresolved}
         vectors.append(ScoreVector("exp-quad", name, np.array([b.midpoint for b in bounds]), params, diag))
     return tuple(vectors) if side is None else vectors[0]
@@ -446,7 +428,8 @@ def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, side=N
     else:
         check_p_max(p_max)
         iv = spectrum_interval(g, estimate=est)
-        for name, (bounds, _) in zip(sides, _refine_sides(g, iv, kernel, p_max, width_tol, sides)):
+        for name in sides:
+            bounds = _side_brackets(g, name, iv, kernel, p_max, width_tol)[0]
             scores = np.array([b.midpoint for b in bounds])
             vectors.append(ScoreVector("resolvent", name, scores, params, {"bounds": bounds}))
     return tuple(vectors) if side is None else vectors[0]

@@ -5,15 +5,20 @@ centrality, an integral of cosh(sqrt(x)) over A A^T (hubs) or A^T A
 (authorities).  In each round the k-th largest lower bound is the survival
 threshold: any node whose upper bound falls below it can never reach the
 top k and is discarded for good (upper bounds only move down as the
-bracket order grows).  Survivors take one step of the bracket schedule,
-``quadrature.BracketRun``: two more quadrature orders, each one product with
-A and one with A^T, or the exact value once a run has broken down.  Then the
-round repeats.  The first round prunes twice: every node takes an order-1
-bracket from one sparse Lanczos step (its column of the Gram matrix), and
-only the nodes that bracket cannot rule out go on, strongest first, to the
-first order of the schedule (4 steps).  Nodes with no out-edges (hub side)
-or no in-edges (authority side) score exactly cosh(0) = 1 and never enter
-Lanczos at all.
+bracket order grows).  Survivors take one step of the bracket schedule:
+two more quadrature orders, each one product with A and one with A^T, or
+the exact value once a run has broken down.  Then the round repeats.  The
+first round prunes twice: every node takes an order-1 bracket from one
+sparse Lanczos step (its column of the Gram matrix), and only the nodes
+that bracket cannot rule out go on, strongest first, to the first order of
+the schedule (4 steps).  Nodes with no out-edges (hub side) or no in-edges
+(authority side) score exactly cosh(0) = 1 and never enter Lanczos at all.
+
+The brackets and step counts live in one ``quadrature.BracketPool``, the
+engine behind exp-quad and resolvent-quad too; this module adds only the
+policy: which nodes are eligible, the first round's queue and the pruning
+rounds.  The pool rebuilds each step's runs block by block and keeps only
+brackets, so memory stays at one block's basis whatever n is.
 """
 
 from dataclasses import dataclass, field
@@ -25,11 +30,9 @@ from .graph import GramOperator, degrees
 from .quadrature import (
     COSH_SQRT,
     P_START,
-    BracketRun,
+    BracketPool,
     NodeBounds,
-    block_width,
     check_p_max,
-    order_one_bounds,
     spectrum_interval,
 )
 from .rankers import TIE_REL_TOL, ScoreVector, rank_table
@@ -42,10 +45,11 @@ class TopKReport:
     """Outcome of a top-k (or top-k-within-top-m) selection run.
 
     ``iterations`` maps each eligible node to the Lanczos steps its last run
-    took on A A^T or A^T A (0 for a zero-degree node); a bracket of order p
-    takes p + 1 steps unless the run breaks down first.  A node ruled out by
-    its order-1 bracket in the first round reports the 1 step that bracket
-    took and keeps it (``p`` = 1).
+    took on A A^T or A^T A, as the bracket pool recorded them (0 for a
+    zero-degree node, which never enters it); a bracket of order p takes
+    p + 1 steps unless the run breaks down first.  A node ruled out by its
+    order-1 bracket in the first round reports the 1 step that bracket took
+    and keeps it (``p`` = 1).
     """
 
     k: int
@@ -76,96 +80,49 @@ def _cut(threshold, tie_tol):
     return threshold - tie_tol * max(1.0, abs(threshold))
 
 
-class _BracketPool:
-    """Each eligible node's current bracket (``bounds``) and run length (``steps``).
+def _first_round(pool, nodes, zero_degree, k, tie_tol):
+    """Bracket ``nodes`` at order 1, then take those it cannot rule out to order P_START.
 
-    Zero-degree nodes get their exact bracket up front and no run.  ``start``
-    is the first round: a sparse order-1 bracket for every other node, then
-    order P_START, block by block, for those it cannot rule out.
-    Every later ``refine`` rebuilds the runs of the nodes it refines from
-    their start vectors, block by block, takes each one schedule step further
-    and keeps only the brackets, so memory stays at one block's basis
-    whatever n is.  Each call refines every inexact node it is given, and the
-    nodes given later are a subset of the first round's survivors, so every
-    node still being refined sits at the one order ``p``.
+    The order-1 brackets come from one sparse first Lanczos step per node
+    (``BracketPool.first_pass``).  The cut is taken at the k-th largest lower
+    bound, the ``zero_degree`` nodes' exact 1.0 included; a node whose upper
+    bound falls below it stays at order 1 with 1 step.  The survivors go to
+    order P_START in blocks of ``pool.width``, largest order-1 upper bound
+    first (ties by id), each run resuming from its order-1 brackets.  Before
+    each block the cut is taken again on every lower bound known so far, and
+    queued nodes below it are dropped.  Lower bounds only rise, so no cut
+    ever exceeds the first one ``_topk_engine`` takes, and every dropped node
+    is one that cut prunes anyway.
     """
+    lower = np.full(pool.op.dim, -np.inf)
+    lower[zero_degree] = 1.0
+    first = pool.first_pass(nodes)
+    lower[nodes] = [b.lower for b in first]
+    queue = sorted((b for b in first if not b.exact), key=lambda b: (-b.upper, b.node))
+    falling = np.array([-b.upper for b in queue])
+    done = 0
+    while done < len(queue):
+        cut = _cut(np.partition(lower, -k)[-k], tie_tol)
+        # the queue runs by falling upper bound: the nodes below the cut are its tail
+        end = min(done + pool.width, int(np.searchsorted(falling, -cut, side="right")))
+        if end <= done:
+            break
+        chunk = [b.node for b in queue[done:end]]
+        done = end
+        pool.advance(chunk, P_START)
+        lower[chunk] = [pool.bounds[v].lower for v in chunk]
 
-    def __init__(self, g, side, exclude_degree_one):
-        self.op = GramOperator(g, side)
-        self.iv = spectrum_interval(g)
-        self.width = block_width(g.n)
-        out_deg, in_deg = degrees(g)
-        relevant_deg = out_deg if side == "hub" else in_deg
-        degree_one = (out_deg == 1) & (in_deg == 1)
-        self.excluded_degree_one = int(np.count_nonzero(degree_one)) if exclude_degree_one else 0
-        self.eligible = [
-            v for v in range(g.n) if not (exclude_degree_one and degree_one[v])
-        ]
-        self.zero_degree = {v for v in self.eligible if relevant_deg[v] == 0}
-        self.bounds = {v: NodeBounds(v, 1.0, 1.0, p=0, exact=True) for v in self.zero_degree}
-        self.steps = dict.fromkeys(self.eligible, 0)
-        self.p = 0
 
-    def _store(self, block):
-        for b, length in zip(block.bounds, block.run.lengths):
-            self.bounds[b.node] = b
-            self.steps[b.node] = int(length)
+def _refine(pool, nodes, p_max):
+    """Take one schedule step on each of ``nodes`` that can still improve; whether any could.
 
-    def start(self, k, tie_tol):
-        """Bracket every inexact node at order 1, then take the survivors to order P_START.
-
-        The order-1 brackets come from one sparse first Lanczos step per node
-        (``order_one_bounds``).  The cut is taken at the k-th largest lower
-        bound, zero-degree nodes included; a node whose upper bound falls
-        below it stays at order 1 with 1 step.  The survivors go to order
-        P_START in blocks, largest order-1 upper bound first (ties by id),
-        each run resuming from its order-1 brackets.  Before each block the
-        cut is taken again on every lower bound known so far, and queued
-        nodes below it are dropped.  Lower bounds only rise, so no cut ever
-        exceeds the first one ``_topk_engine`` takes, and every dropped node
-        is one that cut prunes anyway.
-        """
-        lower = np.full(self.op.dim, -np.inf)
-        lower[sorted(self.zero_degree)] = 1.0
-        todo = [v for v in self.eligible if v not in self.zero_degree]
-        first = order_one_bounds(self.op, todo, self.iv, COSH_SQRT)
-        for b in first:
-            self.bounds[b.node] = b
-            self.steps[b.node] = 1
-        lower[todo] = [b.lower for b in first]
-        queue = sorted((b for b in first if not b.exact), key=lambda b: (-b.upper, b.node))
-        falling = np.array([-b.upper for b in queue])
-        done = 0
-        while done < len(queue):
-            cut = _cut(np.partition(lower, -k)[-k], tie_tol)
-            # the queue runs by falling upper bound: the nodes below the cut are its tail
-            end = min(done + self.width, int(np.searchsorted(falling, -cut, side="right")))
-            if end <= done:
-                break
-            chunk, done = queue[done:end], end
-            nodes = [b.node for b in chunk]
-            block = BracketRun(self.op, nodes, self.iv, COSH_SQRT, bounds=chunk, p=1)
-            block.refine(P_START)
-            self._store(block)
-            lower[nodes] = [b.lower for b in block.bounds]
-        self.p = P_START
-
-    def refine(self, nodes, p_max):
-        """Take one schedule step on each node that can still improve."""
-        todo = [v for v in sorted(nodes) if not (v in self.bounds and self.bounds[v].exact)]
-        if not todo or self.p >= p_max:
-            return False
-        for first in range(0, len(todo), self.width):
-            chunk = todo[first : first + self.width]
-            resumed = [self.bounds[v] for v in chunk] if self.p else None
-            block = BracketRun(self.op, chunk, self.iv, COSH_SQRT, bounds=resumed, p=self.p)
-            block.refine(p_max)
-            self._store(block)
-        self.p = block.p
-        return True
-
-    def iterations(self):
-        return dict(self.steps)
+    These share one order: the first round takes all its survivors to
+    P_START, and each later call is given survivors of the call before.
+    """
+    todo = [v for v in sorted(nodes) if not pool.bounds[v].exact and pool.bounds[v].p < p_max]
+    if todo:
+        pool.advance(todo, p_max)
+    return bool(todo)
 
 
 def _select_members(candidates, pool, k, tie_tol):
@@ -188,16 +145,22 @@ def _topk_engine(g, k, side, p_max, m, exclude_degree_one, order_members, tie_to
     if side not in ("hub", "authority"):
         raise ParameterError(f"side must be 'hub' or 'authority', got '{side}'")
     check_p_max(p_max)
-    pool = _BracketPool(g, side, exclude_degree_one)
-    eligible = pool.eligible
+    pool = BracketPool(GramOperator(g, side), spectrum_interval(g), COSH_SQRT)
+    out_deg, in_deg = degrees(g)
+    degree_one = (out_deg == 1) & (in_deg == 1)
+    eligible = [v for v in range(g.n) if not (exclude_degree_one and degree_one[v])]
     if not 1 <= k <= len(eligible):
         raise ParameterError(f"k must be in [1, {len(eligible)}] (eligible nodes), got {k}")
     m_eff = k if m is None else m
     if not k <= m_eff <= len(eligible):
         raise ParameterError(f"m must be in [{k}, {len(eligible)}], got {m_eff}")
 
+    relevant_deg = out_deg if side == "hub" else in_deg
+    zero_degree = [v for v in eligible if relevant_deg[v] == 0]
+    for v in zero_degree:
+        pool.bounds[v] = NodeBounds(v, 1.0, 1.0, p=0, exact=True)
+    _first_round(pool, [v for v in eligible if relevant_deg[v] != 0], zero_degree, k, tie_tol)
     candidates = set(eligible)
-    pool.start(k, tie_tol)  # initial brackets at the starting order
     pruned_upper_max = -np.inf
     while True:
         lowers = sorted((pool.bounds[v].lower for v in candidates), reverse=True)
@@ -211,8 +174,7 @@ def _topk_engine(g, k, side, p_max, m, exclude_degree_one, order_members, tie_to
         candidates = survivors
         if len(candidates) <= m_eff:
             break
-        progressed = pool.refine(candidates, p_max)
-        if not progressed:
+        if not _refine(pool, candidates, p_max):
             break  # every survivor is exact or at p_max: resolve by tie rule
 
     members, ties_note = _select_members(candidates, pool, k, tie_tol)
@@ -237,7 +199,7 @@ def _topk_engine(g, k, side, p_max, m, exclude_degree_one, order_members, tie_to
             if pairs_ok:
                 fully_ordered = True
                 break
-            if not pool.refine(member_set, p_max):
+            if not _refine(pool, member_set, p_max):
                 break
         members, extra_note = _select_members(member_set, pool, k, tie_tol)
         ties_note = ties_note or extra_note
@@ -248,11 +210,11 @@ def _topk_engine(g, k, side, p_max, m, exclude_degree_one, order_members, tie_to
         members=members,
         certified=certified,
         fully_ordered=fully_ordered,
-        iterations=pool.iterations(),
-        bounds={v: pool.bounds[v] for v in sorted(pool.bounds)},
+        iterations={v: pool.steps[v] for v in eligible},
+        bounds={v: pool.bounds[v] for v in eligible},
         candidates=sorted(candidates),
-        excluded_zero_degree=len(pool.zero_degree),
-        excluded_degree_one=pool.excluded_degree_one,
+        excluded_zero_degree=len(zero_degree),
+        excluded_degree_one=int(np.count_nonzero(degree_one)) if exclude_degree_one else 0,
         ties_note=ties_note,
         m=m,
         params={"p_max": p_max, "exclude_degree_one": exclude_degree_one},

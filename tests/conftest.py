@@ -57,9 +57,9 @@ def zipf_offset_graph(n, d, seed, a=1.5):
     return from_edges(edges, n=n)
 
 
-def order_three_first_round(pool, k, tie_tol):
-    """``topk._BracketPool.start`` without the order-1 pass: every node straight to P_START."""
-    pool.refine(pool.eligible, P_START)
+def order_three_first_round(pool, nodes, zero_degree, k, tie_tol):
+    """``topk._first_round`` without the order-1 pass: every node straight to P_START."""
+    pool.advance(nodes, P_START)
 
 
 def random_digraph(rng):

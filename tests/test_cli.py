@@ -162,7 +162,7 @@ def test_matrix_market_and_edge_list_are_told_apart_by_the_first_line(tmp_path, 
 @pytest.mark.skipif(not hasattr(os, "mkfifo") or not os.path.exists("/dev/stdin"), reason="needs FIFOs and /dev/stdin")
 @pytest.mark.parametrize(
     "text,base",
-    [(EX1_TEXT, "1"), ("%%MatrixMarket matrix coordinate pattern general\n% comment\n" + EX1_MTX_BODY, "0")],
+    [(EX1_TEXT, "1"), ("%%MatrixMarket matrix coordinate pattern general\n% comment\n" + EX1_MTX_BODY, None)],
     ids=["edge-list", "matrix-market"],
 )
 def test_pipe_input_matches_the_regular_file(tmp_path, capsys, monkeypatch, text, base):
@@ -172,7 +172,7 @@ def test_pipe_input_matches_the_regular_file(tmp_path, capsys, monkeypatch, text
     monkeypatch.setattr(np, "loadtxt", lambda source, **kw: read.append(source) or loadtxt(source, **kw))
     regular = tmp_path / "graph.txt"
     regular.write_text(text)
-    args = ["--base", base, "--method", "pagerank", "--side", "authority", "--precision", "full"]
+    args = (["--base", base] if base else []) + ["--method", "pagerank", "--side", "authority", "--precision", "full"]
     expected = run_cli(["rank", "--input", str(regular)] + args, capsys)
     assert expected[0] == 0 and expected[2] == ""
     # a regular edge list reaches NumPy by path
@@ -241,6 +241,19 @@ def test_rank_mtx_input(tmp_path, capsys):
     )
     assert code == 0
     assert out.strip().splitlines()[1] == "0,2.3319,1"  # mtx ids echoed 0-based
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("base", ["0", "1"])
+def test_base_with_matrix_market_input_exits_2(tmp_path, capsys, command, base):
+    # the format fixes Matrix Market ids, so --base would be accepted and not read
+    p = tmp_path / "int.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate integer general\n3 3 2\n1 2 1\n2 3 2\n")
+    args = COMMANDS[command]
+    code, out, err = run_cli(args[:1] + ["--input", str(p), "--base", base] + args[1:], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: an index base applies to edge lists only; Matrix Market ids are 1-based\n"
 
 
 @pytest.mark.parametrize("weight", ["nan", "inf", "1e400"])
@@ -392,7 +405,7 @@ def test_topk_json_reports_one_step_for_nodes_dropped_at_order_one(tmp_path, cap
     code, text, _ = run_cli(args, capsys)
     assert code == 0
     with monkeypatch.context() as patched:
-        patched.setattr(topk._BracketPool, "start", order_three_first_round)
+        patched.setattr(topk, "_first_round", order_three_first_round)
         code, reference_text, _ = run_cli(args, capsys)
     assert code == 0
     payload, reference = _loads(text), _loads(reference_text)
@@ -658,13 +671,21 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded(ex1_file, tmp_path):
 
 
 def test_pagerank_and_degree_runs_load_no_lanczos_quadrature_topk_or_analysis(ex1_file):
-    # each command imports the modules it uses, and these two methods use
-    # only graph and rankers
-    unused = ["hubauth.linalg", "hubauth.quadrature", "hubauth.topk", "hubauth.analysis"]
+    # each command imports the modules it uses: PageRank and degree use only
+    # graph and rankers, exp-quad adds linalg and quadrature, top-k adds topk
+    beyond_rankers = ["hubauth.linalg", "hubauth.quadrature", "hubauth.topk", "hubauth.analysis"]
     rank = ["rank", "--input", ex1_file, "--base", "1"]
-    shapes = [rank + ["--method", "pagerank", "--side", side] + extra for side in ("hub", "authority") for extra in ([], ["--json"])]
-    shapes.append(rank + ["--method", "degree", "--side", "hub", "--json"])
-    for argv in shapes:
+    shapes = [
+        (rank + ["--method", "pagerank", "--side", side] + extra, beyond_rankers)
+        for side in ("hub", "authority")
+        for extra in ([], ["--json"])
+    ]
+    shapes += [
+        (rank + ["--method", "degree", "--side", "hub", "--json"], beyond_rankers),
+        (rank + ["--method", "exp-quad", "--side", "hub", "--json"], ["hubauth.topk", "hubauth.analysis"]),
+        (["topk", "--input", ex1_file, "--base", "1", "--k", "2", "--side", "hub", "--json"], ["hubauth.analysis"]),
+    ]
+    for argv, unused in shapes:
         probe = f"import sys, hubauth.cli\nassert hubauth.cli.main({argv!r}) == 0\nprint([m for m in {unused!r} if m in sys.modules])\n"
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env())
         assert result.returncode == 0, result.stderr

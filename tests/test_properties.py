@@ -33,7 +33,7 @@ from hubauth import (
     spectrum_interval,
     truncated_spectral_scores,
 )
-from hubauth import graph, quadrature, topk
+from hubauth import graph, quadrature
 from hubauth.graph import GramOperator
 from hubauth.linalg import LanczosRun
 from hubauth.quadrature import (
@@ -176,7 +176,7 @@ def test_topk_order_one_pruning_is_sound_against_the_exact_scores(g, k_wanted, w
     sigma1 = np.linalg.norm(dense_adjacency(g), 2)
     slack = 64 * np.finfo(float).eps * n * math.cosh(sigma1)
     degree_one = (g.out_degrees() == 1) & (g.in_degrees() == 1)
-    patch = mock.patch.object(topk, "block_width", lambda dim: width) if width else contextlib.nullcontext()
+    patch = mock.patch.object(quadrature, "block_width", lambda dim: width) if width else contextlib.nullcontext()
     with patch:
         for side, truth in (("hub", hub.scores), ("authority", authority.scores)):
             for exclude in (False, True):

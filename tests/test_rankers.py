@@ -22,6 +22,7 @@ from hubauth import (
     katz_row_col,
     pagerank,
     power_singular_pair,
+    quadrature,
     rank_table,
     resolvent_bipartite,
     truncated_spectral_scores,
@@ -324,6 +325,30 @@ def test_resolvent_one_side_equals_half_of_both(ex1, ex2, ex3):
                 if mode == "quadrature":
                     offset = 0 if side == "hub" else g.n
                     assert [nb.node for nb in one.diagnostics["bounds"]] == list(range(offset, offset + g.n))
+
+
+def _quadrature_runs(g):
+    """Hub and authority ScoreVectors of exp-quad at two settings and of resolvent-quad."""
+    return [
+        *exp_centrality_quadrature(g),
+        *exp_centrality_quadrature(g, p_max=5, width_tol=1e-12),  # leaves nodes unresolved
+        *resolvent_bipartite(g, mode="quadrature"),
+    ]
+
+
+@pytest.mark.parametrize("width", [1, 3, "n"])
+def test_quadrature_brackets_do_not_depend_on_the_block_width(monkeypatch, width):
+    # block_width(n) >= n for n <= 724, so unpatched every graph here is one
+    # block; the nodes settle at orders 1 (exact) to 11
+    rng = np.random.default_rng(7)
+    for g in [random_digraph(rng) for _ in range(4)] + [zipf_offset_graph(200, 3, 2)]:
+        reference = _quadrature_runs(g)
+        with monkeypatch.context() as patched:
+            patched.setattr(quadrature, "block_width", lambda dim: dim if width == "n" else width)
+            blocked = _quadrature_runs(g)
+        for one, expected in zip(blocked, reference):
+            assert np.array_equal(one.scores, expected.scores)
+            assert one.diagnostics == expected.diagnostics  # every bracket, bit for bit
 
 
 def test_quadrature_rankers_reject_p_max_below_the_first_order(ex1):

@@ -11,6 +11,7 @@ from hubauth import (
     exp_centrality_exact,
     from_edges,
     identify_top_k,
+    quadrature,
     rank_in_top_m,
     rank_table,
     topk,
@@ -192,7 +193,7 @@ def test_topk_memory_stays_at_one_block_of_runs():
 
 def _without_order_one_pass(monkeypatch, select, *args, **kwargs):
     with monkeypatch.context() as patched:
-        patched.setattr(topk._BracketPool, "start", order_three_first_round)
+        patched.setattr(topk, "_first_round", order_three_first_round)
         return select(*args, **kwargs)
 
 
@@ -218,7 +219,7 @@ def _assert_same_outcome(report, reference):
 def test_order_one_pass_changes_only_the_dropped_nodes(monkeypatch, random_suite, width, side):
     # width: columns per block run; 3 makes the running cut meet earlier blocks
     if width:
-        monkeypatch.setattr(topk, "block_width", lambda dim: width)
+        monkeypatch.setattr(quadrature, "block_width", lambda dim: width)
     for g in random_suite[:12] + [zipf_offset_graph(150, 5, 1)]:
         for k in {1, min(4, g.n)}:
             for select, args in ((identify_top_k, (g, k)), (rank_in_top_m, (g, k, min(2 * k, g.n)))):
