@@ -3,7 +3,9 @@
 Output is CSV by default or JSON with --json, written to stdout or --out.
 Edge-list node ids are echoed in the --base index base, Matrix Market ids
 0-based (--base is refused for them).  Exit codes: 0 success, 1 malformed
-or unreadable input, 2 invalid parameters, 3 numerical failure.
+or unreadable input, 2 invalid parameters, 3 numerical failure.  ``rank``
+and ``compare`` run their methods through the ``METHODS`` table; a method flag
+that no chosen method reads exits 2 before the input is read.
 
 Each command imports the modules it uses when it runs (``rankers`` itself
 imports ``linalg`` and ``quadrature`` per method), so a process that ranks
@@ -28,46 +30,57 @@ EXIT_INPUT = 1
 EXIT_PARAMS = 2
 EXIT_NUMERICAL = 3
 
-METHOD_CHOICES = [
-    "degree",
-    "hits",
-    "exp-exact",
-    "exp-quad",
-    "spectral",
-    "katz",
-    "resolvent",
-    "expsum",
-    "pagerank",
-]
+# Each method of rank and compare: its ranker in ``rankers`` (looked up per
+# call), the ranker keywords its method flags set, and how the ranker picks a
+# side: None if it returns (hub, authority), else ``side`` or ``reverse``.
+METHODS = {
+    "degree": ("degree_scores", (), None),
+    "hits": ("hits", ("tol", "max_iter"), None),
+    "exp-exact": ("exp_centrality_exact", (), "side"),
+    "exp-quad": ("exp_centrality_quadrature", ("p_max",), "side"),
+    "spectral": ("truncated_spectral_scores", ("k",), "side"),
+    "katz": ("katz_row_col", ("c",), None),
+    "resolvent": ("resolvent_bipartite", ("c", "p_max"), "side"),
+    "expsum": ("expA_row_col_sums", (), None),
+    "pagerank": ("pagerank", ("alpha",), "reverse"),
+}
+METHOD_CHOICES = list(METHODS)
+
+# Each method flag: the ranker keyword it sets, its type and its help.  It is
+# passed on only when given, so each default is the ranker's own.
+METHOD_FLAGS = {
+    "--k": ("k", int, "number of spectral terms"),
+    "--c": ("c", float, "walk damping"),
+    "--alpha": ("alpha", float, "damping factor"),
+    "--tol": ("tol", float, "stopping tolerance"),
+    "--max-iter": ("max_iter", int, "step limit"),
+    "--pmax": ("p_max", int, "maximum quadrature order per node, at least 3 (each order: one product with A, one with A^T)"),
+}
 
 
 def _load_graph(args):
     return load_graph(args.input, index_base=args.base)
 
 
+def _check_method_flags(args, methods):
+    """Refuse each method flag given that none of ``methods`` reads."""
+    reads = {key for method in methods for key in METHODS[method][1]}
+    unread = [flag for flag, (key, _, _) in METHOD_FLAGS.items() if getattr(args, key) is not None and key not in reads]
+    if unread:
+        raise ParameterError(f"{', '.join(unread)} not read by method {' or '.join(dict.fromkeys(methods))}")
+
+
 def _run_method(g, method, side, args):
-    """Dispatch a method name to its ranker and pull out the requested side."""
-    if method == "degree":
-        hub, auth = rankers.degree_scores(g)
-    elif method == "hits":
-        hub, auth = rankers.hits(g, tol=args.tol, max_iter=args.max_iter)
-    elif method == "exp-exact":
-        return rankers.exp_centrality_exact(g, side=side)
-    elif method == "exp-quad":
-        return rankers.exp_centrality_quadrature(g, p_max=args.pmax, side=side)
-    elif method == "spectral":
-        return rankers.truncated_spectral_scores(g, k=args.k, side=side)
-    elif method == "katz":
-        hub, auth = rankers.katz_row_col(g, c=args.c)
-    elif method == "resolvent":
-        return rankers.resolvent_bipartite(g, c=args.c, p_max=args.pmax, side=side)
-    elif method == "expsum":
-        hub, auth = rankers.expA_row_col_sums(g)
-    elif method == "pagerank":
-        return rankers.pagerank(g, alpha=args.alpha, reverse=(side == "hub"))
-    else:
-        raise ParameterError(f"unknown method '{method}'")
-    return hub if side == "hub" else auth
+    """Run a method's ranker with the method flags given and return the requested side."""
+    name, reads, pick = METHODS[method]
+    ranker = getattr(rankers, name)
+    kwargs = {key: getattr(args, key) for key in reads if getattr(args, key) is not None}
+    if pick is None:
+        hub, auth = ranker(g, **kwargs)
+        return hub if side == "hub" else auth
+    if pick == "reverse":
+        return ranker(g, reverse=side == "hub", **kwargs)
+    return ranker(g, side=side, **kwargs)
 
 
 def _score_spec(precision):
@@ -102,6 +115,7 @@ def _emit(text, args):
 def cmd_rank(args):
     if args.top is not None and args.top < 1:
         raise ParameterError(f"--top must be positive, got {args.top}")
+    _check_method_flags(args, [args.method])
     g = _load_graph(args)
     sv = _run_method(g, args.method, args.side, args)
     table = rankers.rank_table(sv)
@@ -125,18 +139,13 @@ def cmd_rank(args):
         cells = tuple(itertools.chain.from_iterable(zip(nodes, scores, ranks)))
         text = "node,score,rank\n" + (row * len(nodes)) % cells
     _emit(text, args)
-    return EXIT_OK
 
 
 def cmd_topk(args):
     from . import topk
 
     g = _load_graph(args)
-    kwargs = dict(
-        side=args.side,
-        p_max=args.pmax,
-        exclude_degree_one=args.exclude_degree_one,
-    )
+    kwargs = dict(side=args.side, p_max=args.pmax, exclude_degree_one=args.exclude_degree_one)
     if args.m is not None:
         report = topk.rank_in_top_m(g, args.k, args.m, **kwargs)
     else:
@@ -164,10 +173,7 @@ def cmd_topk(args):
                 "max": report.max_iterations,
                 "per_node": {str(v + g.index_base): int(p) for v, p in sorted(iters.items())},
             },
-            "excluded": {
-                "zero_degree": report.excluded_zero_degree,
-                "degree_one": report.excluded_degree_one,
-            },
+            "excluded": {"zero_degree": report.excluded_zero_degree, "degree_one": report.excluded_degree_one},
             "ties": report.ties_note,
         }
         text = _json_text(payload)
@@ -182,15 +188,11 @@ def cmd_topk(args):
             )
         buf.write(f"# certified={report.certified} fully_ordered={report.fully_ordered}\n")
         buf.write(f"# iterations_max={report.max_iterations}\n")
-        buf.write(
-            f"# excluded_zero_degree={report.excluded_zero_degree} "
-            f"excluded_degree_one={report.excluded_degree_one}\n"
-        )
+        buf.write(f"# excluded_zero_degree={report.excluded_zero_degree} excluded_degree_one={report.excluded_degree_one}\n")
         if report.ties_note:
             buf.write(f"# ties: {report.ties_note}\n")
         text = buf.getvalue()
     _emit(text, args)
-    return EXIT_OK
 
 
 def cmd_compare(args):
@@ -198,11 +200,12 @@ def cmd_compare(args):
 
     if len(args.method) != 2:
         raise ParameterError("compare needs exactly two --method flags")
-    g = _load_graph(args)
-    tables = [rankers.rank_table(_run_method(g, m, args.side, args)) for m in args.method]
+    _check_method_flags(args, args.method)
     ks = [int(tok) for tok in args.ks.split(",") if tok.strip()]
     if not ks or any(k < 1 for k in ks):
         raise ParameterError(f"--ks must list positive integers, got '{args.ks}'")
+    g = _load_graph(args)
+    tables = [rankers.rank_table(_run_method(g, m, args.side, args)) for m in args.method]
     report = analysis.compare(tables[0], tables[1], ks=ks)
     if args.json:
         payload = {
@@ -230,14 +233,16 @@ def cmd_compare(args):
             buf.write(f"overlap_at_{k},{_fmt_score(frac, args.precision)}\n")
         text = buf.getvalue()
     _emit(text, args)
-    return EXIT_OK
 
 
 def cmd_spectrum(args):
     from . import analysis
 
-    if args.ritz_out and args.pmax < 1:
-        raise ParameterError(f"--pmax must be at least 1 for --ritz-out, got {args.pmax}")
+    if args.ritz_out is None and args.pmax is not None:
+        raise ParameterError("--pmax not read without --ritz-out")
+    steps = 40 if args.pmax is None else args.pmax
+    if steps < 1:
+        raise ParameterError(f"--pmax must be at least 1 for --ritz-out, got {steps}")
     g = _load_graph(args)
     gap = analysis.spectral_gap(g, tol=args.tol)
     sym = analysis.symmetry_fraction(g)
@@ -249,12 +254,11 @@ def cmd_spectrum(args):
     if args.ritz_out:
         from .linalg import LanczosRun, tridiag_eigen
 
-        run = LanczosRun(BipartiteOperator(g), [0]).extend(args.pmax)
+        run = LanczosRun(BipartiteOperator(g), [0]).extend(steps)
         alpha, beta = run.coefficients(run.steps)
-        nodes, _ = tridiag_eigen(alpha[0], beta[0, :-1])
-        ritz = nodes
+        ritz, _ = tridiag_eigen(alpha[0], beta[0, :-1])
         with open(args.ritz_out, "w", encoding="utf-8") as fh:
-            for t in nodes:
+            for t in ritz:
                 fh.write(f"{t:.12g}\n")
     if args.json:
         payload = {
@@ -284,7 +288,6 @@ def cmd_spectrum(args):
         buf.write(f"annotation,{gap.annotation}\n")
         text = buf.getvalue()
     _emit(text, args)
-    return EXIT_OK
 
 
 def _add_common(parser):
@@ -295,22 +298,15 @@ def _add_common(parser):
     parser.add_argument("--base", type=int, choices=[0, 1], help="node index base of an edge-list input (default 0)")
     parser.add_argument("--out", default=None, help="write output to this file instead of stdout")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-    parser.add_argument("--precision", choices=["default", "full"], default="default")
+    parser.add_argument("--precision", choices=["default", "full"], help="CSV score digits (not read with --json)")
 
 
 def _add_method_params(parser):
-    """The side and method parameters of rank and compare."""
+    """The side and method flags of rank and compare."""
     parser.add_argument("--side", choices=["hub", "authority"], required=True)
-    parser.add_argument("--k", type=int, default=1, help="number of spectral terms (method=spectral)")
-    parser.add_argument("--c", type=float, default=None, help="walk damping (katz / resolvent)")
-    parser.add_argument("--alpha", type=float, default=0.85, help="pagerank damping factor")
-    parser.add_argument("--tol", type=float, default=1e-10, help="hits stopping tolerance")
-    parser.add_argument("--max-iter", type=int, default=1000, dest="max_iter", help="hits step limit")
-    parser.add_argument(
-        "--pmax", type=int, default=40,
-        help="maximum quadrature order per node for exp-quad and resolvent (at least 3; one order "
-        "costs one product with A and one with A^T)",
-    )
+    for flag, (key, kind, text) in METHOD_FLAGS.items():
+        readers = ", ".join(method for method, (_, reads, _) in METHODS.items() if key in reads)
+        parser.add_argument(flag, type=kind, dest=key, help=f"{text}; read by {readers}")
 
 
 def build_parser():
@@ -347,7 +343,7 @@ def build_parser():
     p_spec = sub.add_parser("spectrum", help="spectral gap, symmetry, and size diagnostics")
     _add_common(p_spec)
     p_spec.add_argument("--tol", type=float, default=1e-10, help="power iteration tolerance for the spectral gap")
-    p_spec.add_argument("--pmax", type=int, default=40, help="Lanczos steps for --ritz-out")
+    p_spec.add_argument("--pmax", type=int, help="Lanczos steps for --ritz-out (default 40)")
     p_spec.add_argument("--ritz-out", default=None, help="dump Ritz values of the bipartite operator here")
     p_spec.set_defaults(func=cmd_spectrum)
 
@@ -367,10 +363,13 @@ EXIT_CODES = (
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.json and args.precision is not None:
+            raise ParameterError("--precision not read with --json")
+        args.func(args)
     except tuple(kind for kinds, _ in EXIT_CODES for kind in kinds) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
+    return EXIT_OK
 
 
 def entry():

@@ -259,7 +259,7 @@ def exp_centrality_quadrature(g, p_max=40, width_tol=1e-8, side=None):
     return tuple(vectors) if side is None else vectors[0]
 
 
-def truncated_spectral_scores(g, k, tol=TIE_REL_TOL, side=None):
+def truncated_spectral_scores(g, k=1, tol=TIE_REL_TOL, side=None):
     """Centrality from the k leading eigenpairs of the bipartite operator.
 
     The bipartite eigenvalues are the signed singular values of A; summing
@@ -406,6 +406,7 @@ def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, side=N
 
     n = g.n
     sides = _sides(side)
+    check_p_max(p_max)  # on the dense path too, which reads no order
     est = leading_singular_pair(g)
     if c is None:
         c = 0.9 / est.sigma1 if est.sigma1 > 0 else 0.5
@@ -426,7 +427,6 @@ def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, side=N
             lam, Q = dense_gram(g, name)
             vectors.append(ScoreVector("resolvent", name, (Q**2) @ kernel(lam), params))
     else:
-        check_p_max(p_max)
         iv = spectrum_interval(g, estimate=est)
         for name in sides:
             bounds = _side_brackets(g, name, iv, kernel, p_max, width_tol)[0]

@@ -145,7 +145,6 @@ def _topk_engine(g, k, side, p_max, m, exclude_degree_one, order_members, tie_to
     if side not in ("hub", "authority"):
         raise ParameterError(f"side must be 'hub' or 'authority', got '{side}'")
     check_p_max(p_max)
-    pool = BracketPool(GramOperator(g, side), spectrum_interval(g), COSH_SQRT)
     out_deg, in_deg = degrees(g)
     degree_one = (out_deg == 1) & (in_deg == 1)
     eligible = [v for v in range(g.n) if not (exclude_degree_one and degree_one[v])]
@@ -154,6 +153,7 @@ def _topk_engine(g, k, side, p_max, m, exclude_degree_one, order_members, tie_to
     m_eff = k if m is None else m
     if not k <= m_eff <= len(eligible):
         raise ParameterError(f"m must be in [{k}, {len(eligible)}], got {m_eff}")
+    pool = BracketPool(GramOperator(g, side), spectrum_interval(g), COSH_SQRT)
 
     relevant_deg = out_deg if side == "hub" else in_deg
     zero_degree = [v for v in eligible if relevant_deg[v] == 0]

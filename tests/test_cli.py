@@ -2,6 +2,7 @@
 
 import gc
 import importlib
+import itertools
 import json
 import os
 import pkgutil
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import hubauth
-from hubauth import graph, topk
+from hubauth import cli, graph, topk
 from hubauth.cli import main
 
 from conftest import order_three_first_round
@@ -128,20 +129,88 @@ COMMANDS = {
 }
 
 
+# flags a command defines but does not read in this combination, and their error
+DEFINED_UNREAD = {
+    "rank --c nan --tol -1 --alpha 7": "error: --c, --alpha, --tol not read by method degree\n",
+    "spectrum --pmax 8": "error: --pmax not read without --ritz-out\n",
+} | {f"{command} --json --precision full": "error: --precision not read with --json\n" for command in COMMANDS}
+
+
 @pytest.mark.parametrize(
     "removed",
     [f"{command} --threads 1" for command in COMMANDS]
     + [f"{command} --format mtx" for command in COMMANDS]
-    + ["rank --format edgelist", "topk --tol 5", "topk --max-iter -3", "spectrum --max-iter 10"],
+    + ["rank --format edgelist", "topk --tol 5", "topk --max-iter -3", "spectrum --max-iter 10"]
+    + list(DEFINED_UNREAD),
 )
 def test_flags_a_command_does_not_read_exit_2(ex1_file, capsys, removed):
-    # the input's first line names its format, and every command runs single-threaded
+    # the input's first line names its format, every command runs single-threaded,
+    # JSON has no digit setting, and spectrum takes Lanczos steps only for --ritz-out
     command, *flag = removed.split()
     args = COMMANDS[command]
-    with pytest.raises(SystemExit) as exc:
-        main(args[:1] + ["--input", ex1_file, "--base", "1"] + args[1:] + flag)
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    try:
+        code = main(args[:1] + ["--input", ex1_file, "--base", "1"] + args[1:] + flag)
+    except SystemExit as exc:  # argparse: the command defines no such flag
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    if removed in DEFINED_UNREAD:
+        assert err == DEFINED_UNREAD[removed]
+    else:
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+
+# the method flags each method reads, and a value every reader accepts on Example 1
+READS = {
+    "degree": [], "hits": ["--tol", "--max-iter"], "exp-exact": [], "exp-quad": ["--pmax"], "spectral": ["--k"],
+    "katz": ["--c"], "resolvent": ["--c", "--pmax"], "expsum": [], "pagerank": ["--alpha"],
+}
+FLAG_VALUES = {"--k": "2", "--c": "0.1", "--alpha": "0.5", "--tol": "1e-8", "--max-iter": "500", "--pmax": "5"}
+
+
+def test_method_table_lists_every_method_and_flag():
+    assert list(cli.METHODS) == cli.METHOD_CHOICES == list(READS)
+    assert list(cli.METHOD_FLAGS) == list(FLAG_VALUES)
+
+
+@pytest.mark.parametrize("flag", FLAG_VALUES)
+@pytest.mark.parametrize("method", READS)
+def test_rank_refuses_each_method_flag_its_method_does_not_read(ex1_file, capsys, method, flag):
+    args = ["rank", "--input", ex1_file, "--base", "1", "--method", method, "--side", "hub", "--json"]
+    code, out, err = run_cli(args + [flag, FLAG_VALUES[flag]], capsys)
+    if flag not in READS[method]:
+        assert (code, out, err) == (2, "", f"error: {flag} not read by method {method}\n")
+        return
+    assert (code, err) == (0, "")
+    key, kind, _ = cli.METHOD_FLAGS[flag]
+    params = _loads(out)["params"]
+    if key in params:  # resolvent's dense path reports no order
+        assert params[key] == kind(FLAG_VALUES[flag])
+
+
+@pytest.mark.parametrize("flag", FLAG_VALUES)
+@pytest.mark.parametrize("pair", [f"{a},{b}" for a, b in itertools.combinations_with_replacement(READS, 2)])
+def test_compare_refuses_a_method_flag_only_when_neither_method_reads_it(ex1_file, capsys, pair, flag):
+    a, b = pair.split(",")
+    args = ["compare", "--input", ex1_file, "--base", "1", "--method", a, "--method", b, "--side", "authority"]
+    code, out, err = run_cli(args + [flag, FLAG_VALUES[flag]], capsys)
+    if flag in READS[a] + READS[b]:
+        assert (code, err) == (0, "") and out.startswith("metric,value\n")
+    else:
+        readers = a if a == b else f"{a} or {b}"
+        assert (code, out, err) == (2, "", f"error: {flag} not read by method {readers}\n")
+
+
+def test_compare_checks_ks_before_ranking(ex1_file, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("ranked before --ks was checked")
+
+    monkeypatch.setattr(cli, "_run_method", unreachable)
+    code, out, err = run_cli(
+        ["compare", "--input", ex1_file, "--base", "1", "--method", "hits", "--method", "katz", "--side", "hub", "--ks", "0"],
+        capsys,
+    )
+    assert (code, out, err) == (2, "", "error: --ks must list positive integers, got '0'\n")
 
 
 EX1_MTX_BODY = "4 4 7\n1 2\n1 3\n2 1\n2 3\n3 2\n3 4\n4 2\n"
@@ -354,18 +423,20 @@ def test_topk_example1_authorities(ex1_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args,edges",
     [
-        ["rank", "--method", "exp-quad", "--side", "hub"],
-        ["rank", "--method", "resolvent", "--side", "authority"],
-        ["topk", "--k", "1", "--side", "hub"],
+        (["rank", "--method", "exp-quad", "--side", "hub"], 2001),
+        (["rank", "--method", "resolvent", "--side", "authority"], 2001),
+        (["rank", "--method", "resolvent", "--side", "hub"], 3),
+        (["topk", "--k", "1", "--side", "hub"], 2001),
     ],
-    ids=["exp-quad", "resolvent", "topk"],
+    ids=["exp-quad", "resolvent", "resolvent-dense", "topk"],
 )
-def test_pmax_below_the_first_quadrature_order_exits_2(tmp_path, capsys, args):
-    # 2n > 4000, so resolvent takes its quadrature path too
+def test_pmax_below_the_first_quadrature_order_exits_2(tmp_path, capsys, args, edges):
+    # with 2001 edges 2n > 4000, so resolvent takes its quadrature path; with 3
+    # it takes the dense path, which reads no order but refuses it all the same
     path = tmp_path / "path.txt"
-    path.write_text("".join(f"{i} {i + 1}\n" for i in range(2001)))
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(edges)))
     code, out, err = run_cli(args[:1] + ["--input", str(path), "--pmax", "2"] + args[1:], capsys)
     assert code == 2
     assert out == ""
@@ -668,6 +739,22 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded(ex1_file, tmp_path):
     assert "scipy.stats loaded: False" in lines
     assert "method_b,spectral/hub" in lines
     assert lines[-1] == "scipy loaded: []"
+
+
+def test_cli_import_loads_only_the_modules_every_command_needs():
+    # the process perfbench times as setup_s: no JSON encoder, no SciPy, and of
+    # hubauth only what parsing the command line and loading a graph take
+    probe = (
+        "import sys, hubauth.cli\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'hubauth'))\n"
+        "print(sorted(m for m in sys.modules if m == 'json' or m.partition('.')[0] == 'scipy'))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        str(sorted(["hubauth", "hubauth.cli", "hubauth.errors", "hubauth.graph", "hubauth.rankers"])),
+        "[]",
+    ]
 
 
 def test_pagerank_and_degree_runs_load_no_lanczos_quadrature_topk_or_analysis(ex1_file):

@@ -355,10 +355,11 @@ def test_quadrature_rankers_reject_p_max_below_the_first_order(ex1):
     # the first bracket is already at order P_START = 3
     with pytest.raises(ParameterError, match="p_max"):
         exp_centrality_quadrature(ex1, p_max=2)
-    with pytest.raises(ParameterError, match="p_max"):
-        resolvent_bipartite(ex1, mode="quadrature", p_max=2)
+    for mode in ("quadrature", "dense"):  # the dense path reads no order, but refuses one no path could take
+        with pytest.raises(ParameterError, match="p_max"):
+            resolvent_bipartite(ex1, mode=mode, p_max=2)
     exp_centrality_quadrature(ex1, p_max=3)
-    resolvent_bipartite(ex1, mode="dense", p_max=2)  # no quadrature order on the dense path
+    resolvent_bipartite(ex1, mode="dense", p_max=3)
 
 
 def test_quadrature_rankers_reject_unknown_side(ex1):

@@ -137,6 +137,18 @@ def test_m_range_validated(ex1):
         rank_in_top_m(ex1, 1, 10, side="hub")
 
 
+def test_k_and_m_are_checked_before_the_spectrum_bound(ex1, monkeypatch):
+    # both checks need only the degrees, so a bad k or m runs no power iteration
+    def unreachable(g):
+        raise AssertionError("spectrum_interval ran before k and m were checked")
+
+    monkeypatch.setattr(topk, "spectrum_interval", unreachable)
+    with pytest.raises(ParameterError, match="k must be"):
+        identify_top_k(ex1, 0, side="authority")
+    with pytest.raises(ParameterError, match="m must be"):
+        rank_in_top_m(ex1, 3, 2, side="hub")
+
+
 def test_certification_separates_members_from_rest(ex1):
     report = identify_top_k(ex1, 2, side="authority")
     worst_member_lower = min(report.bounds[v].lower for v in report.members)
