@@ -97,15 +97,6 @@ class LanczosRun:
         """Whether every column has broken down."""
         return bool(self.broken.all())
 
-    def reserve(self, steps):
-        """Hold room for ``steps`` steps, so extending up to them copies no basis."""
-        count = min(steps, self.op.dim) + 1
-        if self._basis.shape[1] < count:
-            grown = np.zeros((self.columns, count, self.op.dim))
-            grown[:, : self.steps + 1] = self._basis[:, : self.steps + 1]
-            self._basis = grown
-        return self
-
     def extend(self, p):
         """Run Lanczos until every column has p steps or has broken down.
 
@@ -115,7 +106,10 @@ class LanczosRun:
         then on, so it changes no other column's arithmetic.
         """
         p = min(p, self.op.dim)
-        self.reserve(p)
+        if self._basis.shape[1] <= p:  # grow once to p + 1 vectors, copying those held
+            grown = np.zeros((self.columns, p + 1, self.op.dim))
+            grown[:, : self.steps + 1] = self._basis[:, : self.steps + 1]
+            self._basis = grown
         while self.steps < p and not self.breakdown:
             j = self.steps
             V = self._basis[:, j]
@@ -208,9 +202,12 @@ def dense_gram(g, side):
     function of the Gram matrix of the side it scores: the hub block of the
     bipartite exponential is cosh(sqrt(A A^T)), the authority block
     cosh(sqrt(A^T A)).  Roundoff can leave an eigenvalue slightly below 0.
+    Graphs with more than DENSE_DIM_LIMIT nodes raise SizeLimitError.
     """
     if side not in ("hub", "authority"):
         raise ValueError(f"side must be 'hub' or 'authority', got '{side}'")
+    if g.n > DENSE_DIM_LIMIT:
+        raise SizeLimitError(f"dense path limited to n <= {DENSE_DIM_LIMIT}, got {g.n}")
     key = f"_dense_gram_{side}"
     gram = g.__dict__.get(key)
     if gram is None:
@@ -225,18 +222,26 @@ def dense_gram(g, side):
 def expm_action(g, v, transpose=False, rel_tol=1e-10):
     """Apply e^A (or e^{A^T}) to a vector by scaled truncated Taylor steps.
 
-    The exponential is split as (e^{A/s})^s with s chosen so each factor's
-    Taylor series converges fast; each step sums terms until the tail is
-    negligible relative to the accumulated result.
+    The exponential is split as (e^{A/s})^s; each step sums terms until the
+    tail is negligible relative to the accumulated result.  s is the ceiling
+    of min over p = 1..8 of max(d_p, d_{p+1}), d_p = ||A^p||_1^(1/p) (Al-Mohy
+    and Higham, SIAM J. Sci. Comput. 33, 2011), at most ceil(||A||_1); for
+    A >= 0, ||A^p||_1 = ||(A^T)^p 1||_inf.  A heavy edge costs one step, but
+    a path of 8 or more heavy edges still takes about its weight in steps.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (g.n,):
         raise ValueError(f"expected vector of length {g.n}, got {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("input vector has non-finite entries")
-    # 1-norm of A = max column sum = max in-strength (out-strength if transposed)
-    norm = float((g.out_strengths() if transpose else g.in_strengths()).max(initial=0.0))
-    s = max(1, int(math.ceil(norm)))
+    # (A^T)^p 1 from the column sums A^T 1 = in-strengths (out-strengths if transposed)
+    x = g.out_strengths() if transpose else g.in_strengths()
+    d = [float(x.max(initial=0.0))]
+    with np.errstate(over="ignore"):  # an overflowed d_p is never the minimum
+        for p in range(2, 10):
+            x = spmv(g, x, transpose=not transpose)
+            d.append(float(x.max(initial=0.0)) ** (1.0 / p))
+    s = max(1, int(math.ceil(min(d[0], *map(max, d[:-1], d[1:])))))
     step_tol = rel_tol / (4.0 * s)
     w = v.copy()
     for _ in range(s):

@@ -49,8 +49,6 @@ __all__ = [
     "check_p_max",
     "radau_bounds_from_run",
     "first_lanczos_step",
-    "order_one_bounds",
-    "BracketRun",
     "BracketPool",
     "bilinear_estimate",
 ]
@@ -346,19 +344,6 @@ def first_lanczos_step(op, nodes):
     return alpha, beta, beta <= BREAKDOWN_RTOL * np.maximum(np.abs(alpha), beta)
 
 
-def order_one_bounds(op, nodes, iv, f):
-    """Order-1 Gauss-Radau brackets for ``nodes`` from one sparse first Lanczos step each.
-
-    The same brackets, bit for bit, as ``radau_bounds_from_run`` at p = 1
-    gives a run that stops after its first step: a node whose run breaks
-    down there gets its exact value f(alpha_1).  Costs no block run: see
-    ``first_lanczos_step``.
-    """
-    f = _require_kernel(f)
-    alpha, beta, exact = first_lanczos_step(op, nodes)
-    return _brackets(nodes, alpha[:, None], beta[:, None], np.ones(exact.size, dtype=int), exact, 1, iv, f)
-
-
 def _intersect(old, new):
     if old.lower <= new.lower and new.upper <= old.upper:
         return new  # nested, as the schedule's brackets are in exact arithmetic
@@ -369,100 +354,69 @@ def _intersect(old, new):
     return NodeBounds(new.node, lower, upper, new.p, new.exact)
 
 
-class BracketRun:
-    """Radau brackets for a block of start nodes, refined along one schedule.
-
-    ``nodes`` is a sequence of node indices; ``refine`` and ``bounds`` give
-    one NodeBounds per column.  Each ``refine`` step takes the next order
-    of the schedule (P_START first or after any order below it, then
-    +P_STEP capped at p_max) on every column and intersects each new
-    bracket with the node's old one, which keeps brackets monotone under
-    roundoff jitter; a new bracket wholly outside the old one collapses
-    onto the old one's nearer end.  A column whose run breaks down takes
-    the exact step, whatever p_max is.
-
-    ``bounds`` and ``p`` resume a rebuilt run: the brackets and the order
-    its nodes already reached (a run rebuilt from the same start vectors
-    repeats the same recurrence), such as ``order_one_bounds``' at p = 1.
-    ``retain`` drops the columns that need no further step.
-    """
-
-    def __init__(self, op, nodes, iv, f, bounds=None, p=0):
-        self.run = LanczosRun(op, nodes)
-        self.iv = iv
-        self.f = f
-        self.p = p
-        self.bounds = bounds
-
-    def refinable(self, p_max):
-        """Whether a further ``refine`` step can tighten some bracket."""
-        if self.bounds is not None and all(b.exact for b in self.bounds):
-            return False
-        return self.p < p_max
-
-    def refine(self, p_max):
-        """Take one schedule step on every column and return the tightened brackets."""
-        p = P_START if self.p < P_START else min(self.p + P_STEP, p_max)
-        new = radau_bounds_from_run(self.run, p, self.iv, self.f)
-        if self.bounds is not None:
-            new = [_intersect(old, nb) for old, nb in zip(self.bounds, new)]
-        self.p = p
-        self.bounds = new
-        return new
-
-    def retain(self, keep):
-        """Keep only the columns listed in ``keep``, in that order."""
-        self.run.retain(keep)
-        self.bounds = [self.bounds[j] for j in keep]
-
-
 class BracketPool:
     """Each node's bracket (``bounds``, None until it has one) and run length (``steps``) on ``op``.
+
+    Brackets follow one schedule of orders: P_START first (or after any
+    order below it), then +P_STEP per step, capped at p_max.  Each new
+    bracket is intersected with the node's stored one, which keeps brackets
+    monotone under roundoff jitter; a new bracket wholly outside the stored
+    one collapses onto its nearer end.  A column whose run breaks down takes
+    the exact step, whatever p_max is.
 
     Runs live only inside ``advance``, one block of ``width`` nodes at a
     time, so memory stays at one block's basis whatever the dimension.  A
     column's arithmetic depends neither on its block nor on the rebuild that
-    resumes it, so neither do the brackets.
+    resumes it (a run rebuilt from the same start vectors repeats the same
+    recurrence), so neither do the brackets.
     """
 
     def __init__(self, op, iv, f):
         self.op = op
         self.iv = iv
-        self.f = f
+        self.f = _require_kernel(f)
         self.width = block_width(op.dim)
         self.bounds = [None] * op.dim
         self.steps = [0] * op.dim
 
-    def _store(self, bounds, lengths):
-        for b, length in zip(bounds, lengths):
-            self.bounds[b.node] = b
-            self.steps[b.node] = int(length)
-
     def first_pass(self, nodes):
-        """Order-1 brackets for ``nodes`` (``order_one_bounds``), 1 step each; returns them."""
-        bounds = order_one_bounds(self.op, nodes, self.iv, self.f)
-        self._store(bounds, [1] * len(bounds))
+        """Order-1 brackets for ``nodes`` from one sparse first Lanczos step each; returns them.
+
+        The same brackets, bit for bit, as ``radau_bounds_from_run`` at p = 1
+        gives a run that stops after its first step: a node whose run breaks
+        down there gets its exact value f(alpha_1).  Costs no block run: see
+        ``first_lanczos_step``.  Each node is stored with 1 step.
+        """
+        alpha, beta, exact = first_lanczos_step(self.op, nodes)
+        bounds = _brackets(nodes, alpha[:, None], beta[:, None], np.ones_like(exact, int), exact, 1, self.iv, self.f)
+        for b in bounds:
+            self.bounds[b.node], self.steps[b.node] = b, 1
         return bounds
 
     def advance(self, nodes, p_max, done=lambda b: True):
         """Take ``nodes`` one schedule step, then on until each bracket is ``done`` or at p_max.
 
         Each block of ``width`` nodes, which share one order, is rebuilt from
-        its start vectors and stored brackets; after each step the columns
-        whose bracket is ``done`` leave it.  By default every node takes one step.
+        its start vectors and resumes at its first node's stored order.  A
+        block stops once every column is exact or at p_max; otherwise the
+        columns whose bracket is ``done`` leave it.  By default every node
+        takes one step.
         """
         nodes = list(nodes)
         for first in range(0, len(nodes), self.width):
             chunk = nodes[first : first + self.width]
-            stored = None if self.bounds[chunk[0]] is None else [self.bounds[v] for v in chunk]
-            block = BracketRun(self.op, chunk, self.iv, self.f, stored, stored[0].p if stored else 0)
-            while True:
-                self._store(block.refine(p_max), block.run.lengths)
-                if not block.refinable(p_max):
+            run = LanczosRun(self.op, chunk)
+            p = 0 if self.bounds[chunk[0]] is None else self.bounds[chunk[0]].p
+            while run.columns:
+                p = P_START if p < P_START else min(p + P_STEP, p_max)
+                new = radau_bounds_from_run(run, p, self.iv, self.f)
+                for b, length in zip(new, run.lengths):
+                    old = self.bounds[b.node]
+                    self.bounds[b.node] = b if old is None else _intersect(old, b)
+                    self.steps[b.node] = int(length)
+                if p >= p_max or all(b.exact for b in new):
                     break
-                block.retain([j for j, b in enumerate(block.bounds) if not done(b)])
-                if not block.run.columns:
-                    break
+                run.retain([j for j, b in enumerate(new) if not done(self.bounds[b.node])])
 
 
 def bilinear_estimate(op, u, v, p, f):

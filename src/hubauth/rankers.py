@@ -188,11 +188,9 @@ def exp_centrality_exact(g, side=None):
     Returns (hub, authority), or with ``side`` set only that side's
     ScoreVector, computed without factoring the other Gram matrix.
     """
-    from .linalg import DENSE_DIM_LIMIT, dense_gram
+    from .linalg import dense_gram
     from .quadrature import COSH_SQRT
 
-    if 2 * g.n > DENSE_DIM_LIMIT:
-        raise SizeLimitError(f"dense path limited to 2n <= {DENSE_DIM_LIMIT}")
     vectors = []
     for name in _sides(side):
         lam, Q = dense_gram(g, name)
@@ -416,13 +414,13 @@ def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, side=N
     if mode not in ("auto", "dense", "quadrature"):
         raise ParameterError(f"unknown mode '{mode}'")
     if mode == "auto":
+        # dense_gram takes n <= DENSE_DIM_LIMIT, but quadrature is faster above half of
+        # it (zipf-offset out-degree 5, one BLAS thread: 4.1 vs 4.6 s at n = 3000)
         mode = "dense" if 2 * n <= DENSE_DIM_LIMIT else "quadrature"
     params = {"c": c, "mode": mode}
     kernel = ResolventKernel(c**2)
     vectors = []
     if mode == "dense":
-        if 2 * n > DENSE_DIM_LIMIT:
-            raise SizeLimitError(f"dense path limited to 2n <= {DENSE_DIM_LIMIT}")
         for name in sides:
             lam, Q = dense_gram(g, name)
             vectors.append(ScoreVector("resolvent", name, (Q**2) @ kernel(lam), params))
@@ -511,7 +509,7 @@ def communicability(g, i, j, kind="hub_authority", mode="dense", p=20):
     estimates the form by polarization, with p Lanczos steps per quadratic
     form.  Raises ConvergenceError when the entry overflows double precision.
     """
-    from .linalg import DENSE_DIM_LIMIT, dense_gram
+    from .linalg import dense_gram
     from .quadrature import COSH_SQRT, SINHC_SQRT, bilinear_estimate
 
     n = g.n
@@ -523,8 +521,6 @@ def communicability(g, i, j, kind="hub_authority", mode="dense", p=20):
         raise ParameterError("communicability needs two distinct nodes; use centrality for i == j")
     if mode not in ("dense", "quadrature"):
         raise ParameterError(f"unknown mode '{mode}'")
-    if mode == "dense" and 2 * n > DENSE_DIM_LIMIT:
-        raise SizeLimitError(f"dense path limited to 2n <= {DENSE_DIM_LIMIT}")
     u, v = np.zeros(n), np.zeros(n)
     u[i], v[j] = 1.0, 1.0
     f = COSH_SQRT

@@ -141,7 +141,7 @@ def _select_members(candidates, pool, k, tie_tol):
     return members, None
 
 
-def _topk_engine(g, k, side, p_max, m, exclude_degree_one, order_members, tie_tol):
+def _topk_engine(g, k, side, p_max, m, exclude_degree_one, tie_tol):
     if side not in ("hub", "authority"):
         raise ParameterError(f"side must be 'hub' or 'authority', got '{side}'")
     check_p_max(p_max)
@@ -190,7 +190,7 @@ def _topk_engine(g, k, side, p_max, m, exclude_degree_one, order_members, tie_to
     )
 
     fully_ordered = False
-    if order_members:
+    if m is None:
         while True:
             pairs_ok = all(
                 pool.bounds[a].lower >= pool.bounds[b].upper - tie_tol * max(1.0, pool.bounds[a].lower)
@@ -221,7 +221,7 @@ def _topk_engine(g, k, side, p_max, m, exclude_degree_one, order_members, tie_to
     )
 
 
-def identify_top_k(g, k, side="hub", p_max=64, exclude_degree_one=False, order_members=True, tie_tol=TIE_REL_TOL):
+def identify_top_k(g, k, side="hub", p_max=64, exclude_degree_one=False, tie_tol=TIE_REL_TOL):
     """Certified top-k nodes on one side, refining brackets only where needed.
 
     Round structure: prune candidates whose upper bound sits below the k-th
@@ -230,9 +230,10 @@ def identify_top_k(g, k, side="hub", p_max=64, exclude_degree_one=False, order_m
     before order 3 and prunes on both.
     Stops when exactly k candidates survive (certified), or when no bracket
     can improve, in which case near-identical scores are resolved by
-    ascending node id and flagged in ``ties_note``.
+    ascending node id and flagged in ``ties_note``.  The members are then
+    refined until their brackets are ordered (``fully_ordered``) or stuck.
     """
-    return _topk_engine(g, k, side, p_max, None, exclude_degree_one, order_members, tie_tol)
+    return _topk_engine(g, k, side, p_max, None, exclude_degree_one, tie_tol)
 
 
 def rank_in_top_m(g, k, m, side="hub", p_max=64, exclude_degree_one=False, tie_tol=TIE_REL_TOL):
@@ -240,6 +241,7 @@ def rank_in_top_m(g, k, m, side="hub", p_max=64, exclude_degree_one=False, tie_t
 
     Identical machinery to ``identify_top_k`` but rounds stop as soon as at
     most m candidates remain, which typically takes fewer Lanczos steps per
-    node.  With m == k the two functions coincide.
+    node.  With m == k it selects ``identify_top_k``'s members but does not
+    refine them further to certify their order.
     """
-    return _topk_engine(g, k, side, p_max, m, exclude_degree_one, False, tie_tol)
+    return _topk_engine(g, k, side, p_max, m, exclude_degree_one, tie_tol)

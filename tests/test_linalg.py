@@ -1,6 +1,7 @@
 """Lanczos, tridiagonal eigensolver, matrix exponentials, spectral estimates."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from hubauth import (
 
 from hubauth.graph import GramOperator
 
-from conftest import dense_adjacency, dense_bipartite, path_graph, zipf_offset_graph
+from conftest import dense_adjacency, dense_bipartite, path_graph, scipy_expm, zipf_offset_graph
 
 
 # --------------------------------------------------------------------- lanczos
@@ -125,16 +126,12 @@ def test_lanczos_retain_keeps_the_listed_columns():
         np.testing.assert_allclose(_jacobi(run, col)[0], _jacobi(alone)[0], rtol=1e-13, atol=1e-15)
 
 
-def test_lanczos_reserve_keeps_one_basis_array_across_extends():
+def test_lanczos_extend_in_two_calls_equals_one():
     op = GramOperator(zipf_offset_graph(300, 5, 0), "authority")
-    run = LanczosRun(op, np.arange(20)).reserve(4)
-    basis = run._basis
-    run.extend(2)
-    run.extend(4)
-    assert run._basis is basis  # no regrowing copy
+    run = LanczosRun(op, np.arange(20)).extend(2).extend(4)
     plain = LanczosRun(op, np.arange(20)).extend(4)
-    for reserved, grown in zip(run.coefficients(4), plain.coefficients(4)):
-        assert np.array_equal(reserved, grown)
+    for resumed, direct in zip(run.coefficients(4), plain.coefficients(4)):
+        assert np.array_equal(resumed, direct)
     assert np.array_equal(run._basis, plain._basis)
 
 
@@ -297,6 +294,18 @@ def test_expm_action_matches_dense(ex1):
     ones = np.ones(ex1.n)
     assert np.allclose(expm_action(ex1, ones), E @ ones, atol=1e-10)
     assert np.allclose(expm_action(ex1, ones, transpose=True), E.T @ ones, atol=1e-10)
+
+
+@pytest.mark.parametrize("edges", [[(0, 1, 1e7)], [(0, 1, 1e7), (1, 2, 1e7), (2, 3, 1e7)]])
+def test_expm_action_scales_heavy_weights_by_the_powers_of_a(edges):
+    # ||A||_1 = 1e7 would take 1e7 Taylor steps; ||A^p||_1^(1/p) = 0 past the path's length takes one
+    g = from_edges(edges, weighted=True)
+    A = dense_adjacency(g)
+    ones = np.ones(g.n)
+    start = time.perf_counter()
+    for transpose, E in ((False, scipy_expm(A)), (True, scipy_expm(A.T))):
+        np.testing.assert_allclose(expm_action(g, ones, transpose=transpose), E @ ones, rtol=1e-12)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_expm_action_rejects_non_finite(ex1):

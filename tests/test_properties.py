@@ -38,7 +38,7 @@ from hubauth.graph import GramOperator
 from hubauth.linalg import LanczosRun
 from hubauth.quadrature import (
     COSH_SQRT,
-    BracketRun,
+    BracketPool,
     ResolventKernel,
     first_lanczos_step,
     radau_bounds_from_run,
@@ -273,12 +273,20 @@ def test_spectrum_interval_squared_bounds_sigma1_squared(g):
         assert spectrum_interval(g, estimate).b >= sigma1**2
 
 
-def _refine_to(block, p_max):
-    """Every bracket of a block run after each refine step, until p_max."""
-    steps = [block.refine(p_max)]
-    while block.refinable(p_max):
-        steps.append(block.refine(p_max))
-    return steps
+def _histories(pool, nodes, p_max, done=lambda b: False):
+    """Each node's stored bracket after every step of one ``pool.advance`` to p_max."""
+    history = {v: [] for v in nodes}
+
+    def record(b):
+        history[b.node].append(b)
+        return done(b)
+
+    pool.advance(nodes, p_max, record)
+    for v in nodes:
+        # the last step's brackets reach ``done`` only when the block goes on
+        if not history[v] or history[v][-1] is not pool.bounds[v]:
+            history[v].append(pool.bounds[v])
+    return history
 
 
 @SETTINGS
@@ -290,10 +298,10 @@ def test_gram_brackets_contain_svd_oracle_for_exp_and_resolvent(g, p_max):
     for weights, kernel in ((np.cosh(s), COSH_SQRT), (1.0 / (1.0 - c**2 * s**2), ResolventKernel(c**2))):
         for side, vectors in (("hub", U), ("authority", Vt.T)):
             truth = (vectors**2) @ weights
-            block = BracketRun(GramOperator(g, side), np.arange(g.n), iv, kernel)
-            for brackets in _refine_to(block, p_max):
+            pool = BracketPool(GramOperator(g, side), iv, kernel)
+            for v, brackets in _histories(pool, range(g.n), p_max).items():
+                t = truth[v]
                 for nb in brackets:
-                    t = truth[nb.node]
                     assert nb.lower - _slack(t) <= t <= nb.upper + _slack(t), (side, kernel, nb)
 
 
@@ -305,23 +313,20 @@ def test_bracket_is_the_same_alone_and_in_a_block_with_zero_degree_columns(g, si
     order = data.draw(st.permutations(range(g.n)))
     iv = spectrum_interval(g)
     op = GramOperator(g, side)
-    block = BracketRun(op, np.array(order), iv, COSH_SQRT)
-    in_block = {v: [] for v in range(g.n)}
-    while block.run.columns:
-        brackets = block.refine(9)
-        for nb in brackets:
-            in_block[nb.node].append(nb)
-        if not block.refinable(9):
-            break
-        # exact columns leave the block, as in the rankers
-        block.retain([j for j, nb in enumerate(brackets) if not nb.exact])
+    block = BracketPool(op, iv, COSH_SQRT)
+    alone = BracketPool(op, iv, COSH_SQRT)
+    alone.width = 1
+    assert block.width >= g.n
+    # exact columns leave the block, as in the rankers
+    in_block = _histories(block, order, 9, lambda b: b.exact)
+    by_itself = _histories(alone, order, 9, lambda b: b.exact)
     for v in range(g.n):
-        alone = _refine_to(BracketRun(op, [v], iv, COSH_SQRT), 9)
-        assert len(alone) == len(in_block[v])
-        for (a,), b in zip(alone, in_block[v]):
+        assert len(by_itself[v]) == len(in_block[v])
+        for a, b in zip(by_itself[v], in_block[v]):
             assert (a.p, a.exact) == (b.p, b.exact)
             assert abs(a.lower - b.lower) <= 1e-13 * abs(a.lower)
             assert abs(a.upper - b.upper) <= 1e-13 * abs(a.upper)
+    assert block.steps == alone.steps
 
 
 @st.composite

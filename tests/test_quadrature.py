@@ -29,9 +29,8 @@ from hubauth.quadrature import (
     P_START,
     P_STEP,
     SINHC_SQRT,
-    BracketRun,
+    BracketPool,
     _gauss_stacked,
-    order_one_bounds,
     radau_bounds_from_run,
 )
 
@@ -171,6 +170,8 @@ def test_gauss_estimate_rejects_foreign_functions(ex1):
         _radau(op, 0, 2, spectrum_interval(ex1), np.exp)
     with pytest.raises(ParameterError, match="kernel"):
         bilinear_estimate(op, _unit(4, 0), _unit(4, 1), 2, np.exp)
+    with pytest.raises(ParameterError, match="kernel"):
+        BracketPool(op, spectrum_interval(ex1), np.exp)
 
 
 def test_resolvent_pole_inside_interval_rejected():
@@ -236,11 +237,12 @@ def test_radau_reused_run_matches_fresh(ex1):
             assert incremental.upper == pytest.approx(fresh.upper, abs=1e-13)
 
 
-# ------------------------------------------------------------------ BracketRun
+# ----------------------------------------------------------------- BracketPool
 
 
-def test_bracket_run_schedule_tightens_to_the_exact_value():
-    # every Gram run on this graph takes several scheduled orders before its exact step
+def test_bracket_pool_schedule_tightens_to_the_exact_value():
+    # every Gram run on this graph takes several scheduled orders before its exact step;
+    # each advance takes one step, resuming a rebuilt run at the stored order
     g = zipf_offset_graph(12, 3, 0)
     iv = spectrum_interval(g)
     E = scipy_expm(dense_bipartite(g))
@@ -248,11 +250,12 @@ def test_bracket_run_schedule_tightens_to_the_exact_value():
         op = GramOperator(g, side)
         truth = _diagonal(E, g, side)
         for index in range(g.n):
-            node = BracketRun(op, [index], iv, COSH_SQRT)
+            pool = BracketPool(op, iv, COSH_SQRT)
             orders, prev = [], None
-            while node.refinable(64):
-                (nb,) = node.refine(64)
-                orders.append(node.p)
+            while prev is None or not (prev.exact or prev.p >= 64):
+                pool.advance([index], 64)
+                nb = pool.bounds[index]
+                orders.append(nb.p)
                 if prev is not None:
                     assert prev.lower <= nb.lower <= nb.upper <= prev.upper
                 prev = nb
@@ -262,10 +265,10 @@ def test_bracket_run_schedule_tightens_to_the_exact_value():
             scheduled = [P_START + P_STEP * j for j in range(len(orders))]
             # every order follows the schedule, except a final exact step at the run's length
             assert orders[:-1] == scheduled[:-1]
-            assert orders[-1] in (scheduled[-1], node.run.steps)
+            assert orders[-1] == pool.steps[index] <= scheduled[-1] + 1
 
 
-def test_bracket_run_takes_order_one_then_goes_on_to_the_schedule():
+def test_bracket_pool_takes_order_one_then_goes_on_to_the_schedule():
     # the sparse order-1 brackets are a one-step run's, bit for bit; a run
     # resumed from them ends where a direct run does, and the order-P_START
     # brackets nest in the order-1 ones
@@ -274,49 +277,59 @@ def test_bracket_run_takes_order_one_then_goes_on_to_the_schedule():
     nodes = np.arange(g.n)
     for side in SIDES:
         op = GramOperator(g, side)
-        coarse = order_one_bounds(op, nodes, iv, COSH_SQRT)
+        pool = BracketPool(op, iv, COSH_SQRT)
+        coarse = pool.first_pass(nodes)
         assert [nb.node for nb in coarse] == list(nodes) and all(nb.p == 1 for nb in coarse)
+        assert pool.bounds == coarse and pool.steps == [1] * g.n
         run = LanczosRun(op, nodes)
         # radau_bounds_from_run at order 1 also reads step 2, so it makes exact
         # the runs that break down there; none does on this graph
         assert coarse == radau_bounds_from_run(run, 1, iv, COSH_SQRT)
         assert not (run.broken & (run.lengths == 2)).any()
-        block = BracketRun(op, nodes, iv, COSH_SQRT, bounds=coarse, p=1)
-        fine = block.refine(64)
-        assert block.p == P_START and block.run.steps == P_START + 1
-        assert fine == BracketRun(op, nodes, iv, COSH_SQRT).refine(64)
+        pool.advance(nodes, 64)
+        fine = pool.bounds
+        assert all(nb.p == P_START for nb in fine) and pool.steps == [P_START + 1] * g.n
+        direct = BracketPool(op, iv, COSH_SQRT)
+        direct.advance(nodes, 64)
+        assert fine == direct.bounds
         for a, b in zip(coarse, fine):
             assert a.lower <= b.lower <= b.upper <= a.upper
 
 
-def test_bracket_run_intersects_brackets_through_the_module_radau(ex1, monkeypatch):
+def test_bracket_pool_intersects_brackets_through_the_module_radau(ex1, monkeypatch):
     # roundoff can move a later bracket outward or wholly past the earlier
     # one; a bracket past it collapses onto its nearer end, so each step nests
     scripted = iter([(1.0, 3.0), (1.5, 3.5), (3.2, 4.0), (2.0, 2.5)])
+    orders, stored = [], []
 
     def radau(run, p, iv, f):
+        orders.append(p)
         lower, upper = next(scripted)
         return [NodeBounds(int(run.start_index[0]), lower, upper, p=p)]
 
+    def done(b):
+        stored.append((b.lower, b.upper))
+        return False
+
     monkeypatch.setattr(hubauth.quadrature, "radau_bounds_from_run", radau)
-    node = BracketRun(GramOperator(ex1, "hub"), [0], spectrum_interval(ex1), COSH_SQRT)
-    for expected in ((1.0, 3.0), (1.5, 3.0), (3.0, 3.0), (3.0, 3.0)):
-        (b,) = node.refine(64)
-        assert (b.lower, b.upper) == expected
-    assert node.p == P_START + 3 * P_STEP
+    pool = BracketPool(GramOperator(ex1, "hub"), spectrum_interval(ex1), COSH_SQRT)
+    pool.advance([0], P_START + 3 * P_STEP, done)
+    stored.append((pool.bounds[0].lower, pool.bounds[0].upper))
+    assert stored == [(1.0, 3.0), (1.5, 3.0), (3.0, 3.0), (3.0, 3.0)]
+    assert orders == [P_START + P_STEP * j for j in range(4)]
+    assert pool.bounds[0].p == P_START + 3 * P_STEP
 
 
-def test_bracket_run_stops_at_p_max():
-    # every run on this graph breaks down only at step 11 or later, so p_max = 4 ends it at order 4
+def test_bracket_pool_stops_at_p_max():
+    # every run on this graph breaks down only at step 11 or later, so p_max = 4
+    # ends it at order 4 after two steps, however many ``done`` lets go on
     g = zipf_offset_graph(12, 3, 0)
     iv = spectrum_interval(g)
     for side in SIDES:
-        node = BracketRun(GramOperator(g, side), np.arange(g.n), iv, COSH_SQRT)
-        node.refine(4)
-        node.refine(4)
-        assert node.p == 4
-        assert not any(nb.exact for nb in node.bounds)
-        assert not node.refinable(4)
+        pool = BracketPool(GramOperator(g, side), iv, COSH_SQRT)
+        pool.advance(range(g.n), 4, done=lambda b: False)
+        assert all(nb.p == 4 and not nb.exact for nb in pool.bounds)
+        assert pool.steps == [5] * g.n
 
 
 # ----------------------------------------------------------- bilinear_estimate

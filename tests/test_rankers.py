@@ -8,10 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hubauth.linalg
 from hubauth import (
     ConvergenceError,
     ParameterError,
     ScoreVector,
+    SizeLimitError,
     communicability,
     degree_scores,
     expA_row_col_sums,
@@ -27,6 +29,7 @@ from hubauth import (
     resolvent_bipartite,
     truncated_spectral_scores,
 )
+from hubauth.linalg import dense_gram
 from hubauth.rankers import TIE_REL_TOL
 
 from conftest import (
@@ -255,6 +258,24 @@ def test_exp_exact_shift_preserves_ranking(ex1):
     shifted = ScoreVector("exp-shift", "hub", hub.scores - 1.0)
     assert rank_table(shifted).order == rank_table(hub).order
     assert rank_table(shifted).groups == rank_table(hub).groups
+
+
+def test_every_dense_entry_takes_n_up_to_the_limit(monkeypatch):
+    # the one guard is dense_gram's n <= DENSE_DIM_LIMIT
+    monkeypatch.setattr(hubauth.linalg, "DENSE_DIM_LIMIT", 5)
+    entries = (
+        lambda g: dense_gram(g, "authority"),
+        lambda g: exp_centrality_exact(g, side="hub"),
+        lambda g: communicability(g, 0, 1, kind="hub_authority", mode="dense"),
+        lambda g: resolvent_bipartite(g, mode="dense", side="authority"),
+    )
+    for entry in entries:
+        entry(path_graph(5))
+        with pytest.raises(SizeLimitError):
+            entry(path_graph(6))
+    # resolvent's auto mode still takes the dense path only up to 2n <= DENSE_DIM_LIMIT
+    assert resolvent_bipartite(path_graph(2), side="hub").params["mode"] == "dense"
+    assert resolvent_bipartite(path_graph(3), side="hub").params["mode"] == "quadrature"
 
 
 # --------------------------------------------------- exponential, quadrature

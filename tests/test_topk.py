@@ -95,7 +95,7 @@ def test_degree_one_exclusion_policy(ex2):
 
 
 def test_rank_in_top_m_equals_identify_when_m_is_k(ex1):
-    a = identify_top_k(ex1, 2, side="hub", order_members=False)
+    a = identify_top_k(ex1, 2, side="hub")
     b = rank_in_top_m(ex1, 2, 2, side="hub")
     assert a.members == b.members
     assert a.iterations == b.iterations
