@@ -222,12 +222,15 @@ def dense_gram(g, side):
 def expm_action(g, v, transpose=False, rel_tol=1e-10):
     """Apply e^A (or e^{A^T}) to a vector by scaled truncated Taylor steps.
 
-    The exponential is split as (e^{A/s})^s; each step sums terms until the
-    tail is negligible relative to the accumulated result.  s is the ceiling
-    of min over p = 1..8 of max(d_p, d_{p+1}), d_p = ||A^p||_1^(1/p) (Al-Mohy
-    and Higham, SIAM J. Sci. Comput. 33, 2011), at most ceil(||A||_1); for
-    A >= 0, ||A^p||_1 = ||(A^T)^p 1||_inf.  A heavy edge costs one step, but
-    a path of 8 or more heavy edges still takes about its weight in steps.
+    The exponential is split as (e^{A/s})^s.  With d_p = ||A^p||_1^(1/p) and
+    alpha_p = max(d_p, d_{p+1}), ||A^j||_1 <= alpha_p^j for all j >= p(p-1)
+    (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011); for A >= 0,
+    ||A^p||_1 = ||(A^T)^p 1||_inf.  s is the ceiling of the least alpha_p,
+    p = 1..8 (at most ceil(||A||_1)), and p the least index with alpha_p <= s.
+    A step stops at a zero term or, from term p(p-1) - 1 on, once that bound
+    on all later terms is below rel_tol/(4s) of the least nonzero |entry|.
+    A heavy edge costs one step; a path of 8 or more heavy edges still takes
+    about its weight in steps.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (g.n,):
@@ -241,22 +244,21 @@ def expm_action(g, v, transpose=False, rel_tol=1e-10):
         for p in range(2, 10):
             x = spmv(g, x, transpose=not transpose)
             d.append(float(x.max(initial=0.0)) ** (1.0 / p))
-    s = max(1, int(math.ceil(min(d[0], *map(max, d[:-1], d[1:])))))
-    step_tol = rel_tol / (4.0 * s)
-    w = v.copy()
+    alpha = list(map(max, d[:-1], d[1:]))
+    s = max(1, math.ceil(min(alpha)))
+    p = next(p for p, a in enumerate(alpha, 1) if a <= s)
+    r, step_tol, w = alpha[p - 1] / s, rel_tol / (4.0 * s), v.copy()
     for _ in range(s):
-        term = w.copy()
-        acc = w.copy()
-        k = 1
-        while True:
+        term, acc, tail = w.copy(), w.copy(), 2.0 * r * np.abs(w).sum()
+        for k in range(1, 1000):
             term = spmv(g, term, transpose=transpose) / (s * k)
             acc += term
-            tnorm = np.linalg.norm(term, np.inf)
-            if tnorm <= step_tol * max(np.linalg.norm(acc, np.inf), 1e-300):
+            tail *= r / (k + 1)  # 2 ||w||_1 r^(k+1)/(k+1)! bounds the terms after k, as r <= 1
+            a = np.abs(acc)
+            if not term.any() or (k + 1 >= p * (p - 1) and tail <= step_tol * a[a > 0].min(initial=math.inf)):
                 break
-            k += 1
-            if k > 1000:
-                raise ConvergenceError("Taylor series for the exponential action did not converge")
+        else:
+            raise ConvergenceError("Taylor series for the exponential action did not converge")
         w = acc
     return w
 

@@ -414,8 +414,8 @@ def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, side=N
     if mode not in ("auto", "dense", "quadrature"):
         raise ParameterError(f"unknown mode '{mode}'")
     if mode == "auto":
-        # dense_gram takes n <= DENSE_DIM_LIMIT, but quadrature is faster above half of
-        # it (zipf-offset out-degree 5, one BLAS thread: 4.1 vs 4.6 s at n = 3000)
+        # kept where the dense path used to stop, so auto's digits do not move; dense_gram
+        # takes n <= DENSE_DIM_LIMIT and was faster up to n = 2500 (timings in ROADMAP item 8)
         mode = "dense" if 2 * n <= DENSE_DIM_LIMIT else "quadrature"
     params = {"c": c, "mode": mode}
     kernel = ResolventKernel(c**2)

@@ -146,12 +146,12 @@ def test_criterion_06_bracketing_and_monotonicity(random_suite):
                     width = nb.upper - nb.lower
                     # the Gram rules reach roundoff by p = 9, where widths jitter by ulps of the score;
                     # the raw rule promises no more than that: brackets that never widen under
-                    # roundoff come from BracketRun's intersection (test_quadrature checks it)
+                    # roundoff come from BracketPool.advance's _intersect step (test_quadrature checks it)
                     assert width <= prev_width[node] + slack, (g.n, side, node, p)
                     prev_width[node] = width
                     checks += 1
     print(f"\n[criterion 6] PASS - {checks} bracket/monotonicity checks of the raw Radau rule "
-          "(relative 1e-12 slack; BracketRun's intersection keeps refined brackets nested)")
+          "(relative 1e-12 slack; BracketPool.advance's _intersect step keeps refined brackets nested)")
 
 
 def test_criterion_07_topk_soundness(random_suite, ex1, ex2, ex3):

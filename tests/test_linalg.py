@@ -296,9 +296,18 @@ def test_expm_action_matches_dense(ex1):
     assert np.allclose(expm_action(ex1, ones, transpose=True), E.T @ ones, atol=1e-10)
 
 
-@pytest.mark.parametrize("edges", [[(0, 1, 1e7)], [(0, 1, 1e7), (1, 2, 1e7), (2, 3, 1e7)]])
+@pytest.mark.parametrize("edges", [
+    [(0, 1, 1e7)],
+    [(0, 1, 1e7), (1, 2, 1e7), (2, 3, 1e7)],
+    # term 2 (2e-7) is below the tolerance, term 3 (A^3 1/6 = 6.7e-4 on node 0) is not
+    [(0, 1, 1e4), (1, 2, 4e-11), (2, 3, 1e4)],
+    [(0, 1, 1e8), (1, 2, 1e-11), (2, 3, 1e8)],
+    # not nilpotent: ||A^p||_1 = 1 for p >= 2 gives s = 1 with ||A||_1 = 1e7, and the
+    # cycle's entries (about e) must keep their own 12 digits beside the heavy one
+    [(0, 1, 1e7), (2, 3, 1.0), (3, 2, 1.0)],
+])
 def test_expm_action_scales_heavy_weights_by_the_powers_of_a(edges):
-    # ||A||_1 = 1e7 would take 1e7 Taylor steps; ||A^p||_1^(1/p) = 0 past the path's length takes one
+    # ||A||_1 would take that many Taylor steps; ||A^p||_1^(1/p) past the path's length takes one
     g = from_edges(edges, weighted=True)
     A = dense_adjacency(g)
     ones = np.ones(g.n)
