@@ -31,18 +31,18 @@ EXIT_PARAMS = 2
 EXIT_NUMERICAL = 3
 
 # Each method of rank and compare: its ranker in ``rankers`` (looked up per
-# call), the ranker keywords its method flags set, and how the ranker picks a
-# side: None if it returns (hub, authority), else ``side`` or ``reverse``.
+# call), called as ranker(g, side, **keywords), and the ranker keywords its
+# method flags set.
 METHODS = {
-    "degree": ("degree_scores", (), None),
-    "hits": ("hits", ("tol", "max_iter"), None),
-    "exp-exact": ("exp_centrality_exact", (), "side"),
-    "exp-quad": ("exp_centrality_quadrature", ("p_max",), "side"),
-    "spectral": ("truncated_spectral_scores", ("k",), "side"),
-    "katz": ("katz_row_col", ("c",), None),
-    "resolvent": ("resolvent_bipartite", ("c", "p_max"), "side"),
-    "expsum": ("expA_row_col_sums", (), None),
-    "pagerank": ("pagerank", ("alpha",), "reverse"),
+    "degree": ("degree_scores", ()),
+    "hits": ("hits", ("tol", "max_iter")),
+    "exp-exact": ("exp_centrality_exact", ()),
+    "exp-quad": ("exp_centrality_quadrature", ("p_max",)),
+    "spectral": ("truncated_spectral_scores", ("k",)),
+    "katz": ("katz_row_col", ("c",)),
+    "resolvent": ("resolvent_bipartite", ("c", "p_max")),
+    "expsum": ("expA_row_col_sums", ()),
+    "pagerank": ("pagerank", ("alpha",)),
 }
 METHOD_CHOICES = list(METHODS)
 
@@ -71,16 +71,10 @@ def _check_method_flags(args, methods):
 
 
 def _run_method(g, method, side, args):
-    """Run a method's ranker with the method flags given and return the requested side."""
-    name, reads, pick = METHODS[method]
-    ranker = getattr(rankers, name)
+    """Run a method's ranker on one side with the method flags given."""
+    name, reads = METHODS[method]
     kwargs = {key: getattr(args, key) for key in reads if getattr(args, key) is not None}
-    if pick is None:
-        hub, auth = ranker(g, **kwargs)
-        return hub if side == "hub" else auth
-    if pick == "reverse":
-        return ranker(g, reverse=side == "hub", **kwargs)
-    return ranker(g, side=side, **kwargs)
+    return getattr(rankers, name)(g, side, **kwargs)
 
 
 def _score_spec(precision):
@@ -305,7 +299,7 @@ def _add_method_params(parser):
     """The side and method flags of rank and compare."""
     parser.add_argument("--side", choices=["hub", "authority"], required=True)
     for flag, (key, kind, text) in METHOD_FLAGS.items():
-        readers = ", ".join(method for method, (_, reads, _) in METHODS.items() if key in reads)
+        readers = ", ".join(method for method, (_, reads) in METHODS.items() if key in reads)
         parser.add_argument(flag, type=kind, dest=key, help=f"{text}; read by {readers}")
 
 

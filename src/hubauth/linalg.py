@@ -374,8 +374,9 @@ def power_singular_pair(g, tol=1e-10, max_iter=5000):
 def spectral_radius(g, tol=1e-10, max_iter=5000):
     """Perron root of the nonnegative adjacency matrix by power iteration.
 
-    Uses 1-norm normalization.  When the iteration dies (nilpotent A) or
-    fails to settle, returns the conservative bound
+    Uses 1-norm normalization.  An iterate A^k x = 0 from the positive
+    start x proves A^k = 0 (A >= 0), so rho = 0 exactly.  When the
+    iteration fails to settle, returns the conservative bound
     min(max weighted out-degree, sigma_1) with converged=False.
     """
     n = g.n
@@ -391,7 +392,7 @@ def spectral_radius(g, tol=1e-10, max_iter=5000):
         y = spmv(g, x)
         ny = float(np.linalg.norm(y, 1))
         if ny == 0.0:
-            return fallback()
+            return SpectralRadiusEstimate(0.0, True)
         y /= ny
         # the ratio alone can repeat while still oscillating (complex
         # subdominant eigenvalues); the iterate direction is the real signal

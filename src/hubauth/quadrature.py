@@ -424,9 +424,11 @@ def bilinear_estimate(op, u, v, p, f):
 
     q(w) = w^T f(op) w is the order-p Gauss estimate (p Lanczos steps on
     ``op``) from w/|w|, rescaled by |w|^2; u^T f(op) v is
-    (q(u + v) - q(u - v)) / 4.
+    (q(u + v) - q(u - v)) / 4.  Raises ParameterError for p < 1.
     """
     f = _require_kernel(f)
+    if not p >= 1:
+        raise ParameterError(f"p must be at least 1, got {p}")
     return (_quadratic_form(op, u + v, p, f) - _quadratic_form(op, u - v, p, f)) / 4.0
 
 

@@ -1,8 +1,9 @@
 """Hub/authority scoring schemes behind a uniform ScoreVector interface.
 
-Every ranker returns nonnegative per-node scores plus diagnostics; the
-tie-aware RankTable derived from a ScoreVector is what rankings and
-comparisons operate on.  Hub scores always live on the original node ids;
+Every ranker is called as ranker(g, side, **params), with side "hub" or
+"authority", and returns that side's nonnegative per-node scores plus
+diagnostics; the tie-aware RankTable derived from a ScoreVector is what
+rankings and comparisons operate on.  Hub scores always live on the original node ids;
 the bipartite doubling is internal.
 
 Each ranker imports what it needs of ``linalg`` and ``quadrature`` when it
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError, SizeLimitError
-from .graph import GramOperator, degrees, spmv
+from .graph import GramOperator, spmv
 
 __all__ = [
     "TIE_REL_TOL",
@@ -108,20 +109,27 @@ def _sum_normalize(v):
     return v / s if s > 0 else v
 
 
-def hits(g, tol=1e-10, max_iter=1000, init=None):
+def _check_side(side):
+    if side not in ("hub", "authority"):
+        raise ParameterError(f"side must be 'hub' or 'authority', got '{side}'")
+
+
+def hits(g, side, tol=1e-10, max_iter=1000, init=None):
     """Kleinberg's alternating iteration for hub and authority weights.
 
     Starting from a constant authority vector (or ``init``), repeat
     y <- A x and x <- A^T y with 2-norm normalization after each half-step
-    until the max-norm change of both iterates drops below ``tol``.
-    Reported scores are rescaled to sum 1.  When the dominant eigenvalue of
-    A^T A is (near-)degenerate the result depends on the start vector; the
-    ``degenerate`` diagnostic flags that condition.  Raises ParameterError
-    when ``tol`` is not positive or no step completes (``max_iter`` < 1,
-    or A x = 0 for the start vector, as when every edge weighs 0).
+    until the max-norm change of both iterates drops below ``tol``.  The
+    reported side's iterate (y for hubs, x for authorities) is rescaled to
+    sum 1.  When the dominant eigenvalue of A^T A is (near-)degenerate the
+    result depends on the start vector; the ``degenerate`` diagnostic flags
+    that condition.  Raises ParameterError when ``tol`` is not positive or
+    no step completes (``max_iter`` < 1, or A x = 0 for the start vector,
+    as when every edge weighs 0).
     """
     from .linalg import power_singular_pair
 
+    _check_side(side)
     if g.m < 1:
         raise ParameterError("HITS requires at least one edge")
     if max_iter < 1:
@@ -133,8 +141,8 @@ def hits(g, tol=1e-10, max_iter=1000, init=None):
         x = np.ones(n) / math.sqrt(n)
     else:
         x = np.asarray(init, dtype=float)
-        if x.shape != (n,) or np.any(x < 0) or not x.any():
-            raise ParameterError("init must be a nonnegative nonzero vector of length n")
+        if x.shape != (n,) or not np.all(np.isfinite(x)) or np.any(x < 0) or not x.any():
+            raise ParameterError("init must be a finite nonnegative nonzero vector of length n")
         x = x / np.linalg.norm(x)
     y = np.zeros(n)
     converged = False
@@ -173,39 +181,26 @@ def hits(g, tol=1e-10, max_iter=1000, init=None):
         "sigma1": est.sigma1,
         "sigma2": est.sigma2,
     }
-    params = {"tol": tol, "max_iter": max_iter}
-    hub = ScoreVector("hits", "hub", _sum_normalize(y), params, dict(diag))
-    authority = ScoreVector("hits", "authority", _sum_normalize(x), params, dict(diag))
-    return hub, authority
+    scores = _sum_normalize(y if side == "hub" else x)
+    return ScoreVector("hits", side, scores, {"tol": tol, "max_iter": max_iter}, diag)
 
 
-def exp_centrality_exact(g, side=None):
-    """Exponential hub/authority centrality: the diagonal of e^{[[0,A],[A^T,0]]}.
+def exp_centrality_exact(g, side):
+    """Exponential hub/authority centrality: a diagonal block of e^{[[0,A],[A^T,0]]}.
 
     The hub block is cosh(sqrt(A A^T)) and the authority block
-    cosh(sqrt(A^T A)); with a side's Gram matrix Q diag(lambda) Q^T
-    (``dense_gram``), node i scores sum_k cosh(sqrt(lambda_k)) Q_ik^2.
-    Returns (hub, authority), or with ``side`` set only that side's
-    ScoreVector, computed without factoring the other Gram matrix.
+    cosh(sqrt(A^T A)); with the side's Gram matrix Q diag(lambda) Q^T
+    (``dense_gram``), node i scores sum_k cosh(sqrt(lambda_k)) Q_ik^2.  The
+    other side's Gram matrix is never factored.
     """
     from .linalg import dense_gram
     from .quadrature import COSH_SQRT
 
-    vectors = []
-    for name in _sides(side):
-        lam, Q = dense_gram(g, name)
-        with np.errstate(invalid="ignore"):  # an overflowed cosh times 0; ScoreVector reports it
-            scores = (Q**2) @ COSH_SQRT(lam)
-        vectors.append(ScoreVector("exp-exact", name, scores))
-    return tuple(vectors) if side is None else vectors[0]
-
-
-def _sides(side):
-    if side is None:
-        return ("hub", "authority")
-    if side not in ("hub", "authority"):
-        raise ParameterError(f"side must be 'hub' or 'authority', got '{side}'")
-    return (side,)
+    _check_side(side)
+    lam, Q = dense_gram(g, side)
+    with np.errstate(invalid="ignore"):  # an overflowed cosh times 0; ScoreVector reports it
+        scores = (Q**2) @ COSH_SQRT(lam)
+    return ScoreVector("exp-exact", side, scores)
 
 
 def _side_brackets(g, side, iv, f, p_max, width_tol):
@@ -230,34 +225,29 @@ def _side_brackets(g, side, iv, f, p_max, width_tol):
     return pool.bounds, unresolved
 
 
-def exp_centrality_quadrature(g, p_max=40, width_tol=1e-8, side=None):
+def exp_centrality_quadrature(g, side, p_max=40, width_tol=1e-8):
     """Exponential centrality scored by certified Gauss-Radau brackets.
 
     The hub block of e^B is cosh(sqrt(A A^T)) and the authority block
-    cosh(sqrt(A^T A)), so each score is a Radau integral over a Gram matrix.
-    Per node the bracket is refined (orders p = 3, 5, ..., where one order
-    costs one product with A and one with A^T) until its width falls below
-    ``width_tol`` relative to the score or ``p_max`` is reached; the
-    reported score is the bracket midpoint and the bracket itself lands in
-    the diagnostics.  Nodes whose brackets stay wide are flagged, never
-    dropped.  Returns (hub, authority), or with ``side`` set only that
-    side's ScoreVector, computed without touching the other half.
+    cosh(sqrt(A^T A)), so each score is a Radau integral over the side's
+    Gram matrix.  Per node the bracket is refined (orders p = 3, 5, ...,
+    where one order costs one product with A and one with A^T) until its
+    width falls below ``width_tol`` relative to the score or ``p_max`` is
+    reached; the reported score is the bracket midpoint and the bracket
+    itself lands in the diagnostics.  Nodes whose brackets stay wide are
+    flagged, never dropped.
     """
     from .quadrature import COSH_SQRT, check_p_max, spectrum_interval
 
-    sides = _sides(side)
+    _check_side(side)
     check_p_max(p_max)
-    iv = spectrum_interval(g)
+    bounds, unresolved = _side_brackets(g, side, spectrum_interval(g), COSH_SQRT, p_max, width_tol)
     params = {"p_max": p_max, "width_tol": width_tol}
-    vectors = []
-    for name in sides:
-        bounds, unresolved = _side_brackets(g, name, iv, COSH_SQRT, p_max, width_tol)
-        diag = {"bounds": bounds, "unresolved": unresolved}
-        vectors.append(ScoreVector("exp-quad", name, np.array([b.midpoint for b in bounds]), params, diag))
-    return tuple(vectors) if side is None else vectors[0]
+    diag = {"bounds": bounds, "unresolved": unresolved}
+    return ScoreVector("exp-quad", side, np.array([b.midpoint for b in bounds]), params, diag)
 
 
-def truncated_spectral_scores(g, k=1, tol=TIE_REL_TOL, side=None):
+def truncated_spectral_scores(g, side, k=1, tol=TIE_REL_TOL):
     """Centrality from the k leading eigenpairs of the bipartite operator.
 
     The bipartite eigenvalues are the signed singular values of A; summing
@@ -269,29 +259,26 @@ def truncated_spectral_scores(g, k=1, tol=TIE_REL_TOL, side=None):
     and permutation-equivariant even for degenerate spectra (which are
     still flagged).
 
-    Up to DENSE_DIM_LIMIT nodes a side's singular vectors are the
+    Up to DENSE_DIM_LIMIT nodes the side's singular vectors are the
     eigenvectors q_t of its Gram matrix (``dense_gram``), with sigma_t =
     ||A q_t|| for authorities and ||A^T q_t|| for hubs: sqrt(lambda_t) is
     only good to about sqrt(n eps) sigma_1 near 0, coarser than the group
-    rule.  Returns (hub, authority), or with ``side`` set only that side's
-    ScoreVector, computed without factoring the other Gram matrix.  The
-    diagnostics (``eigenvalues``, ``degenerate``, ``cut_ambiguous``) are
-    per side: each comes from that side's own sigma_t, so the hub and
-    authority copies need not be identical.
+    rule.  The other side's Gram matrix is never factored.  The
+    diagnostics (``eigenvalues``, ``degenerate``, ``cut_ambiguous``) come
+    from the side's own sigma_t, so the hub and authority ones need not be
+    identical.
     """
     from .linalg import DENSE_DIM_LIMIT, _ramp_start, dense_gram
 
+    _check_side(side)
     n = g.n
     if not 1 <= k <= 2 * n:
         raise ParameterError(f"k must be in [1, {2 * n}], got {k}")
-    sides = _sides(side)
     if n <= DENSE_DIM_LIMIT:
-        triplets = []
-        for name in sides:
-            Q = dense_gram(g, name)[1]
-            s = np.linalg.norm((g.reverse if name == "hub" else g.forward) @ Q, axis=0)
-            desc = np.argsort(-s, kind="stable")
-            triplets.append((s[desc], Q[:, desc]))
+        Q = dense_gram(g, side)[1]
+        s = np.linalg.norm((g.reverse if side == "hub" else g.forward) @ Q, axis=0)
+        desc = np.argsort(-s, kind="stable")
+        s, Q = s[desc], Q[:, desc]
     else:
         if k >= n - 8:
             raise SizeLimitError("full singular spectrum of a large graph is out of reach")
@@ -305,9 +292,8 @@ def truncated_spectral_scores(g, k=1, tol=TIE_REL_TOL, side=None):
         except Exception as exc:  # pragma: no cover - solver specific
             raise ConvergenceError(f"singular-triplet solver failed: {exc}") from exc
         desc = np.argsort(-s)
-        triplets = [(s[desc], U[:, desc] if name == "hub" else Vt[desc].T) for name in sides]
-    vectors = [_spectral_side(name, s, Q, k, tol) for name, (s, Q) in zip(sides, triplets)]
-    return tuple(vectors) if side is None else vectors[0]
+        s, Q = s[desc], (U[:, desc] if side == "hub" else Vt[desc].T)
+    return _spectral_side(side, s, Q, k, tol)
 
 
 def _spectral_side(side, s, vectors, k, tol):
@@ -351,59 +337,50 @@ def _spectral_side(side, s, vectors, k, tol):
     return ScoreVector("spectral", side, scores, {"k": k}, diag)
 
 
-def katz_row_col(g, c=None, tol=1e-10, max_iter=200000):
-    """Katz hub/authority scores from (I - cA) y = 1 and (I - cA^T) x = 1.
+def katz_row_col(g, side, c=None, tol=1e-10, max_iter=200000):
+    """Katz hub scores from (I - cA) y = 1, authority scores from (I - cA^T) x = 1.
 
     Solved by the fixed-point iteration y <- 1 + cAy (a Neumann series);
     converges for 0 < c < 1/rho(A).  Default c = 1/(rho(A) + 0.1).
     """
     from .linalg import spectral_radius
 
+    _check_side(side)
     rad = spectral_radius(g)
     if c is None:
         c = 1.0 / (rad.value + 0.1)
     bound = 1.0 / rad.value if rad.value > 0 else math.inf
     if not 0 < c < bound:  # written so that a NaN c fails too
         raise ParameterError(f"katz parameter must satisfy 0 < c < 1/rho(A) ~= {bound:.6g}, got {c}")
-
-    def solve(transpose):
-        ones = np.ones(g.n)
-        y = ones.copy()
-        for _ in range(max_iter):
-            y_new = ones + c * spmv(g, y, transpose=transpose)
-            resid = np.linalg.norm(y_new - y, np.inf)
-            y = y_new
-            if not np.all(np.isfinite(y)) or np.linalg.norm(y, np.inf) > 1e150:
-                raise ConvergenceError("katz iteration diverged; parameter c too large")
-            if resid <= tol * max(np.linalg.norm(y, np.inf), 1.0):
-                return y
+    ones = np.ones(g.n)
+    y = ones.copy()
+    for _ in range(max_iter):
+        y_new = ones + c * spmv(g, y, transpose=side == "authority")
+        resid = np.linalg.norm(y_new - y, np.inf)
+        y = y_new
+        if not np.all(np.isfinite(y)) or np.linalg.norm(y, np.inf) > 1e150:
+            raise ConvergenceError("katz iteration diverged; parameter c too large")
+        if resid <= tol * max(np.linalg.norm(y, np.inf), 1.0):
+            break
+    else:
         raise ConvergenceError("katz iteration did not converge")
-
-    hub_scores = solve(False)
-    auth_scores = solve(True)
-    params = {"c": c, "tol": tol}
     diag = {"rho_estimate": rad.value, "rho_converged": rad.converged}
-    return (
-        ScoreVector("katz", "hub", hub_scores, params, dict(diag)),
-        ScoreVector("katz", "authority", auth_scores, params, dict(diag)),
-    )
+    return ScoreVector("katz", side, y, {"c": c, "tol": tol}, diag)
 
 
-def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, side=None):
-    """Diagonals of (I - c^2 A A^T)^{-1} (hubs) and (I - c^2 A^T A)^{-1} (authorities).
+def resolvent_bipartite(g, side, c=None, mode="auto", p_max=40, width_tol=1e-9):
+    """Diagonal of (I - c^2 A A^T)^{-1} (hubs) or of (I - c^2 A^T A)^{-1} (authorities).
 
     These are the diagonal blocks of the bipartite resolvent (I - c op)^{-1},
-    so both paths apply the kernel 1/(1 - c^2 x) to the Gram matrices: the
-    quadrature path through the Radau machinery (orders up to ``p_max``),
-    the dense path through their eigendecompositions.  Requires
-    0 < c < 1/sigma_1.  Returns (hub, authority), or with ``side`` set only
-    that side's ScoreVector (either path then skips the other half).
+    so both paths apply the kernel 1/(1 - c^2 x) to the side's Gram matrix:
+    the quadrature path through the Radau machinery (orders up to
+    ``p_max``), the dense path through its eigendecomposition.  Requires
+    0 < c < 1/sigma_1.
     """
     from .linalg import DENSE_DIM_LIMIT, dense_gram, leading_singular_pair
     from .quadrature import ResolventKernel, check_p_max, spectrum_interval
 
-    n = g.n
-    sides = _sides(side)
+    _check_side(side)
     check_p_max(p_max)  # on the dense path too, which reads no order
     est = leading_singular_pair(g)
     if c is None:
@@ -416,45 +393,36 @@ def resolvent_bipartite(g, c=None, mode="auto", p_max=40, width_tol=1e-9, side=N
     if mode == "auto":
         # kept where the dense path used to stop, so auto's digits do not move; dense_gram
         # takes n <= DENSE_DIM_LIMIT and was faster up to n = 2500 (timings in ROADMAP item 8)
-        mode = "dense" if 2 * n <= DENSE_DIM_LIMIT else "quadrature"
+        mode = "dense" if 2 * g.n <= DENSE_DIM_LIMIT else "quadrature"
     params = {"c": c, "mode": mode}
     kernel = ResolventKernel(c**2)
-    vectors = []
     if mode == "dense":
-        for name in sides:
-            lam, Q = dense_gram(g, name)
-            vectors.append(ScoreVector("resolvent", name, (Q**2) @ kernel(lam), params))
-    else:
-        iv = spectrum_interval(g, estimate=est)
-        for name in sides:
-            bounds = _side_brackets(g, name, iv, kernel, p_max, width_tol)[0]
-            scores = np.array([b.midpoint for b in bounds])
-            vectors.append(ScoreVector("resolvent", name, scores, params, {"bounds": bounds}))
-    return tuple(vectors) if side is None else vectors[0]
+        lam, Q = dense_gram(g, side)
+        return ScoreVector("resolvent", side, (Q**2) @ kernel(lam), params)
+    bounds = _side_brackets(g, side, spectrum_interval(g, estimate=est), kernel, p_max, width_tol)[0]
+    return ScoreVector("resolvent", side, np.array([b.midpoint for b in bounds]), params, {"bounds": bounds})
 
 
-def expA_row_col_sums(g):
+def expA_row_col_sums(g, side):
     """Row sums of e^A as hub scores, column sums as authority scores."""
     from .linalg import expm_action
 
-    ones = np.ones(g.n)
-    hub = expm_action(g, ones)
-    authority = expm_action(g, ones, transpose=True)
-    return (
-        ScoreVector("expsum", "hub", hub),
-        ScoreVector("expsum", "authority", authority),
-    )
+    _check_side(side)
+    return ScoreVector("expsum", side, expm_action(g, np.ones(g.n), transpose=side == "authority"))
 
 
-def pagerank(g, alpha=0.85, tol=1e-12, max_iter=20000, reverse=False):
+def pagerank(g, side, alpha=0.85, tol=1e-12, max_iter=20000):
     """Stationary distribution of the damped random-walk matrix.
 
     Rows of the walk matrix are out-edge distributions; dangling rows are
-    replaced by the uniform distribution.  ``reverse=True`` runs the same
-    computation on the edge-reversed graph, which ranks hubs.
+    replaced by the uniform distribution.  That ranks authorities; hubs are
+    ranked by the same computation on the edge-reversed graph, which the
+    ``reverse`` param records.
     """
+    _check_side(side)
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
+    reverse = side == "hub"
     work = g.reversed() if reverse else g
     n = work.n
     out_strength = work.out_strengths()
@@ -477,7 +445,6 @@ def pagerank(g, alpha=0.85, tol=1e-12, max_iter=20000, reverse=False):
         if delta < tol:
             converged = True
             break
-    side = "hub" if reverse else "authority"
     return ScoreVector(
         "pagerank",
         side,
@@ -487,13 +454,11 @@ def pagerank(g, alpha=0.85, tol=1e-12, max_iter=20000, reverse=False):
     )
 
 
-def degree_scores(g):
+def degree_scores(g, side):
     """Out-degree as hub score, in-degree as authority score."""
-    out_deg, in_deg = degrees(g)
-    return (
-        ScoreVector("degree", "hub", out_deg.astype(float)),
-        ScoreVector("degree", "authority", in_deg.astype(float)),
-    )
+    _check_side(side)
+    deg = g.out_degrees() if side == "hub" else g.in_degrees()
+    return ScoreVector("degree", side, deg.astype(float))
 
 
 def communicability(g, i, j, kind="hub_authority", mode="dense", p=20):

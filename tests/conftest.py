@@ -57,6 +57,11 @@ def zipf_offset_graph(n, d, seed, a=1.5):
     return from_edges(edges, n=n)
 
 
+def both_sides(ranker, g, **params):
+    """(hub, authority): a ranker's two one-side calls with the same params."""
+    return ranker(g, "hub", **params), ranker(g, "authority", **params)
+
+
 def order_three_first_round(pool, nodes, zero_degree, k, tie_tol):
     """``topk._first_round`` without the order-1 pass: every node straight to P_START."""
     pool.advance(nodes, P_START)

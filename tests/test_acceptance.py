@@ -40,6 +40,7 @@ from hubauth.rankers import (
 )
 
 from conftest import (
+    both_sides,
     dense_adjacency,
     dense_bipartite,
     google_stationary_dense,
@@ -55,8 +56,8 @@ def rel_ok(value, reference, tol):
 
 def test_criterion_01_example1_golden_tables(ex1):
     start = time.perf_counter()
-    hub, auth = exp_centrality_exact(ex1)
-    h_hits, a_hits = hits(ex1)
+    hub, auth = both_sides(exp_centrality_exact, ex1)
+    h_hits, a_hits = both_sides(hits, ex1)
     elapsed = time.perf_counter() - start
     assert np.allclose(hub.scores, [2.3319, 2.2289, 2.2812, 1.6414], atol=5e-4)
     assert np.allclose(auth.scores, [1.5906, 3.0209, 2.2796, 1.5922], atol=5e-4)
@@ -67,10 +68,10 @@ def test_criterion_01_example1_golden_tables(ex1):
 
 
 def test_criterion_02_example2_golden_tables(ex2):
-    hub, auth = exp_centrality_exact(ex2)
+    hub, auth = both_sides(exp_centrality_exact, ex2)
     assert np.allclose(hub.scores, [1.5431, 2.1782, 1.5891, 1.5891], atol=5e-4)
     assert np.allclose(auth.scores, [1.5891, 2.1782, 1.5431, 1.5891], atol=5e-4)
-    h_hits, a_hits = hits(ex2)
+    h_hits, a_hits = both_sides(hits, ex2)
     assert np.allclose(h_hits.scores, [0.0, 0.5, 0.25, 0.25], atol=5e-4)
     assert np.allclose(a_hits.scores, [1 / 3, 1 / 3, 0.0, 1 / 3], atol=5e-4)
     assert h_hits.diagnostics["degenerate"]
@@ -79,16 +80,16 @@ def test_criterion_02_example2_golden_tables(ex2):
 
 
 def test_criterion_03_example3_golden_tables(ex3):
-    hub, auth = exp_centrality_exact(ex3)
+    hub, auth = both_sides(exp_centrality_exact, ex3)
     expected_hub = [1.0, 1.6905, 1.6905, 1.6905, 1.6905, 3.7622]
     assert np.allclose(hub.scores, expected_hub, atol=5e-4)
     assert np.allclose(auth.scores, expected_hub[::-1], atol=5e-4)
     # printed orderings: degree and HITS, including the HITS failure to
     # separate node 1 from nodes 2..5 on the authority side
-    hub_deg, auth_deg = degree_scores(ex3)
+    hub_deg, auth_deg = both_sides(degree_scores, ex3)
     assert rank_table(hub_deg).groups == [[5], [1, 2, 3, 4], [0]]
     assert rank_table(auth_deg).groups == [[0], [1, 2, 3, 4], [5]]
-    h_hits, a_hits = hits(ex3)
+    h_hits, a_hits = both_sides(hits, ex3)
     assert rank_table(h_hits).groups == [[5], [1, 2, 3, 4], [0]]
     assert rank_table(a_hits).groups == [[0, 1, 2, 3, 4], [5]]
     print("\n[criterion 3] PASS - example 3 tables and printed orderings")
@@ -101,7 +102,7 @@ def test_criterion_04_directed_path_identity():
         for j in range(6):
             expected = 1.0 / math.factorial(j - i) if j >= i else 0.0
             assert abs(E[i, j] - expected) <= 1e-12
-    hub, auth = exp_centrality_exact(g)
+    hub, auth = both_sides(exp_centrality_exact, g)
     auth_groups = rank_table(auth).groups
     hub_groups = rank_table(hub).groups
     assert auth_groups[-1] == [0] and len(auth_groups[-1]) == 1
@@ -158,7 +159,7 @@ def test_criterion_07_topk_soundness(random_suite, ex1, ex2, ex3):
     graphs = list(random_suite) + [ex1, ex2, ex3]
     runs = 0
     for g in graphs:
-        hub_sv, auth_sv = exp_centrality_exact(g)
+        hub_sv, auth_sv = both_sides(exp_centrality_exact, g)
         for side, sv in (("hub", hub_sv), ("authority", auth_sv)):
             expected_order = rank_table(sv).order
             for k in (1, 3, 5):
@@ -178,8 +179,8 @@ def test_criterion_08_hits_as_leading_term(random_suite):
         est = power_singular_pair(g)
         if est.sigma1 <= 0 or (est.sigma1 - est.sigma2) / est.sigma1 <= 0.05:
             continue
-        hub_t, auth_t = truncated_spectral_scores(g, 1)
-        hub_h, auth_h = hits(g)
+        hub_t, auth_t = both_sides(truncated_spectral_scores, g, k=1)
+        hub_h, auth_h = both_sides(hits, g)
         assert rank_table(hub_t).same_ranking(rank_table(hub_h)), g.n
         assert rank_table(auth_t).same_ranking(rank_table(auth_h)), g.n
         tested += 1
@@ -189,7 +190,7 @@ def test_criterion_08_hits_as_leading_term(random_suite):
 
 def test_criterion_09_katz_and_resolvent(random_suite):
     for g in random_suite:
-        hub, auth = katz_row_col(g)
+        hub, auth = both_sides(katz_row_col, g)
         c = hub.params["c"]
         A = dense_adjacency(g)
         for sv, M in ((hub, A), (auth, A.T)):
@@ -198,8 +199,8 @@ def test_criterion_09_katz_and_resolvent(random_suite):
         est = power_singular_pair(g)
         if est.sigma1 > 0:
             cr = 0.9 / est.sigma1
-            dense_hub, dense_auth = resolvent_bipartite(g, c=cr, mode="dense")
-            quad_hub, quad_auth = resolvent_bipartite(g, c=cr, mode="quadrature")
+            dense_hub, dense_auth = both_sides(resolvent_bipartite, g, c=cr, mode="dense")
+            quad_hub, quad_auth = both_sides(resolvent_bipartite, g, c=cr, mode="quadrature")
             assert np.allclose(quad_hub.scores, dense_hub.scores, atol=1e-8, rtol=1e-8)
             assert np.allclose(quad_auth.scores, dense_auth.scores, atol=1e-8, rtol=1e-8)
     print(f"\n[criterion 9] PASS - katz residuals and resolvent path agreement on {len(random_suite)} graphs")
@@ -208,7 +209,7 @@ def test_criterion_09_katz_and_resolvent(random_suite):
 def test_criterion_10_pagerank(random_suite):
     dangling_seen = 0
     for g in random_suite:
-        sv = pagerank(g, alpha=0.85)
+        sv = pagerank(g, "authority", alpha=0.85)
         assert abs(sv.scores.sum() - 1.0) <= 1e-12
         assert np.all(sv.scores > 0)
         expected = google_stationary_dense(g, 0.85)
@@ -221,23 +222,22 @@ def test_criterion_10_pagerank(random_suite):
 
 def _score_map(g):
     out = {}
-    out["degree-hub"], out["degree-auth"] = degree_scores(g)
-    hh, ha = hits(g)
+    out["degree-hub"], out["degree-auth"] = both_sides(degree_scores, g)
+    hh, ha = both_sides(hits, g)
     out["hits-hub"], out["hits-auth"] = hh, ha
-    eh, ea = exp_centrality_exact(g)
+    eh, ea = both_sides(exp_centrality_exact, g)
     out["exp-hub"], out["exp-auth"] = eh, ea
-    qh, qa = exp_centrality_quadrature(g)
+    qh, qa = both_sides(exp_centrality_quadrature, g)
     out["quad-hub"], out["quad-auth"] = qh, qa
-    sh, sa = truncated_spectral_scores(g, 1)
+    sh, sa = both_sides(truncated_spectral_scores, g, k=1)
     out["spec-hub"], out["spec-auth"] = sh, sa
-    kh, ka = katz_row_col(g, c=0.2)
+    kh, ka = both_sides(katz_row_col, g, c=0.2)
     out["katz-hub"], out["katz-auth"] = kh, ka
-    rh, ra = resolvent_bipartite(g, c=0.3)
+    rh, ra = both_sides(resolvent_bipartite, g, c=0.3)
     out["res-hub"], out["res-auth"] = rh, ra
-    xh, xa = expA_row_col_sums(g)
+    xh, xa = both_sides(expA_row_col_sums, g)
     out["sum-hub"], out["sum-auth"] = xh, xa
-    out["pr-auth"] = pagerank(g)
-    out["pr-hub"] = pagerank(g, reverse=True)
+    out["pr-hub"], out["pr-auth"] = both_sides(pagerank, g)
     return out
 
 

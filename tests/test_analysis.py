@@ -24,7 +24,7 @@ from hubauth import (
 )
 from hubauth.analysis import _kendall_tau_b
 
-from conftest import dense_bipartite, edgeless_graph, path_graph, scipy_expm
+from conftest import both_sides, dense_bipartite, edgeless_graph, path_graph, scipy_expm
 
 
 def table_of(scores):
@@ -47,8 +47,8 @@ def test_compare_reversed_orderings():
 
 
 def test_compare_example1_exp_vs_hits_authority(ex1):
-    _, auth_exp = exp_centrality_exact(ex1)
-    _, auth_hits = hits(ex1)
+    auth_exp = exp_centrality_exact(ex1, "authority")
+    auth_hits = hits(ex1, "authority")
     rep = compare(rank_table(auth_exp), rank_table(auth_hits), ks=[4])
     assert rep.overlap_at[4] == 1.0
     assert rep.kendall_tau_b == 1.0  # same ranking {2;3;4;1}
@@ -57,14 +57,14 @@ def test_compare_example1_exp_vs_hits_authority(ex1):
 def test_compare_fractional_tie_overlap(ex1):
     # degree hubs tie nodes {0,1,2} at the top; at k=2 each carries weight 2/3,
     # while the exact table puts 0 and 2 on top with weight 1
-    hub_deg, _ = degree_scores(ex1)
-    hub_exp, _ = exp_centrality_exact(ex1)
+    hub_deg = degree_scores(ex1, "hub")
+    hub_exp = exp_centrality_exact(ex1, "hub")
     rep = compare(rank_table(hub_deg), rank_table(hub_exp), ks=[2])
     assert rep.overlap_at[2] == pytest.approx((2 / 3 + 2 / 3) / 2)
 
 
 def test_compare_tau_invariant_under_monotone_transform(ex1):
-    hub, _ = exp_centrality_exact(ex1)
+    hub = exp_centrality_exact(ex1, "hub")
     warped = ScoreVector("t", "hub", np.exp(hub.scores))
     rep = compare(rank_table(hub), rank_table(warped), ks=[2])
     assert rep.kendall_tau_b == 1.0
@@ -137,8 +137,8 @@ def test_compare_node_set_mismatch():
 
 
 def test_compare_is_symmetric(ex1):
-    hub_deg, _ = degree_scores(ex1)
-    hub_exp, _ = exp_centrality_exact(ex1)
+    hub_deg = degree_scores(ex1, "hub")
+    hub_exp = exp_centrality_exact(ex1, "hub")
     ab = compare(rank_table(hub_deg), rank_table(hub_exp), ks=[3])
     ba = compare(rank_table(hub_exp), rank_table(hub_deg), ks=[3])
     assert ab.kendall_tau_b == pytest.approx(ba.kendall_tau_b)
@@ -186,5 +186,5 @@ def test_estrada_matches_dense_trace(ex1):
 
 
 def test_estrada_equals_centrality_sum(ex1):
-    hub, auth = exp_centrality_exact(ex1)
+    hub, auth = both_sides(exp_centrality_exact, ex1)
     assert estrada_index(ex1) == pytest.approx(hub.scores.sum() + auth.scores.sum(), abs=1e-8)

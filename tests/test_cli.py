@@ -2,6 +2,7 @@
 
 import gc
 import importlib
+import inspect
 import itertools
 import json
 import os
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import hubauth
-from hubauth import cli, graph, topk
+from hubauth import cli, graph, rankers, topk
 from hubauth.cli import main
 
 from conftest import order_three_first_round
@@ -171,6 +172,11 @@ FLAG_VALUES = {"--k": "2", "--c": "0.1", "--alpha": "0.5", "--tol": "1e-8", "--m
 def test_method_table_lists_every_method_and_flag():
     assert list(cli.METHODS) == cli.METHOD_CHOICES == list(READS)
     assert list(cli.METHOD_FLAGS) == list(FLAG_VALUES)
+    for method, (name, reads) in cli.METHODS.items():
+        params = inspect.signature(getattr(rankers, name)).parameters
+        side = list(params.values())[1]
+        assert (side.name, side.default) == ("side", inspect.Parameter.empty), method
+        assert set(reads) <= set(params), method
 
 
 @pytest.mark.parametrize("flag", FLAG_VALUES)
@@ -873,11 +879,12 @@ def test_rank_exp_exact_authority_never_forms_the_hub_gram_matrix(ex1_file, caps
     assert [key for key in vars(loaded[0]) if key.startswith("_dense_gram")] == ["_dense_gram_authority"]
 
 
-def test_rank_exp_quad_side_matches_both_sides(ex1_file, capsys):
+def test_rank_exp_quad_side_matches_the_library_call_for_that_side(ex1_file, capsys):
     from hubauth import exp_centrality_quadrature, load_edge_list
 
-    hub, auth = exp_centrality_quadrature(load_edge_list(ex1_file, index_base=1))
-    for side, sv in (("hub", hub), ("authority", auth)):
+    g = load_edge_list(ex1_file, index_base=1)
+    for side in ("hub", "authority"):
+        sv = exp_centrality_quadrature(g, side)
         code, out, _ = run_cli(
             ["rank", "--input", ex1_file, "--base", "1", "--method", "exp-quad", "--side", side, "--json"],
             capsys,

@@ -364,12 +364,22 @@ def test_spectral_radius_two_cycle():
     assert est.value == pytest.approx(1.0, abs=1e-10)
 
 
-def test_spectral_radius_nilpotent_falls_back():
+def test_spectral_radius_nilpotent_is_exactly_zero():
+    # A^3 x = 0 from a positive x proves A^3 = 0 for A >= 0, so rho = 0
     g = path_graph(4)
     est = spectral_radius(g)
+    assert est.converged
+    assert est.value == 0.0
+
+
+def test_spectral_radius_falls_back_when_the_iteration_oscillates():
+    # the star 0 <-> {1, 2} has eigenvalues +-sqrt(2): the iterate alternates
+    # between (2, 1, 1)/4 and (1, 1, 1)/3 and never settles
+    g = from_edges([(0, 1), (0, 2), (1, 0), (2, 0)])
+    est = spectral_radius(g, max_iter=50)
     assert not est.converged
-    # fallback is a conservative upper bound on the true radius (here 0)
-    assert 0.0 <= est.value <= 1.0 + 1e-12
+    # fallback is the conservative bound min(max out-strength, sigma_1) = min(2, sqrt(2))
+    assert est.value == pytest.approx(math.sqrt(2.0), rel=1e-10)
 
 
 def test_spectral_radius_example1_matches_dense(ex1):

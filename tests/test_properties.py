@@ -45,7 +45,7 @@ from hubauth.quadrature import (
 )
 from hubauth.rankers import TIE_REL_TOL
 
-from conftest import dense_adjacency, dense_bipartite, edgeless_graph, scipy_expm
+from conftest import both_sides, dense_adjacency, dense_bipartite, edgeless_graph, scipy_expm
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -107,7 +107,7 @@ def _slack(x):
 @given(digraphs())
 def test_exp_quad_brackets_contain_svd_oracle(g):
     truth = svd_oracle(g)
-    hub, authority = exp_centrality_quadrature(g)
+    hub, authority = both_sides(exp_centrality_quadrature, g)
     bounds = hub.diagnostics["bounds"] + authority.diagnostics["bounds"]
     for index, nb in enumerate(bounds):
         assert nb.node == index
@@ -172,7 +172,7 @@ def test_topk_order_one_pruning_is_sound_against_the_exact_scores(g, k_wanted, w
     # width: columns per block run (None: the default, one block here), so the
     # running cut also meets earlier blocks' brackets
     n = g.n
-    hub, authority = exp_centrality_exact(g)
+    hub, authority = both_sides(exp_centrality_exact, g)
     sigma1 = np.linalg.norm(dense_adjacency(g), 2)
     slack = 64 * np.finfo(float).eps * n * math.cosh(sigma1)
     degree_one = (g.out_degrees() == 1) & (g.in_degrees() == 1)
@@ -246,7 +246,7 @@ def _assert_close(got, expected):
 def test_dense_scores_match_expm_and_gram_inverse(g):
     n = g.n
     E = scipy_expm(dense_bipartite(g))
-    hub, authority = exp_centrality_exact(g)
+    hub, authority = both_sides(exp_centrality_exact, g)
     _assert_close(np.concatenate([hub.scores, authority.scores]), np.diag(E))
 
     pairs = [(i, j) for i in range(n) for j in range(n)]
@@ -258,7 +258,7 @@ def test_dense_scores_match_expm_and_gram_inverse(g):
     A = dense_adjacency(g)
     sigma1 = np.linalg.norm(A, 2)
     c = 0.9 / sigma1 if sigma1 > 0 else 0.5
-    hub, authority = resolvent_bipartite(g, c=c, mode="dense")
+    hub, authority = both_sides(resolvent_bipartite, g, c=c, mode="dense")
     _assert_close(hub.scores, np.diag(np.linalg.inv(np.eye(n) - c**2 * A @ A.T)))
     _assert_close(authority.scores, np.diag(np.linalg.inv(np.eye(n) - c**2 * A.T @ A)))
 
@@ -362,10 +362,10 @@ def test_dense_methods_match_an_svd_reference(g):
     U, s, Vt = np.linalg.svd(A)
     c = 0.9 / s[0] if s[0] > 0 else 0.5
     for side, vectors in (("hub", U), ("authority", Vt.T)):
-        _assert_close(exp_centrality_exact(g, side=side).scores, (vectors**2) @ np.cosh(s))
-        _assert_close(resolvent_bipartite(g, c=c, mode="dense", side=side).scores, (vectors**2) @ (1 / (1 - c**2 * s**2)))
+        _assert_close(exp_centrality_exact(g, side).scores, (vectors**2) @ np.cosh(s))
+        _assert_close(resolvent_bipartite(g, side, c=c, mode="dense").scores, (vectors**2) @ (1 / (1 - c**2 * s**2)))
         for k in sorted({1, max(1, n - 1), n, n + 1, 2 * n}):
-            got = truncated_spectral_scores(g, k, side=side)
+            got = truncated_spectral_scores(g, side, k=k)
             scores, ambiguous = _spectral_reference(s, vectors, k)
             # sigma = sqrt(lambda) would split the zero group, clearing the flag at a cut inside it
             assert got.diagnostics["cut_ambiguous"] == ambiguous

@@ -351,6 +351,12 @@ def test_bilinear_disconnected_nodes_are_zero():
     assert got == pytest.approx(0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("p", [0, -1])
+def test_bilinear_rejects_orders_below_one(ex1, p):
+    with pytest.raises(ParameterError, match="p must be at least 1"):
+        bilinear_estimate(GramOperator(ex1, "hub"), _unit(4, 0), _unit(4, 1), p, COSH_SQRT)
+
+
 def test_bilinear_hub_block_matches_dense(ex1):
     E = scipy_expm(dense_bipartite(ex1))
     got = bilinear_estimate(GramOperator(ex1, "hub"), _unit(4, 0), _unit(4, 1), 10, COSH_SQRT)

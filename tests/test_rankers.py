@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hubauth.linalg
+from hubauth import cli, rankers
 from hubauth import (
     ConvergenceError,
     ParameterError,
@@ -33,12 +34,14 @@ from hubauth.linalg import dense_gram
 from hubauth.rankers import TIE_REL_TOL
 
 from conftest import (
+    both_sides,
     dense_adjacency,
     dense_bipartite,
     edgeless_graph,
     google_stationary_dense,
     pagerank_reference,
     path_graph,
+    permuted_graph,
     random_digraph,
     scipy_expm,
     svd_block_oracle,
@@ -58,12 +61,50 @@ EX3_HITS_HUB = [0.0, 0.125, 0.125, 0.125, 0.125, 0.5]
 EX3_HITS_AUTH = [0.2, 0.2, 0.2, 0.2, 0.2, 0.0]
 
 
+# ---------------------------------------------------------- uniform interface
+
+
+def _mirror_cases():
+    """Two zipf-offset digraphs and a weighted random one."""
+    rng = np.random.default_rng(31)
+    weighted = [(u, v, float(rng.uniform(0.1, 2.0))) for u in range(60) for v in range(60) if u != v and rng.random() < 0.04]
+    return [zipf_offset_graph(150, 3, 1), zipf_offset_graph(150, 4, 2), from_edges(weighted, n=60, weighted=True)]
+
+
+# c within 1/rho(A) and 1/sigma_1 of every case.  The two HITS runs start
+# from different vectors and stop within about tol / (1 - (sigma_2/sigma_1)^2)
+# of the limit: 8e-9 for the weighted case (sigma_2/sigma_1 = 0.97) at the
+# default tol of 1e-10, 8e-11 at 1e-12.
+MIRROR_PARAMS = {"katz": {"c": 0.05}, "resolvent": {"c": 0.05}, "hits": {"tol": 1e-12}}
+MIRROR_RTOL = {"hits": 1e-8}
+
+
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_every_ranker_scores_hubs_as_the_authorities_of_the_reversed_graph(method):
+    ranker = getattr(rankers, cli.METHODS[method][0])
+    params = MIRROR_PARAMS.get(method, {})
+    rtol = MIRROR_RTOL.get(method, 1e-12)
+    for g in _mirror_cases():
+        hub = ranker(g, "hub", **params)
+        mirror = ranker(g.reversed(), "authority", **params)
+        assert (hub.side, mirror.side) == ("hub", "authority")
+        np.testing.assert_allclose(hub.scores, mirror.scores, rtol=rtol, atol=rtol * np.abs(mirror.scores).max())
+
+
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_every_ranker_checks_its_side_first(method):
+    # hits refuses an edgeless graph and spectral a k of 0, but only after the side
+    ranker = getattr(rankers, cli.METHODS[method][0])
+    with pytest.raises(ParameterError, match="side must be 'hub' or 'authority', got 'both'"):
+        ranker(edgeless_graph(3), "both", **({"k": 0} if method == "spectral" else {}))
+
+
 # ------------------------------------------------------------------ rank_table
 
 
 def test_rank_table_ties_and_competition_ranks():
     sv_scores = np.array([3.0, 1.0, 3.0, 2.0])
-    table = rank_table(degree_scores(from_edges([(0, 1)], n=4))[0].__class__("t", "hub", sv_scores))
+    table = rank_table(ScoreVector("t", "hub", sv_scores))
     assert table.order == [0, 2, 3, 1]
     assert table.groups == [[0, 2], [3], [1]]
     assert list(table.ranks) == [1, 4, 1, 3]
@@ -142,7 +183,7 @@ def test_rank_table_matches_the_loop(scores):
 
 
 def test_hits_example1_tables(ex1):
-    hub, auth = hits(ex1)
+    hub, auth = both_sides(hits, ex1)
     assert np.allclose(hub.scores, EX1_HITS_HUB, atol=5e-4)
     assert np.allclose(auth.scores, EX1_HITS_AUTH, atol=5e-4)
     assert not hub.diagnostics["degenerate"]
@@ -152,14 +193,14 @@ def test_hits_example1_tables(ex1):
 
 
 def test_hits_example2_degenerate_tables(ex2):
-    hub, auth = hits(ex2)
+    hub, auth = both_sides(hits, ex2)
     assert np.allclose(hub.scores, EX2_HITS_HUB, atol=5e-4)
     assert np.allclose(auth.scores, EX2_HITS_AUTH, atol=5e-4)
     assert hub.diagnostics["degenerate"]
 
 
 def test_hits_example3_tables(ex3):
-    hub, auth = hits(ex3)
+    hub, auth = both_sides(hits, ex3)
     assert np.allclose(hub.scores, EX3_HITS_HUB, atol=5e-4)
     assert np.allclose(auth.scores, EX3_HITS_AUTH, atol=5e-4)
     # the authority table cannot separate node 0 from nodes 1..4
@@ -167,14 +208,14 @@ def test_hits_example3_tables(ex3):
 
 
 def test_hits_iteration_cap_flags(ex1):
-    hub, _ = hits(ex1, tol=1e-15, max_iter=2)
+    hub = hits(ex1, "hub", tol=1e-15, max_iter=2)
     assert not hub.diagnostics["converged"]
     assert hub.diagnostics["iterations"] == 2
 
 
 def test_hits_requires_edges():
     with pytest.raises(ParameterError):
-        hits(edgeless_graph(3))
+        hits(edgeless_graph(3), "hub")
 
 
 @pytest.mark.parametrize(
@@ -189,12 +230,18 @@ def test_hits_requires_edges():
 )
 def test_hits_without_a_step_raises(edges, kwargs, message):
     with pytest.raises(ParameterError, match=message):
-        hits(from_edges(edges), **kwargs)
+        hits(from_edges(edges), "hub", **kwargs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_hits_rejects_non_finite_init(ex1, bad):
+    with pytest.raises(ParameterError, match="init must be a finite"):
+        hits(ex1, "hub", init=np.array([bad, 1.0, 1.0, 1.0]))
 
 
 def test_hits_custom_init(ex1):
-    hub_default, _ = hits(ex1)
-    hub_custom, _ = hits(ex1, init=np.array([1.0, 2.0, 3.0, 4.0]))
+    hub_default = hits(ex1, "hub")
+    hub_custom = hits(ex1, "hub", init=np.array([1.0, 2.0, 3.0, 4.0]))
     # simple dominant eigenvalue: the limit is start-independent
     assert np.allclose(hub_default.scores, hub_custom.scores, atol=1e-8)
 
@@ -203,7 +250,7 @@ def test_hits_custom_init(ex1):
 
 
 def test_exp_exact_example1_tables(ex1):
-    hub, auth = exp_centrality_exact(ex1)
+    hub, auth = both_sides(exp_centrality_exact, ex1)
     assert np.allclose(hub.scores, EX1_EXP_HUB, atol=5e-4)
     assert np.allclose(auth.scores, EX1_EXP_AUTH, atol=5e-4)
     assert rank_table(hub).order == [0, 2, 1, 3]
@@ -211,7 +258,7 @@ def test_exp_exact_example1_tables(ex1):
 
 
 def test_exp_exact_example2_tables(ex2):
-    hub, auth = exp_centrality_exact(ex2)
+    hub, auth = both_sides(exp_centrality_exact, ex2)
     assert np.allclose(hub.scores, EX2_EXP_HUB, atol=5e-4)
     assert np.allclose(auth.scores, EX2_EXP_AUTH, atol=5e-4)
     # authority table has a clear winner, unlike the HITS three-way tie
@@ -220,7 +267,7 @@ def test_exp_exact_example2_tables(ex2):
 
 def test_exp_exact_directed_path_endpoints():
     g = path_graph(4)
-    hub, auth = exp_centrality_exact(g)
+    hub, auth = both_sides(exp_centrality_exact, g)
     auth_t = rank_table(auth)
     hub_t = rank_table(hub)
     assert auth_t.groups[-1] == [0]  # node 1 strictly least authoritative
@@ -230,14 +277,14 @@ def test_exp_exact_directed_path_endpoints():
 
 
 def test_exp_exact_matches_svd_formula(ex1):
-    hub, auth = exp_centrality_exact(ex1)
+    hub, auth = both_sides(exp_centrality_exact, ex1)
     hub_block, auth_block, _ = svd_block_oracle(ex1)
     assert np.allclose(hub.scores, np.diag(hub_block), atol=1e-10)
     assert np.allclose(auth.scores, np.diag(auth_block), atol=1e-10)
 
 
 def test_exp_exact_trace_split(ex1):
-    hub, auth = exp_centrality_exact(ex1)
+    hub, auth = both_sides(exp_centrality_exact, ex1)
     # both diagonal blocks carry the same trace
     assert hub.scores.sum() == pytest.approx(auth.scores.sum(), abs=1e-10)
     s = np.linalg.svd(dense_adjacency(ex1), compute_uv=False)
@@ -246,7 +293,7 @@ def test_exp_exact_trace_split(ex1):
 
 def test_exp_exact_scores_at_least_one(ex1, ex2, ex3):
     for g in (ex1, ex2, ex3):
-        hub, auth = exp_centrality_exact(g)
+        hub, auth = both_sides(exp_centrality_exact, g)
         assert np.all(hub.scores >= 1.0 - 1e-12)
         assert np.all(auth.scores >= 1.0 - 1e-12)
 
@@ -254,7 +301,7 @@ def test_exp_exact_scores_at_least_one(ex1, ex2, ex3):
 def test_exp_exact_shift_preserves_ranking(ex1):
     from hubauth import ScoreVector
 
-    hub, _ = exp_centrality_exact(ex1)
+    hub = exp_centrality_exact(ex1, "hub")
     shifted = ScoreVector("exp-shift", "hub", hub.scores - 1.0)
     assert rank_table(shifted).order == rank_table(hub).order
     assert rank_table(shifted).groups == rank_table(hub).groups
@@ -265,45 +312,45 @@ def test_every_dense_entry_takes_n_up_to_the_limit(monkeypatch):
     monkeypatch.setattr(hubauth.linalg, "DENSE_DIM_LIMIT", 5)
     entries = (
         lambda g: dense_gram(g, "authority"),
-        lambda g: exp_centrality_exact(g, side="hub"),
+        lambda g: exp_centrality_exact(g, "hub"),
         lambda g: communicability(g, 0, 1, kind="hub_authority", mode="dense"),
-        lambda g: resolvent_bipartite(g, mode="dense", side="authority"),
+        lambda g: resolvent_bipartite(g, "authority", mode="dense"),
     )
     for entry in entries:
         entry(path_graph(5))
         with pytest.raises(SizeLimitError):
             entry(path_graph(6))
     # resolvent's auto mode still takes the dense path only up to 2n <= DENSE_DIM_LIMIT
-    assert resolvent_bipartite(path_graph(2), side="hub").params["mode"] == "dense"
-    assert resolvent_bipartite(path_graph(3), side="hub").params["mode"] == "quadrature"
+    assert resolvent_bipartite(path_graph(2), "hub").params["mode"] == "dense"
+    assert resolvent_bipartite(path_graph(3), "hub").params["mode"] == "quadrature"
 
 
 # --------------------------------------------------- exponential, quadrature
 
 
 def test_exp_quadrature_example3_tables(ex3):
-    hub, auth = exp_centrality_quadrature(ex3)
+    hub, auth = both_sides(exp_centrality_quadrature, ex3)
     assert np.allclose(hub.scores, EX3_EXP_HUB, atol=5e-4)
     assert np.allclose(auth.scores, EX3_EXP_HUB[::-1], atol=5e-4)
     assert hub.diagnostics["unresolved"] == []
 
 
 def test_exp_quadrature_edgeless_is_one():
-    hub, auth = exp_centrality_quadrature(edgeless_graph(4))
+    hub, auth = both_sides(exp_centrality_quadrature, edgeless_graph(4))
     assert np.allclose(hub.scores, 1.0, atol=1e-12)
     assert np.allclose(auth.scores, 1.0, atol=1e-12)
 
 
 def test_exp_quadrature_matches_exact_ranking(ex1):
-    hub_q, auth_q = exp_centrality_quadrature(ex1)
-    hub_e, auth_e = exp_centrality_exact(ex1)
+    hub_q, auth_q = both_sides(exp_centrality_quadrature, ex1)
+    hub_e, auth_e = both_sides(exp_centrality_exact, ex1)
     assert np.allclose(hub_q.scores, hub_e.scores, atol=1e-7)
     assert rank_table(hub_q).same_ranking(rank_table(hub_e))
     assert rank_table(auth_q).same_ranking(rank_table(auth_e))
 
 
 def test_exp_quadrature_brackets_contain_truth(ex1):
-    hub, _ = exp_centrality_quadrature(ex1)
+    hub = exp_centrality_quadrature(ex1, "hub")
     E = scipy_expm(dense_bipartite(ex1))
     for i, nb in enumerate(hub.diagnostics["bounds"]):
         assert nb.lower - 1e-10 <= E[i, i] <= nb.upper + 1e-10
@@ -313,7 +360,7 @@ def test_exp_quadrature_flags_unresolved_nodes():
     # a hopeless width target with almost no refinement budget (on ex1 every
     # Gram run spans its whole 4-dimensional space by order 3, so n = 20 here)
     g = random_digraph(np.random.default_rng(1))
-    hub, _ = exp_centrality_quadrature(g, p_max=3, width_tol=1e-15)
+    hub = exp_centrality_quadrature(g, "hub", p_max=3, width_tol=1e-15)
     assert len(hub.diagnostics["unresolved"]) > 0
     for nb in hub.diagnostics["bounds"]:
         assert nb.lower <= nb.upper
@@ -324,22 +371,27 @@ def _side_cases(ex1, ex2, ex3):
     return [ex1, ex2, ex3, edgeless_graph(3)] + [random_digraph(rng) for _ in range(4)]
 
 
-def test_exp_quadrature_one_side_equals_half_of_both(ex1, ex2, ex3):
+def _fresh(g):
+    """The same graph as a new object, with none of the per-side state ``g`` caches."""
+    return permuted_graph(g, list(range(g.n)))
+
+
+def test_exp_quadrature_one_side_does_not_depend_on_the_other(ex1, ex2, ex3):
     for g in _side_cases(ex1, ex2, ex3):
-        both = exp_centrality_quadrature(g)
+        both = both_sides(exp_centrality_quadrature, g)  # hub, then authority on the same graph
         for side, full in zip(("hub", "authority"), both):
-            one = exp_centrality_quadrature(g, side=side)
+            one = exp_centrality_quadrature(_fresh(g), side)
             assert one.side == side
             assert np.array_equal(one.scores, full.scores)
             assert one.diagnostics == full.diagnostics
 
 
-def test_resolvent_one_side_equals_half_of_both(ex1, ex2, ex3):
+def test_resolvent_one_side_does_not_depend_on_the_other(ex1, ex2, ex3):
     for g in _side_cases(ex1, ex2, ex3):
         for mode in ("quadrature", "dense"):
-            both = resolvent_bipartite(g, mode=mode)
+            both = both_sides(resolvent_bipartite, g, mode=mode)
             for side, full in zip(("hub", "authority"), both):
-                one = resolvent_bipartite(g, mode=mode, side=side)
+                one = resolvent_bipartite(_fresh(g), side, mode=mode)
                 assert one.side == side
                 assert np.array_equal(one.scores, full.scores)
                 assert one.diagnostics == full.diagnostics
@@ -351,9 +403,9 @@ def test_resolvent_one_side_equals_half_of_both(ex1, ex2, ex3):
 def _quadrature_runs(g):
     """Hub and authority ScoreVectors of exp-quad at two settings and of resolvent-quad."""
     return [
-        *exp_centrality_quadrature(g),
-        *exp_centrality_quadrature(g, p_max=5, width_tol=1e-12),  # leaves nodes unresolved
-        *resolvent_bipartite(g, mode="quadrature"),
+        *both_sides(exp_centrality_quadrature, g),
+        *both_sides(exp_centrality_quadrature, g, p_max=5, width_tol=1e-12),  # leaves nodes unresolved
+        *both_sides(resolvent_bipartite, g, mode="quadrature"),
     ]
 
 
@@ -375,76 +427,87 @@ def test_quadrature_brackets_do_not_depend_on_the_block_width(monkeypatch, width
 def test_quadrature_rankers_reject_p_max_below_the_first_order(ex1):
     # the first bracket is already at order P_START = 3
     with pytest.raises(ParameterError, match="p_max"):
-        exp_centrality_quadrature(ex1, p_max=2)
+        exp_centrality_quadrature(ex1, "hub", p_max=2)
     for mode in ("quadrature", "dense"):  # the dense path reads no order, but refuses one no path could take
         with pytest.raises(ParameterError, match="p_max"):
-            resolvent_bipartite(ex1, mode=mode, p_max=2)
-    exp_centrality_quadrature(ex1, p_max=3)
-    resolvent_bipartite(ex1, mode="dense", p_max=3)
+            resolvent_bipartite(ex1, "hub", mode=mode, p_max=2)
+    exp_centrality_quadrature(ex1, "hub", p_max=3)
+    resolvent_bipartite(ex1, "hub", mode="dense", p_max=3)
 
 
 def test_quadrature_rankers_reject_unknown_side(ex1):
     with pytest.raises(ParameterError):
-        exp_centrality_quadrature(ex1, side="both")
+        exp_centrality_quadrature(ex1, "both")
     with pytest.raises(ParameterError):
-        resolvent_bipartite(ex1, side="both")
+        resolvent_bipartite(ex1, "both")
 
 
 # ----------------------------------------------------------- spectral truncation
 
 
 def test_truncated_k1_reproduces_hits_ranking(ex1):
-    hub_t, auth_t = truncated_spectral_scores(ex1, 1)
-    hub_h, auth_h = hits(ex1)
+    hub_t, auth_t = both_sides(truncated_spectral_scores, ex1, k=1)
+    hub_h, auth_h = both_sides(hits, ex1)
     assert rank_table(hub_t).same_ranking(rank_table(hub_h))
     assert rank_table(auth_t).same_ranking(rank_table(auth_h))
 
 
 def test_truncated_full_spectrum_equals_exact(ex1):
-    hub_t, auth_t = truncated_spectral_scores(ex1, 2 * ex1.n)
-    hub_e, auth_e = exp_centrality_exact(ex1)
+    hub_t, auth_t = both_sides(truncated_spectral_scores, ex1, k=2 * ex1.n)
+    hub_e, auth_e = both_sides(exp_centrality_exact, ex1)
     assert np.allclose(hub_t.scores, hub_e.scores, atol=1e-10)
     assert np.allclose(auth_t.scores, auth_e.scores, atol=1e-10)
     assert rank_table(hub_t).same_ranking(rank_table(hub_e))
 
 
 def test_truncated_degenerate_flag(ex2):
-    hub, _ = truncated_spectral_scores(ex2, 1)
+    hub = truncated_spectral_scores(ex2, "hub", k=1)
     assert hub.diagnostics["degenerate"]
 
 
 def test_truncated_sparse_path_is_deterministic():
     # above DENSE_DIM_LIMIT the triplets come from svds, which must not start from a random vector
     g = zipf_offset_graph(4500, 5, seed=3)
-    first, again = truncated_spectral_scores(g, 3), truncated_spectral_scores(g, 3)
+    first, again = both_sides(truncated_spectral_scores, g, k=3), both_sides(truncated_spectral_scores, g, k=3)
     for a, b in zip(first, again):
         assert np.array_equal(a.scores, b.scores)
 
 
 def test_truncated_k_range(ex1):
     with pytest.raises(ParameterError):
-        truncated_spectral_scores(ex1, 0)
+        truncated_spectral_scores(ex1, "hub", k=0)
     with pytest.raises(ParameterError):
-        truncated_spectral_scores(ex1, 2 * ex1.n + 1)
+        truncated_spectral_scores(ex1, "hub", k=2 * ex1.n + 1)
 
 
 # ------------------------------------------------------------------------ katz
 
 
 def test_katz_edgeless_is_ones():
-    hub, auth = katz_row_col(edgeless_graph(3), c=0.5)
+    hub, auth = both_sides(katz_row_col, edgeless_graph(3), c=0.5)
     assert np.allclose(hub.scores, 1.0)
     assert np.allclose(auth.scores, 1.0)
 
 
 def test_katz_path_neumann_series():
-    hub, auth = katz_row_col(path_graph(3), c=0.5)
+    hub, auth = both_sides(katz_row_col, path_graph(3), c=0.5)
     assert np.allclose(hub.scores, [1.75, 1.5, 1.0], atol=1e-9)
     assert np.allclose(auth.scores, [1.0, 1.5, 1.75], atol=1e-9)
 
 
+def test_katz_on_a_dag_takes_any_c():
+    # A^3 = 0 on the path, so rho(A) = 0 and the series 1 + cA1 + c^2 A^2 1 is exact for every c
+    hub, auth = both_sides(katz_row_col, path_graph(3), c=2.0)
+    assert np.array_equal(hub.scores, [7.0, 3.0, 1.0])
+    assert np.array_equal(auth.scores, [1.0, 3.0, 7.0])
+    default = katz_row_col(path_graph(3), "hub")
+    assert default.params["c"] == 10.0  # 1 / (rho(A) + 0.1)
+    assert default.diagnostics == {"rho_estimate": 0.0, "rho_converged": True}
+    assert np.array_equal(default.scores, [111.0, 11.0, 1.0])
+
+
 def test_katz_default_parameter_matches_dense_solve(ex1):
-    hub, auth = katz_row_col(ex1)
+    hub, auth = both_sides(katz_row_col, ex1)
     c = hub.params["c"]
     A = dense_adjacency(ex1)
     expected_hub = np.linalg.solve(np.eye(ex1.n) - c * A, np.ones(ex1.n))
@@ -454,7 +517,7 @@ def test_katz_default_parameter_matches_dense_solve(ex1):
 
 
 def test_katz_residual_invariant(ex1):
-    hub, _ = katz_row_col(ex1)
+    hub = katz_row_col(ex1, "hub")
     c = hub.params["c"]
     A = dense_adjacency(ex1)
     resid = np.linalg.norm((np.eye(ex1.n) - c * A) @ hub.scores - 1.0, np.inf)
@@ -464,33 +527,33 @@ def test_katz_residual_invariant(ex1):
 
 def test_katz_rejects_out_of_range_c(ex1):
     with pytest.raises(ParameterError):
-        katz_row_col(ex1, c=10.0)
+        katz_row_col(ex1, "hub", c=10.0)
     with pytest.raises(ParameterError):
-        katz_row_col(ex1, c=-0.1)
+        katz_row_col(ex1, "hub", c=-0.1)
     with pytest.raises(ParameterError):
-        katz_row_col(ex1, c=math.nan)
+        katz_row_col(ex1, "hub", c=math.nan)
 
 
 # ------------------------------------------------------------------- resolvent
 
 
 def test_resolvent_edgeless_is_ones():
-    hub, auth = resolvent_bipartite(edgeless_graph(3), c=0.5)
+    hub, auth = both_sides(resolvent_bipartite, edgeless_graph(3), c=0.5)
     assert np.allclose(hub.scores, 1.0)
     assert np.allclose(auth.scores, 1.0)
 
 
 def test_resolvent_two_cycle_hand_inverse():
     g = from_edges([(0, 1), (1, 0)])
-    hub, _ = resolvent_bipartite(g, c=0.5)
+    hub = resolvent_bipartite(g, "hub", c=0.5)
     assert np.allclose(hub.scores, 4.0 / 3.0, atol=1e-12)
 
 
 def test_resolvent_dense_vs_quadrature(ex1):
     sigma1 = power_singular_pair(ex1).sigma1
     c = 0.9 / sigma1
-    dense_hub, dense_auth = resolvent_bipartite(ex1, c=c, mode="dense")
-    quad_hub, quad_auth = resolvent_bipartite(ex1, c=c, mode="quadrature")
+    dense_hub, dense_auth = both_sides(resolvent_bipartite, ex1, c=c, mode="dense")
+    quad_hub, quad_auth = both_sides(resolvent_bipartite, ex1, c=c, mode="quadrature")
     assert np.allclose(dense_hub.scores, quad_hub.scores, atol=1e-8)
     assert np.allclose(dense_auth.scores, quad_auth.scores, atol=1e-8)
 
@@ -498,28 +561,28 @@ def test_resolvent_dense_vs_quadrature(ex1):
 def test_resolvent_rejects_out_of_range_c(ex1):
     sigma1 = power_singular_pair(ex1).sigma1
     with pytest.raises(ParameterError):
-        resolvent_bipartite(ex1, c=1.1 / sigma1)
+        resolvent_bipartite(ex1, "hub", c=1.1 / sigma1)
     with pytest.raises(ParameterError):
-        resolvent_bipartite(ex1, c=math.nan)
+        resolvent_bipartite(ex1, "hub", c=math.nan)
 
 
 # ---------------------------------------------------------------- expsum
 
 
 def test_expsum_path():
-    hub, auth = expA_row_col_sums(path_graph(3))
+    hub, auth = both_sides(expA_row_col_sums, path_graph(3))
     assert np.allclose(hub.scores, [2.5, 2.0, 1.0], atol=1e-10)
     assert np.allclose(auth.scores, [1.0, 2.0, 2.5], atol=1e-10)
 
 
 def test_expsum_edgeless():
-    hub, auth = expA_row_col_sums(edgeless_graph(3))
+    hub, auth = both_sides(expA_row_col_sums, edgeless_graph(3))
     assert np.allclose(hub.scores, 1.0)
     assert np.allclose(auth.scores, 1.0)
 
 
 def test_expsum_matches_dense(ex1):
-    hub, auth = expA_row_col_sums(ex1)
+    hub, auth = both_sides(expA_row_col_sums, ex1)
     E = scipy_expm(dense_adjacency(ex1))
     assert np.allclose(hub.scores, E.sum(axis=1), atol=1e-10)
     assert np.allclose(auth.scores, E.sum(axis=0), atol=1e-10)
@@ -529,40 +592,41 @@ def test_expsum_matches_dense(ex1):
 
 
 def test_pagerank_single_node():
-    sv = pagerank(from_edges([], n=1))
+    sv = pagerank(from_edges([], n=1), "authority")
     assert np.allclose(sv.scores, [1.0])
 
 
 def test_pagerank_two_cycle_symmetric():
-    sv = pagerank(from_edges([(0, 1), (1, 0)]))
+    sv = pagerank(from_edges([(0, 1), (1, 0)]), "authority")
     assert np.allclose(sv.scores, [0.5, 0.5], atol=1e-12)
 
 
 def test_pagerank_star_with_dangling_matches_dense():
     # 1 <- 2, 1 <- 3 with node 1 dangling
     g = from_edges([(1, 0), (2, 0)], n=3)
-    sv = pagerank(g, alpha=0.85)
+    sv = pagerank(g, "authority", alpha=0.85)
     expected = google_stationary_dense(g, 0.85)
     assert np.allclose(sv.scores, expected, atol=1e-10)
 
 
 def test_pagerank_properties(ex1):
-    sv = pagerank(ex1)
+    sv = pagerank(ex1, "authority")
     assert sv.scores.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(sv.scores > 0)
     assert sv.diagnostics["converged"]
 
 
 def test_pagerank_reverse_is_reversed_graph(ex1):
-    rev_sv = pagerank(ex1, reverse=True)
-    manual = pagerank(ex1.reversed())
+    rev_sv = pagerank(ex1, "hub")
+    manual = pagerank(ex1.reversed(), "authority")
     assert np.allclose(rev_sv.scores, manual.scores, atol=1e-14)
     assert rev_sv.side == "hub"
+    assert rev_sv.params["reverse"] and not manual.params["reverse"]
 
 
 def test_pagerank_alpha_range(ex1):
     with pytest.raises(ParameterError):
-        pagerank(ex1, alpha=1.0)
+        pagerank(ex1, "authority", alpha=1.0)
 
 
 @st.composite
@@ -578,7 +642,7 @@ def _pagerank_graphs(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_pagerank_graphs(), st.booleans(), st.sampled_from([0.5, 0.85, 0.99]))
 def test_pagerank_equals_the_reference_loop_bit_for_bit(g, reverse, alpha):
-    sv = pagerank(g, alpha=alpha, reverse=reverse)
+    sv = pagerank(g, "hub" if reverse else "authority", alpha=alpha)
     scores, iterations = pagerank_reference(g, alpha=alpha, reverse=reverse)
     assert np.array_equal(sv.scores, scores)
     assert sv.diagnostics["iterations"] == iterations
@@ -588,19 +652,25 @@ def test_pagerank_equals_the_reference_loop_bit_for_bit(g, reverse, alpha):
 
 
 def test_degree_rankings_example1(ex1):
-    hub, auth = degree_scores(ex1)
+    hub, auth = both_sides(degree_scores, ex1)
     assert rank_table(hub).groups == [[0, 1, 2], [3]]
     assert rank_table(auth).groups == [[1], [2], [0, 3]]
 
 
 def test_degree_rankings_example3(ex3):
-    hub, auth = degree_scores(ex3)
+    hub, auth = both_sides(degree_scores, ex3)
     assert rank_table(auth).groups == [[0], [1, 2, 3, 4], [5]]
     assert rank_table(hub).groups == [[5], [1, 2, 3, 4], [0]]
 
 
+def test_degree_hub_never_forms_the_transpose(ex1):
+    g = permuted_graph(ex1, list(range(ex1.n)))  # a new object: the fixture's A^T may be cached
+    assert np.array_equal(degree_scores(g, "hub").scores, [2.0, 2.0, 2.0, 1.0])
+    assert "reverse" not in vars(g)  # functools.cached_property stores A^T there once built
+
+
 def test_degree_edgeless_zero():
-    hub, auth = degree_scores(edgeless_graph(3))
+    hub, auth = both_sides(degree_scores, edgeless_graph(3))
     assert np.allclose(hub.scores, 0.0)
     assert np.allclose(auth.scores, 0.0)
 
@@ -653,6 +723,13 @@ def test_communicability_overflow_raises_convergence_error(kind, mode):
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="overflow"):
             communicability(g, 0, 1, kind=kind, mode=mode, p=2)
+
+
+@pytest.mark.parametrize("p", [0, -1])
+def test_communicability_quadrature_rejects_p_below_one(p):
+    g = path_graph(3)
+    with pytest.raises(ParameterError, match="p must be at least 1"):
+        communicability(g, 0, 1, kind="hub_authority", mode="quadrature", p=p)
 
 
 def test_communicability_rejects_same_node_hub_kind(ex1):
