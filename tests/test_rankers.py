@@ -664,7 +664,7 @@ def test_degree_rankings_example3(ex3):
 
 
 def test_degree_hub_never_forms_the_transpose(ex1):
-    g = permuted_graph(ex1, list(range(ex1.n)))  # a new object: the fixture's A^T may be cached
+    g = _fresh(ex1)  # the fixture's A^T may be cached
     assert np.array_equal(degree_scores(g, "hub").scores, [2.0, 2.0, 2.0, 1.0])
     assert "reverse" not in vars(g)  # functools.cached_property stores A^T there once built
 
