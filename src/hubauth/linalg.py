@@ -383,10 +383,6 @@ def spectral_radius(g, tol=1e-10, max_iter=5000):
     if g.m == 0:
         return SpectralRadiusEstimate(0.0, True)
 
-    def fallback():
-        bound = min(g.out_strengths().max(initial=0.0), leading_singular_pair(g, tol, max_iter).sigma1)
-        return SpectralRadiusEstimate(float(bound), False)
-
     x = np.ones(n) / n
     for _ in range(max_iter):
         y = spmv(g, x)
@@ -399,4 +395,5 @@ def spectral_radius(g, tol=1e-10, max_iter=5000):
         if np.linalg.norm(y - x, np.inf) < tol:
             return SpectralRadiusEstimate(ny, True)
         x = y
-    return fallback()
+    bound = min(g.out_strengths().max(initial=0.0), leading_singular_pair(g, tol, max_iter).sigma1)
+    return SpectralRadiusEstimate(float(bound), False)

@@ -341,14 +341,20 @@ def katz_row_col(g, side, c=None, tol=1e-10, max_iter=200000):
     """Katz hub scores from (I - cA) y = 1, authority scores from (I - cA^T) x = 1.
 
     Solved by the fixed-point iteration y <- 1 + cAy (a Neumann series);
-    converges for 0 < c < 1/rho(A).  Default c = 1/(rho(A) + 0.1).
+    converges for 0 < c < 1/rho(A).  Default c = 1/(rho(A) + 0.1), with
+    rho(A) replaced by a positive bound when A is nilpotent.
     """
-    from .linalg import spectral_radius
+    from .linalg import leading_singular_pair, spectral_radius
 
     _check_side(side)
     rad = spectral_radius(g)
     if c is None:
-        c = 1.0 / (rad.value + 0.1)
+        scale = rad.value
+        if scale == 0 and g.m:
+            # a nilpotent A (rho = 0) takes every c > 0; its default keeps the
+            # positive scale min(max out-strength, sigma_1), which bounds rho
+            scale = min(g.out_strengths().max(), leading_singular_pair(g).sigma1)
+        c = 1.0 / (scale + 0.1)
     bound = 1.0 / rad.value if rad.value > 0 else math.inf
     if not 0 < c < bound:  # written so that a NaN c fails too
         raise ParameterError(f"katz parameter must satisfy 0 < c < 1/rho(A) ~= {bound:.6g}, got {c}")

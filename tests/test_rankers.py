@@ -435,13 +435,6 @@ def test_quadrature_rankers_reject_p_max_below_the_first_order(ex1):
     resolvent_bipartite(ex1, "hub", mode="dense", p_max=3)
 
 
-def test_quadrature_rankers_reject_unknown_side(ex1):
-    with pytest.raises(ParameterError):
-        exp_centrality_quadrature(ex1, "both")
-    with pytest.raises(ParameterError):
-        resolvent_bipartite(ex1, "both")
-
-
 # ----------------------------------------------------------- spectral truncation
 
 
@@ -500,10 +493,16 @@ def test_katz_on_a_dag_takes_any_c():
     hub, auth = both_sides(katz_row_col, path_graph(3), c=2.0)
     assert np.array_equal(hub.scores, [7.0, 3.0, 1.0])
     assert np.array_equal(auth.scores, [1.0, 3.0, 7.0])
+    # the default keeps the positive scale min(max out-strength, sigma_1) = 1, not rho = 0
     default = katz_row_col(path_graph(3), "hub")
-    assert default.params["c"] == 10.0  # 1 / (rho(A) + 0.1)
+    c = default.params["c"]
+    assert c == pytest.approx(1 / 1.1, rel=1e-12)
     assert default.diagnostics == {"rho_estimate": 0.0, "rho_converged": True}
-    assert np.array_equal(default.scores, [111.0, 11.0, 1.0])
+    assert np.allclose(default.scores, [1 + c + c * c, 1 + c, 1.0], rtol=1e-14)
+    # so a deep DAG keeps scores near 1 / (1 - c) = 11, far from the 1e150 divergence guard
+    deep = katz_row_col(path_graph(151), "hub")
+    assert deep.params["c"] == c
+    assert deep.scores[0] == pytest.approx(sum(c**k for k in range(151)), rel=1e-12)
 
 
 def test_katz_default_parameter_matches_dense_solve(ex1):
