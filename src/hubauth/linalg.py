@@ -32,6 +32,7 @@ __all__ = [
     "expm_action",
     "leading_singular_pair",
     "power_singular_pair",
+    "radius_bound",
     "spectral_radius",
 ]
 
@@ -371,13 +372,18 @@ def power_singular_pair(g, tol=1e-10, max_iter=5000):
     return SpectralEstimate(sigma1, sigma2, iterations, converged, x)
 
 
+def radius_bound(g, tol=1e-10, max_iter=5000):
+    """min(max weighted out-degree, sigma_1): a positive bound on rho(A) for a nonempty A >= 0."""
+    return float(min(g.out_strengths().max(initial=0.0), leading_singular_pair(g, tol, max_iter).sigma1))
+
+
 def spectral_radius(g, tol=1e-10, max_iter=5000):
     """Perron root of the nonnegative adjacency matrix by power iteration.
 
     Uses 1-norm normalization.  An iterate A^k x = 0 from the positive
     start x proves A^k = 0 (A >= 0), so rho = 0 exactly.  When the
-    iteration fails to settle, returns the conservative bound
-    min(max weighted out-degree, sigma_1) with converged=False.
+    iteration fails to settle, returns the conservative ``radius_bound``
+    with converged=False.
     """
     n = g.n
     if g.m == 0:
@@ -395,5 +401,4 @@ def spectral_radius(g, tol=1e-10, max_iter=5000):
         if np.linalg.norm(y - x, np.inf) < tol:
             return SpectralRadiusEstimate(ny, True)
         x = y
-    bound = min(g.out_strengths().max(initial=0.0), leading_singular_pair(g, tol, max_iter).sigma1)
-    return SpectralRadiusEstimate(float(bound), False)
+    return SpectralRadiusEstimate(radius_bound(g, tol, max_iter), False)

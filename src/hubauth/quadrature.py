@@ -66,7 +66,6 @@ class ResolventKernel:
     """f(x) = 1 / (1 - c x), the resolvent weight with parameter c > 0."""
 
     c: float
-    name = "resolvent"
 
     def __post_init__(self):
         if not self.c > 0:
@@ -95,8 +94,6 @@ class CoshSqrtKernel:
     value that roundoff puts just below 0 is still integrated exactly.
     """
 
-    name = "cosh-sqrt"
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         root = np.sqrt(np.abs(x))
@@ -115,8 +112,6 @@ class SinhcSqrtKernel:
     and f(0) = 1), so a Ritz value that roundoff puts just below 0 is still
     integrated exactly.
     """
-
-    name = "sinhc-sqrt"
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

@@ -23,6 +23,7 @@ __all__ = [
     "ScoreVector",
     "RankTable",
     "rank_table",
+    "tie_slack",
     "hits",
     "exp_centrality_exact",
     "exp_centrality_quadrature",
@@ -76,12 +77,17 @@ class RankTable:
         return self.order[:k]
 
 
+def tie_slack(score, tie_tol):
+    """tie_tol * max(1, |score|), elementwise: a lower score within this of ``score`` ties with it."""
+    return tie_tol * np.maximum(1.0, np.abs(score))
+
+
 def rank_table(sv, tie_tol=TIE_REL_TOL):
     """Build the tie-aware ranking induced by a score vector.
 
     Nodes are sorted by descending score, ids ascending on equal scores.  A
     node joins its predecessor's tie group when the gap between them is at
-    most ``tie_tol`` (>= 0) ``* max(1, |predecessor's score|)``, so ties chain.
+    most ``tie_slack`` of the predecessor's score (``tie_tol`` >= 0), so ties chain.
     """
     if not tie_tol >= 0:
         raise ParameterError(f"tie_tol must be >= 0, got {tie_tol}")
@@ -92,7 +98,7 @@ def rank_table(sv, tie_tol=TIE_REL_TOL):
     by_score = np.argsort(-scores)
     s = scores[by_score]
     heads = np.ones(n, dtype=bool)
-    heads[1:] = s[:-1] - s[1:] > tie_tol * np.maximum(1.0, np.abs(s[:-1]))
+    heads[1:] = s[:-1] - s[1:] > tie_slack(s[:-1], tie_tol)
     group = np.cumsum(heads) - 1
     starts = np.flatnonzero(heads)
     flat = np.sort(group * n + by_score) % n  # by group, then id; n^2 < 2^62 fits int64
@@ -342,29 +348,31 @@ def katz_row_col(g, side, c=None, tol=1e-10, max_iter=200000):
 
     Solved by the fixed-point iteration y <- 1 + cAy (a Neumann series);
     converges for 0 < c < 1/rho(A).  Default c = 1/(rho(A) + 0.1), with
-    rho(A) replaced by a positive bound when A is nilpotent.
+    rho(A) replaced by a positive bound when A is nilpotent.  There (rho
+    proved 0) the series is finite and the iteration reaches its sum after
+    at most depth + 1 steps, so only an overflow stops it.
     """
-    from .linalg import leading_singular_pair, spectral_radius
+    from .linalg import radius_bound, spectral_radius
 
     _check_side(side)
     rad = spectral_radius(g)
     if c is None:
-        scale = rad.value
-        if scale == 0 and g.m:
-            # a nilpotent A (rho = 0) takes every c > 0; its default keeps the
-            # positive scale min(max out-strength, sigma_1), which bounds rho
-            scale = min(g.out_strengths().max(), leading_singular_pair(g).sigma1)
-        c = 1.0 / (scale + 0.1)
+        # a nilpotent A (rho = 0) takes every c > 0; its default keeps a positive scale
+        c = 1.0 / ((radius_bound(g) if rad.value == 0 and g.m else rad.value) + 0.1)
     bound = 1.0 / rad.value if rad.value > 0 else math.inf
     if not 0 < c < bound:  # written so that a NaN c fails too
         raise ParameterError(f"katz parameter must satisfy 0 < c < 1/rho(A) ~= {bound:.6g}, got {c}")
     ones = np.ones(g.n)
     y = ones.copy()
     for _ in range(max_iter):
-        y_new = ones + c * spmv(g, y, transpose=side == "authority")
+        with np.errstate(over="ignore"):  # an overflow is caught below
+            y_new = ones + c * spmv(g, y, transpose=side == "authority")
         resid = np.linalg.norm(y_new - y, np.inf)
         y = y_new
-        if not np.all(np.isfinite(y)) or np.linalg.norm(y, np.inf) > 1e150:
+        if rad.value == 0:
+            if not np.all(np.isfinite(y)):
+                raise ConvergenceError("katz scores overflow double precision; parameter c too large for this DAG")
+        elif not np.all(np.isfinite(y)) or np.linalg.norm(y, np.inf) > 1e150:
             raise ConvergenceError("katz iteration diverged; parameter c too large")
         if resid <= tol * max(np.linalg.norm(y, np.inf), 1.0):
             break

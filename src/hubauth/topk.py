@@ -2,23 +2,23 @@
 
 Every candidate node carries a Gauss-Radau bracket for its exponential
 centrality, an integral of cosh(sqrt(x)) over A A^T (hubs) or A^T A
-(authorities).  In each round the k-th largest lower bound is the survival
-threshold: any node whose upper bound falls below it can never reach the
-top k and is discarded for good (upper bounds only move down as the
-bracket order grows).  Survivors take one step of the bracket schedule:
-two more quadrature orders, each one product with A and one with A^T, or
-the exact value once a run has broken down.  Then the round repeats.  The
-first round prunes twice: every node takes an order-1 bracket from one
-sparse Lanczos step (its column of the Gram matrix), and only the nodes
-that bracket cannot rule out go on, strongest first, to the first order of
-the schedule (4 steps).  Nodes with no out-edges (hub side) or no in-edges
-(authority side) score exactly cosh(0) = 1 and never enter Lanczos at all.
+(authorities).  The k-th largest lower bound, less the tie slack, is the
+cut: any node whose upper bound falls below it can never reach the top k
+and is discarded for good (upper bounds only move down as the bracket
+order grows).  Every node first takes an order-1 bracket from one sparse
+Lanczos step (its column of the Gram matrix).  Then each round takes the
+nodes the cut keeps one step along the bracket schedule (order 1 to 3,
+then two orders a step, each one product with A and one with A^T, or the
+exact value once a run has broken down), strongest first, taking the cut
+again before each block, and prunes on the cut after it.  Nodes with no
+out-edges (hub side) or no in-edges (authority side) score exactly
+cosh(0) = 1 and never enter Lanczos at all.
 
 The brackets and step counts live in one ``quadrature.BracketPool``, the
-engine behind exp-quad and resolvent-quad too; this module adds only the
-policy: which nodes are eligible, the first round's queue and the pruning
-rounds.  The pool rebuilds each step's runs block by block and keeps only
-brackets, so memory stays at one block's basis whatever n is.
+engine behind exp-quad and resolvent-quad too, and are this module's only
+state; it adds only the policy: which nodes are eligible, the rounds and
+the members.  The pool rebuilds each step's runs block by block and keeps
+only brackets, so memory stays at one block's basis whatever n is.
 """
 
 from dataclasses import dataclass, field
@@ -27,15 +27,9 @@ import numpy as np
 
 from .errors import ParameterError
 from .graph import GramOperator, degrees
-from .quadrature import (
-    COSH_SQRT,
-    P_START,
-    BracketPool,
-    NodeBounds,
-    check_p_max,
-    spectrum_interval,
-)
-from .rankers import TIE_REL_TOL, ScoreVector, rank_table
+from .quadrature import P_START  # unused here; perfbench/tracer.py looks topk.P_START up
+from .quadrature import COSH_SQRT, BracketPool, NodeBounds, check_p_max, spectrum_interval
+from .rankers import TIE_REL_TOL, ScoreVector, _check_side, rank_table, tie_slack
 
 __all__ = ["TopKReport", "identify_top_k", "rank_in_top_m"]
 
@@ -47,9 +41,12 @@ class TopKReport:
     ``iterations`` maps each eligible node to the Lanczos steps its last run
     took on A A^T or A^T A, as the bracket pool recorded them (0 for a
     zero-degree node, which never enters it); a bracket of order p takes
-    p + 1 steps unless the run breaks down first.  A node ruled out by its
-    order-1 bracket in the first round reports the 1 step that bracket took
-    and keeps it (``p`` = 1).
+    p + 1 steps unless the run breaks down first.  A node the cut drops
+    keeps the bracket and steps it had, so one ruled out by its order-1
+    bracket reports 1 step (``p`` = 1).  ``certified``: the worst member's
+    lower bound reaches every other eligible node's upper bound, less the
+    tie slack.  ``fully_ordered``: so do the members' brackets pairwise, in
+    member order.
     """
 
     k: int
@@ -77,28 +74,26 @@ def _cut(threshold, tie_tol):
     Anything within tie tolerance of the threshold is kept: genuinely tied
     nodes must be resolved by the id rule, not by floating-point noise.
     """
-    return threshold - tie_tol * max(1.0, abs(threshold))
+    return threshold - tie_slack(threshold, tie_tol)
 
 
-def _first_round(pool, nodes, zero_degree, k, tie_tol):
-    """Bracket ``nodes`` at order 1, then take those it cannot rule out to order P_START.
+def _steppable(pool, nodes, p_max):
+    """The ``nodes`` whose bracket can still tighten: not exact and below p_max."""
+    return [v for v in nodes if not pool.bounds[v].exact and pool.bounds[v].p < p_max]
 
-    The order-1 brackets come from one sparse first Lanczos step per node
-    (``BracketPool.first_pass``).  The cut is taken at the k-th largest lower
-    bound, the ``zero_degree`` nodes' exact 1.0 included; a node whose upper
-    bound falls below it stays at order 1 with 1 step.  The survivors go to
-    order P_START in blocks of ``pool.width``, largest order-1 upper bound
-    first (ties by id), each run resuming from its order-1 brackets.  Before
-    each block the cut is taken again on every lower bound known so far, and
-    queued nodes below it are dropped.  Lower bounds only rise, so no cut
-    ever exceeds the first one ``_topk_engine`` takes, and every dropped node
-    is one that cut prunes anyway.
+
+def _round(pool, nodes, lower, k, tie_tol, p_max):
+    """Take one schedule step on each of ``nodes`` that the cut keeps; whether any took one.
+
+    ``lower`` holds every eligible node's lower bound known so far (-inf
+    elsewhere).  The steppable nodes go in blocks of ``pool.width``, largest
+    upper bound first (ties by id).  Before each block the cut is taken again
+    at the k-th largest entry of ``lower``, and queued nodes below it are
+    dropped.  Lower bounds only rise, so a dropped node is one the cut after
+    the round prunes anyway, and the steppable nodes of each round share one
+    order, as ``BracketPool.advance`` needs.
     """
-    lower = np.full(pool.op.dim, -np.inf)
-    lower[zero_degree] = 1.0
-    first = pool.first_pass(nodes)
-    lower[nodes] = [b.lower for b in first]
-    queue = sorted((b for b in first if not b.exact), key=lambda b: (-b.upper, b.node))
+    queue = sorted((pool.bounds[v] for v in _steppable(pool, nodes, p_max)), key=lambda b: (-b.upper, b.node))
     falling = np.array([-b.upper for b in queue])
     done = 0
     while done < len(queue):
@@ -109,20 +104,9 @@ def _first_round(pool, nodes, zero_degree, k, tie_tol):
             break
         chunk = [b.node for b in queue[done:end]]
         done = end
-        pool.advance(chunk, P_START)
+        pool.advance(chunk, p_max)
         lower[chunk] = [pool.bounds[v].lower for v in chunk]
-
-
-def _refine(pool, nodes, p_max):
-    """Take one schedule step on each of ``nodes`` that can still improve; whether any could.
-
-    These share one order: the first round takes all its survivors to
-    P_START, and each later call is given survivors of the call before.
-    """
-    todo = [v for v in sorted(nodes) if not pool.bounds[v].exact and pool.bounds[v].p < p_max]
-    if todo:
-        pool.advance(todo, p_max)
-    return bool(todo)
+    return done > 0
 
 
 def _select_members(candidates, pool, k, tie_tol):
@@ -142,8 +126,7 @@ def _select_members(candidates, pool, k, tie_tol):
 
 
 def _topk_engine(g, k, side, p_max, m, exclude_degree_one, tie_tol):
-    if side not in ("hub", "authority"):
-        raise ParameterError(f"side must be 'hub' or 'authority', got '{side}'")
+    _check_side(side)
     check_p_max(p_max)
     out_deg, in_deg = degrees(g)
     degree_one = (out_deg == 1) & (in_deg == 1)
@@ -159,49 +142,37 @@ def _topk_engine(g, k, side, p_max, m, exclude_degree_one, tie_tol):
     zero_degree = [v for v in eligible if relevant_deg[v] == 0]
     for v in zero_degree:
         pool.bounds[v] = NodeBounds(v, 1.0, 1.0, p=0, exact=True)
-    _first_round(pool, [v for v in eligible if relevant_deg[v] != 0], zero_degree, k, tie_tol)
-    candidates = set(eligible)
-    pruned_upper_max = -np.inf
+    lower = np.full(g.n, -np.inf)
+    lower[zero_degree] = 1.0
+    with_edges = [v for v in eligible if relevant_deg[v] != 0]
+    lower[with_edges] = [b.lower for b in pool.first_pass(with_edges)]
+    candidates = eligible
     while True:
-        lowers = sorted((pool.bounds[v].lower for v in candidates), reverse=True)
-        cut = _cut(lowers[k - 1], tie_tol)
-        survivors = set()
-        for v in candidates:
-            if pool.bounds[v].upper < cut:
-                pruned_upper_max = max(pruned_upper_max, pool.bounds[v].upper)
-            else:
-                survivors.add(v)
-        candidates = survivors
-        if len(candidates) <= m_eff:
-            break
-        if not _refine(pool, candidates, p_max):
-            break  # every survivor is exact or at p_max: resolve by tie rule
+        stepped = _round(pool, candidates, lower, k, tie_tol, p_max)
+        cut = _cut(np.partition(lower, -k)[-k], tie_tol)
+        candidates = [v for v in candidates if pool.bounds[v].upper >= cut]
+        if len(candidates) <= m_eff or not stepped:
+            break  # not stepped: every survivor is exact or at p_max, so the tie rule decides
 
     members, ties_note = _select_members(candidates, pool, k, tie_tol)
-    member_set = set(members)
     min_member_lower = min(pool.bounds[v].lower for v in members)
-    outside_upper = max(
-        (pool.bounds[v].upper for v in candidates if v not in member_set),
-        default=pruned_upper_max,
-    )
-    outside_upper = max(outside_upper, pruned_upper_max)
-    certified = outside_upper == -np.inf or min_member_lower >= outside_upper - tie_tol * max(
-        1.0, abs(min_member_lower)
-    )
+    member_set = set(members)
+    # a pruned node is never stepped again: the pool holds the bracket that pruned it
+    outside_upper = max((pool.bounds[v].upper for v in eligible if v not in member_set), default=-np.inf)
+    certified = bool(min_member_lower >= outside_upper - tie_slack(min_member_lower, tie_tol))
 
     fully_ordered = False
     if m is None:
         while True:
-            pairs_ok = all(
-                pool.bounds[a].lower >= pool.bounds[b].upper - tie_tol * max(1.0, pool.bounds[a].lower)
+            fully_ordered = all(
+                pool.bounds[a].lower >= pool.bounds[b].upper - tie_slack(pool.bounds[a].lower, tie_tol)
                 for a, b in zip(members, members[1:])
             )
-            if pairs_ok:
-                fully_ordered = True
+            todo = _steppable(pool, members, p_max)
+            if fully_ordered or not todo:
                 break
-            if not _refine(pool, member_set, p_max):
-                break
-        members, extra_note = _select_members(member_set, pool, k, tie_tol)
+            pool.advance(todo, p_max)
+        members, extra_note = _select_members(members, pool, k, tie_tol)
         ties_note = ties_note or extra_note
 
     return TopKReport(
@@ -212,7 +183,7 @@ def _topk_engine(g, k, side, p_max, m, exclude_degree_one, tie_tol):
         fully_ordered=fully_ordered,
         iterations={v: pool.steps[v] for v in eligible},
         bounds={v: pool.bounds[v] for v in eligible},
-        candidates=sorted(candidates),
+        candidates=candidates,
         excluded_zero_degree=len(zero_degree),
         excluded_degree_one=int(np.count_nonzero(degree_one)) if exclude_degree_one else 0,
         ties_note=ties_note,
@@ -224,12 +195,11 @@ def _topk_engine(g, k, side, p_max, m, exclude_degree_one, tie_tol):
 def identify_top_k(g, k, side="hub", p_max=64, exclude_degree_one=False, tie_tol=TIE_REL_TOL):
     """Certified top-k nodes on one side, refining brackets only where needed.
 
-    Round structure: prune candidates whose upper bound sits below the k-th
-    largest lower bound, then raise the survivors' bracket order by two.  The
-    first round brackets every node at order 1, from its sparse Gram column,
-    before order 3 and prunes on both.
-    Stops when exactly k candidates survive (certified), or when no bracket
-    can improve, in which case near-identical scores are resolved by
+    Every node is bracketed at order 1 from its sparse Gram column; then
+    each round raises the order of the nodes that can still reach the top k
+    (to 3, then by two) and prunes those whose upper bound sits below the
+    k-th largest lower bound.  Stops when exactly k candidates survive
+    (certified), or when no bracket can improve, in which case near-identical scores are resolved by
     ascending node id and flagged in ``ties_note``.  The members are then
     refined until their brackets are ordered (``fully_ordered``) or stuck.
     """

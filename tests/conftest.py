@@ -1,13 +1,18 @@
 """Shared fixtures: the three pedagogical example graphs, a seeded random
 digraph suite, and dense oracle helpers used to derive expected values."""
 
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
 
-from hubauth import from_edges, spmv
-from hubauth.quadrature import P_START
+from hubauth import from_edges, spmv, topk
+from hubauth.graph import GramOperator, degrees
+from hubauth.quadrature import COSH_SQRT, BracketPool, NodeBounds, spectrum_interval
+from hubauth.rankers import TIE_REL_TOL
 
 # three small example digraphs with known score tables (stored 0-based)
 EX1_EDGES = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 1), (2, 3), (3, 1)]
@@ -62,9 +67,78 @@ def both_sides(ranker, g, **params):
     return ranker(g, "hub", **params), ranker(g, "authority", **params)
 
 
-def order_three_first_round(pool, nodes, zero_degree, k, tie_tol):
-    """``topk._first_round`` without the order-1 pass: every node straight to P_START."""
-    pool.advance(nodes, P_START)
+def benchmark_zipf_offset_graph(n, d, seed):
+    """``perfbench/graphs.py``'s zipf-offset digraph, the benchmark's own generator."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "graphs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_graphs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    src, dst = module.zipf_offset(n, d, seed)
+    return from_edges(list(zip(src.tolist(), dst.tolist())), n=n)
+
+
+def reference_top_k(g, k, m=None, side="hub", p_max=64, exclude_degree_one=False, tie_tol=TIE_REL_TOL):
+    """``topk``'s selection under the plainest pruning policy, as a ``TopKReport``.
+
+    Every eligible node with edges goes straight to order P_START, and each
+    round then steps every survivor: no order-1 pass and no running cut.
+    The cut after each round, the members, the certificate and the member
+    refinement follow the rules ``identify_top_k`` (``m`` None) and
+    ``rank_in_top_m`` document.
+    """
+    out_deg, in_deg = degrees(g)
+    degree_one = (out_deg == 1) & (in_deg == 1)
+    eligible = [v for v in range(g.n) if not (exclude_degree_one and degree_one[v])]
+    relevant_deg = out_deg if side == "hub" else in_deg
+    pool = BracketPool(GramOperator(g, side), spectrum_interval(g), COSH_SQRT)
+    zero_degree = [v for v in eligible if relevant_deg[v] == 0]
+    for v in zero_degree:
+        pool.bounds[v] = NodeBounds(v, 1.0, 1.0, p=0, exact=True)
+
+    def steppable(nodes):
+        return [v for v in nodes if not pool.bounds[v].exact and pool.bounds[v].p < p_max]
+
+    def slack(x):
+        return tie_tol * max(1.0, abs(x))
+
+    candidates, todo = eligible, [v for v in eligible if relevant_deg[v] != 0]
+    while True:
+        pool.advance(todo, p_max)
+        kth = sorted((pool.bounds[v].lower for v in candidates), reverse=True)[k - 1]
+        candidates = [v for v in candidates if pool.bounds[v].upper >= kth - slack(kth)]
+        todo = steppable(candidates)
+        if len(candidates) <= (k if m is None else m) or not todo:
+            break
+    members, ties_note = topk._select_members(candidates, pool, k, tie_tol)
+    member_lower = min(pool.bounds[v].lower for v in members)
+    outside = [pool.bounds[v].upper for v in eligible if v not in members]
+    certified = all(member_lower >= upper - slack(member_lower) for upper in outside)
+
+    def ordered(members):
+        pairs = zip(members, members[1:])
+        return all(pool.bounds[a].lower >= pool.bounds[b].upper - slack(pool.bounds[a].lower) for a, b in pairs)
+
+    fully_ordered = False
+    if m is None:
+        while not (fully_ordered := ordered(members)) and steppable(members):
+            pool.advance(steppable(members), p_max)
+        members, extra_note = topk._select_members(members, pool, k, tie_tol)
+        ties_note = ties_note or extra_note
+    return topk.TopKReport(
+        k=k,
+        side=side,
+        members=members,
+        certified=certified,
+        fully_ordered=fully_ordered,
+        iterations={v: pool.steps[v] for v in eligible},
+        bounds={v: pool.bounds[v] for v in eligible},
+        candidates=candidates,
+        excluded_zero_degree=len(zero_degree),
+        excluded_degree_one=int(np.count_nonzero(degree_one)) if exclude_degree_one else 0,
+        ties_note=ties_note,
+        m=m,
+        params={"p_max": p_max, "exclude_degree_one": exclude_degree_one},
+    )
 
 
 def random_digraph(rng):

@@ -19,7 +19,7 @@ import hubauth
 from hubauth import cli, graph, rankers, topk
 from hubauth.cli import main
 
-from conftest import order_three_first_round
+from conftest import reference_top_k, zipf_offset_graph
 
 EX1_TEXT = "1 2\n1 3\n2 1\n2 3\n3 2\n3 4\n4 2\n"
 EX3_TEXT = "2 1\n3 1\n4 1\n5 1\n6 2\n6 3\n6 4\n6 5\n"
@@ -482,7 +482,7 @@ def test_topk_json_reports_one_step_for_nodes_dropped_at_order_one(tmp_path, cap
     code, text, _ = run_cli(args, capsys)
     assert code == 0
     with monkeypatch.context() as patched:
-        patched.setattr(topk, "_first_round", order_three_first_round)
+        patched.setattr(topk, "identify_top_k", reference_top_k)
         code, reference_text, _ = run_cli(args, capsys)
     assert code == 0
     payload, reference = _loads(text), _loads(reference_text)
@@ -491,6 +491,20 @@ def test_topk_json_reports_one_step_for_nodes_dropped_at_order_one(tmp_path, cap
     assert [reference["iterations"]["per_node"].pop(v) for v in dropped] == [4] * 7
     assert payload["iterations"]["max"] == 9
     assert payload == reference
+
+
+def test_katz_on_a_deep_dag_prints_its_finite_series_or_names_the_overflow(tmp_path, capsys):
+    path = tmp_path / "path.txt"
+    path.write_text("".join(f"{u} {u + 1}\n" for u in range(150)))
+    args = ["rank", "--input", str(path), "--method", "katz", "--side", "hub", "--top", "1"]
+    code, out, err = run_cli(args + ["--precision", "full", "--c", "10"], capsys)
+    assert (code, err) == (0, "")
+    assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(float(sum(10**k for k in range(151))), rel=1e-11)
+    code, out, err = run_cli(args + ["--c", "1e3"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "overflow" in err and err.count("\n") == 1
+    # the default c keeps the positive scale 1/1.1: the series sums to about 11
+    assert run_cli(args, capsys) == (0, "node,score,rank\n0,11.0000,1\n", "")
 
 
 def test_compare_exp_vs_hits_authority(ex1_file, capsys):
@@ -899,3 +913,43 @@ def test_runs_are_byte_identical(ex1_file, capsys):
     _, out1, _ = run_cli(args, capsys)
     _, out2, _ = run_cli(args, capsys)
     assert out1 == out2
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+OUTPUTS_PROBE = (
+    "import contextlib, io, json, sys\n"
+    "from hubauth.cli import main\n"
+    "outputs = []\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+    "        assert main(argv) == 0, argv\n"
+    "    outputs.append(out.getvalue())\n"
+    "print(json.dumps(outputs))\n"
+)
+
+
+def _outputs_at_blas_threads(threads, commands):
+    """stdout of each CLI command, run in one child process with ``threads`` BLAS threads."""
+    env = dict(_child_env(), **dict.fromkeys(BLAS_THREAD_VARIABLES, str(threads)))
+    result = subprocess.run(
+        [sys.executable, "-c", OUTPUTS_PROBE, json.dumps(commands)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_output_bytes_hold_across_runs_and_as_stated_across_blas_thread_counts(tmp_path):
+    # on zipf-offset n=600 eigh's last bits move with the BLAS thread count, and so
+    # do the dense methods' JSON digits; their 4-decimal CSV does not move
+    path = tmp_path / "zipf.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v, _ in zipf_offset_graph(600, 5, 0).edges()))
+    dense = ("exp-exact", "spectral", "resolvent")
+    across = [["topk", "--k", "10", "--side", side, "--json"] for side in ("hub", "authority")]
+    across += [["rank", "--method", "exp-quad", "--side", "hub", "--json"]]
+    across += [["rank", "--method", method, "--side", "hub"] for method in dense]
+    per_count = [["rank", "--method", method, "--side", "hub", "--json"] for method in dense]
+    commands = [argv + ["--input", str(path)] for argv in across + per_count]
+    one, again, two = (_outputs_at_blas_threads(threads, commands) for threads in (1, 1, 2))
+    assert all(text for text in one)
+    assert one == again
+    assert two[: len(across)] == one[: len(across)]

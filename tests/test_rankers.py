@@ -505,6 +505,17 @@ def test_katz_on_a_dag_takes_any_c():
     assert deep.scores[0] == pytest.approx(sum(c**k for k in range(151)), rel=1e-12)
 
 
+def test_katz_sums_a_deep_dag_series_past_the_divergence_guard():
+    # rho = 0 is proved, so an explicit c > 0 is refused only when the finite sum overflows
+    deep = katz_row_col(path_graph(151), "hub", c=10.0)
+    assert deep.scores[0] == pytest.approx(float(sum(10**k for k in range(151))), rel=1e-12)
+    assert deep.scores[0] > 1e150
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="overflow"):
+            katz_row_col(path_graph(151), "hub", c=1e3)
+
+
 def test_katz_default_parameter_matches_dense_solve(ex1):
     hub, auth = both_sides(katz_row_col, ex1)
     c = hub.params["c"]

@@ -17,7 +17,7 @@ from hubauth import (
     topk,
 )
 
-from conftest import edgeless_graph, order_three_first_round, zipf_offset_graph
+from conftest import benchmark_zipf_offset_graph, edgeless_graph, reference_top_k, zipf_offset_graph
 
 
 def exact_top(g, k, side):
@@ -201,13 +201,12 @@ def test_topk_memory_stays_at_one_block_of_runs():
     assert peak < 100 * 2**20
 
 
-def _without_order_one_pass(monkeypatch, select, *args, **kwargs):
-    with monkeypatch.context() as patched:
-        patched.setattr(topk, "_first_round", order_three_first_round)
-        return select(*args, **kwargs)
+def _assert_same_outcome(report, reference, multi_block=False):
+    """``report`` selects as ``reference_top_k`` does; only nodes the cut dropped took fewer steps.
 
-
-def _assert_same_outcome(report, reference):
+    A later round drops nodes only when its queue spans several blocks
+    (``multi_block``); at order 1 the cut drops nodes whatever the width.
+    """
     assert report.members == reference.members
     assert report.certified == reference.certified
     assert report.fully_ordered == reference.fully_ordered
@@ -219,6 +218,11 @@ def _assert_same_outcome(report, reference):
         if nb.p == 1 and not nb.exact:  # dropped at order 1
             assert v not in report.candidates
             assert report.iterations[v] == 1 < reference.iterations[v]
+        elif report.iterations[v] < reference.iterations[v]:  # dropped by a later round's running cut
+            assert multi_block
+            assert v not in report.candidates
+            ref = reference.bounds[v]
+            assert nb.p < ref.p and nb.lower <= ref.lower <= ref.upper <= nb.upper
         else:
             assert nb == reference.bounds[v]  # bit for bit
             assert report.iterations[v] == reference.iterations[v]
@@ -233,23 +237,17 @@ def test_order_one_pass_changes_only_the_dropped_nodes(monkeypatch, random_suite
     for g in random_suite[:12] + [zipf_offset_graph(150, 5, 1)]:
         for k in {1, min(4, g.n)}:
             for select, args in ((identify_top_k, (g, k)), (rank_in_top_m, (g, k, min(2 * k, g.n)))):
-                _assert_same_outcome(
-                    select(*args, side=side),
-                    _without_order_one_pass(monkeypatch, select, *args, side=side),
-                )
+                _assert_same_outcome(select(*args, side=side), reference_top_k(*args, side=side), bool(width))
 
 
 @pytest.mark.parametrize("side", ["hub", "authority"])
-def test_order_one_cut_keeps_the_tie_slack(monkeypatch, side):
+def test_order_one_cut_keeps_the_tie_slack(side):
     # a wide tie tolerance keeps nodes whose upper bound sits below the k-th
     # lower bound; the running cut must keep them too
     g = zipf_offset_graph(150, 5, 1)
     kwargs = dict(side=side, p_max=7, tie_tol=0.2)
     for k in (1, 5):
-        _assert_same_outcome(
-            identify_top_k(g, k, **kwargs),
-            _without_order_one_pass(monkeypatch, identify_top_k, g, k, **kwargs),
-        )
+        _assert_same_outcome(identify_top_k(g, k, **kwargs), reference_top_k(g, k, **kwargs))
 
 
 def test_order_one_pass_halves_the_steps_on_sparse_graphs():
@@ -259,13 +257,26 @@ def test_order_one_pass_halves_the_steps_on_sparse_graphs():
     assert sum(report.iterations.values()) <= 0.3 * 4 * len(report.iterations)
 
 
-def test_order_one_pass_never_adds_steps_when_it_prunes_nothing(monkeypatch):
+def test_order_one_pass_never_adds_steps_when_it_prunes_nothing():
     # in-degree 20: every order-1 bracket reaches the running cut
     g = zipf_offset_graph(1000, 20, 0)
     report = identify_top_k(g, 10, side="authority")
-    reference = _without_order_one_pass(monkeypatch, identify_top_k, g, 10, side="authority")
+    reference = reference_top_k(g, 10, side="authority")
     _assert_same_outcome(report, reference)
     assert all(report.iterations[v] <= reference.iterations[v] for v in reference.iterations)
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_later_rounds_over_several_blocks_select_as_the_reference(monkeypatch, width):
+    # 309 hubs take a second round: with 2 or 3 columns a block, its running
+    # cut drops some of them, which then keep their order-3 brackets
+    monkeypatch.setattr(quadrature, "block_width", lambda dim: width)
+    g = benchmark_zipf_offset_graph(1000, 20, (0, 2))
+    report = identify_top_k(g, 10, side="hub")
+    reference = reference_top_k(g, 10, side="hub")
+    _assert_same_outcome(report, reference, multi_block=True)
+    assert all(report.iterations[v] <= reference.iterations[v] for v in reference.iterations)
+    assert any(1 < nb.p < reference.bounds[v].p for v, nb in report.bounds.items())
 
 
 def test_krylov_dimension_two_gets_a_radau_bracket_at_order_one():
