@@ -73,7 +73,7 @@ _SOURCES = {
         "resolvent_bipartite",
         "truncated_spectral_scores",
     ),
-    "topk": ("TopKReport", "identify_top_k", "rank_in_top_m"),
+    "topk": ("TopKReport", "identify_top_k"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 

@@ -139,11 +139,8 @@ def cmd_topk(args):
     from . import topk
 
     g = _load_graph(args)
-    kwargs = dict(side=args.side, p_max=args.pmax, exclude_degree_one=args.exclude_degree_one)
-    if args.m is not None:
-        report = topk.rank_in_top_m(g, args.k, args.m, **kwargs)
-    else:
-        report = topk.identify_top_k(g, args.k, **kwargs)
+    kwargs = dict(side=args.side, p_max=args.pmax, exclude_degree_one=args.exclude_degree_one, m=args.m)
+    report = topk.identify_top_k(g, args.k, **kwargs)
     iters = report.iterations
     if args.json:
         payload = {

@@ -289,17 +289,16 @@ def radau_bounds_from_run(run, p, iv, f):
     """Gauss-Radau brackets at order p for every column of a (re-usable) Lanczos run.
 
     The run is started from a sequence of node indices and is extended to
-    p+1 steps because the modification needs the off-diagonal coupling
-    gamma_p.  A column that breaks down within those steps has its whole
-    Krylov space: its Gauss value is exact and the bracket collapses.  The
-    brackets of the other columns come from stacked eigensolves and solves.
-    Returns one NodeBounds per column, in column order.
+    p steps: step p gives the Jacobi matrix J_p and its coupling gamma_p
+    = beta_p, all that the modification reads.  A column that breaks down
+    within those steps has its whole Krylov space: its Gauss value is exact
+    and the bracket collapses.  The brackets of the other columns come from
+    stacked eigensolves and solves.  Returns one NodeBounds per column, in
+    column order.
     """
     f = _require_kernel(f)
-    run.extend(p + 1)
-    alpha, beta = run.coefficients(run.steps)
-    exact = run.broken & (run.lengths <= p + 1)
-    return _brackets(run.start_index, alpha, beta, run.lengths, exact, p, iv, f)
+    run.extend(p)
+    return _brackets(run.start_index, *run.coefficients(run.steps), run.lengths, run.broken, p, iv, f)
 
 
 def first_lanczos_step(op, nodes):
@@ -350,14 +349,16 @@ def _intersect(old, new):
 
 
 class BracketPool:
-    """Each node's bracket (``bounds``, None until it has one) and run length (``steps``) on ``op``.
+    """Each node's bracket (``bounds``, None until it has one) on ``op``.
 
     Brackets follow one schedule of orders: P_START first (or after any
-    order below it), then +P_STEP per step, capped at p_max.  Each new
-    bracket is intersected with the node's stored one, which keeps brackets
-    monotone under roundoff jitter; a new bracket wholly outside the stored
-    one collapses onto its nearer end.  A column whose run breaks down takes
-    the exact step, whatever p_max is.
+    order below it), then +P_STEP per step, capped at p_max.  A bracket's
+    order ``p`` is the Lanczos steps it read: p for a Radau bracket, the
+    run's length for an exact one.  Each new bracket is intersected with the
+    node's stored one, which keeps brackets monotone under roundoff jitter;
+    a new bracket wholly outside the stored one collapses onto its nearer
+    end.  A column whose run breaks down within its order's steps takes the
+    exact value.
 
     Runs live only inside ``advance``, one block of ``width`` nodes at a
     time, so memory stays at one block's basis whatever the dimension.  A
@@ -372,20 +373,18 @@ class BracketPool:
         self.f = _require_kernel(f)
         self.width = block_width(op.dim)
         self.bounds = [None] * op.dim
-        self.steps = [0] * op.dim
 
     def first_pass(self, nodes):
         """Order-1 brackets for ``nodes`` from one sparse first Lanczos step each; returns them.
 
-        The same brackets, bit for bit, as ``radau_bounds_from_run`` at p = 1
-        gives a run that stops after its first step: a node whose run breaks
-        down there gets its exact value f(alpha_1).  Costs no block run: see
-        ``first_lanczos_step``.  Each node is stored with 1 step.
+        The same brackets, bit for bit, as ``radau_bounds_from_run`` at
+        p = 1: a node whose run breaks down at its first step gets its exact
+        value f(alpha_1).  Costs no block run: see ``first_lanczos_step``.
         """
         alpha, beta, exact = first_lanczos_step(self.op, nodes)
         bounds = _brackets(nodes, alpha[:, None], beta[:, None], np.ones_like(exact, int), exact, 1, self.iv, self.f)
         for b in bounds:
-            self.bounds[b.node], self.steps[b.node] = b, 1
+            self.bounds[b.node] = b
         return bounds
 
     def advance(self, nodes, p_max, done=lambda b: True):
@@ -405,10 +404,9 @@ class BracketPool:
             while run.columns:
                 p = P_START if p < P_START else min(p + P_STEP, p_max)
                 new = radau_bounds_from_run(run, p, self.iv, self.f)
-                for b, length in zip(new, run.lengths):
+                for b in new:
                     old = self.bounds[b.node]
                     self.bounds[b.node] = b if old is None else _intersect(old, b)
-                    self.steps[b.node] = int(length)
                 if p >= p_max or all(b.exact for b in new):
                     break
                 run.retain([j for j, b in enumerate(new) if not done(self.bounds[b.node])])

@@ -14,10 +14,10 @@ again before each block, and prunes on the cut after it.  Nodes with no
 out-edges (hub side) or no in-edges (authority side) score exactly
 cosh(0) = 1 and never enter Lanczos at all.
 
-The brackets and step counts live in one ``quadrature.BracketPool``, the
-engine behind exp-quad and resolvent-quad too, and are this module's only
-state; it adds only the policy: which nodes are eligible, the rounds and
-the members.  The pool rebuilds each step's runs block by block and keeps
+The brackets live in one ``quadrature.BracketPool``, the engine behind
+exp-quad and resolvent-quad too, and are this module's only state; it
+adds only the policy: which nodes are eligible, the rounds and the
+members.  The pool rebuilds each step's runs block by block and keeps
 only brackets, so memory stays at one block's basis whatever n is.
 """
 
@@ -31,22 +31,21 @@ from .quadrature import P_START  # unused here; perfbench/tracer.py looks topk.P
 from .quadrature import COSH_SQRT, BracketPool, NodeBounds, check_p_max, spectrum_interval
 from .rankers import TIE_REL_TOL, ScoreVector, _check_side, rank_table, tie_slack
 
-__all__ = ["TopKReport", "identify_top_k", "rank_in_top_m"]
+__all__ = ["TopKReport", "identify_top_k"]
 
 
 @dataclass
 class TopKReport:
     """Outcome of a top-k (or top-k-within-top-m) selection run.
 
-    ``iterations`` maps each eligible node to the Lanczos steps its last run
-    took on A A^T or A^T A, as the bracket pool recorded them (0 for a
-    zero-degree node, which never enters it); a bracket of order p takes
-    p + 1 steps unless the run breaks down first.  A node the cut drops
-    keeps the bracket and steps it had, so one ruled out by its order-1
-    bracket reports 1 step (``p`` = 1).  ``certified``: the worst member's
-    lower bound reaches every other eligible node's upper bound, less the
-    tie slack.  ``fully_ordered``: so do the members' brackets pairwise, in
-    member order.
+    ``iterations`` maps each eligible node to the Lanczos steps its bracket
+    read on A A^T or A^T A, which is the bracket's order ``p``: p steps for
+    a Radau bracket, the run's length for an exact one, 0 for a zero-degree
+    node, which never enters a run.  A node the cut drops keeps the bracket
+    it had, so one ruled out by its order-1 bracket reports 1 step.
+    ``certified``: the worst member's lower bound reaches every other
+    eligible node's upper bound, less the tie slack.  ``fully_ordered``: so
+    do the members' brackets pairwise, in member order.
     """
 
     k: int
@@ -125,7 +124,18 @@ def _select_members(candidates, pool, k, tie_tol):
     return members, None
 
 
-def _topk_engine(g, k, side, p_max, m, exclude_degree_one, tie_tol):
+def identify_top_k(g, k, side="hub", p_max=64, exclude_degree_one=False, tie_tol=TIE_REL_TOL, m=None):
+    """Certified top-k nodes on one side, refining brackets only where needed.
+
+    Every node is bracketed at order 1 from its sparse Gram column; then
+    each round raises the order of the nodes that can still reach the top k
+    (to 3, then by two) and prunes those whose upper bound sits below the
+    k-th largest lower bound.  Stops when at most ``m`` (default k)
+    candidates survive, or when no bracket can improve, in which case
+    near-identical scores are resolved by ascending node id and flagged in
+    ``ties_note``.  Without ``m``, the members are then refined until their
+    brackets are ordered (``fully_ordered``) or stuck.
+    """
     _check_side(side)
     check_p_max(p_max)
     out_deg, in_deg = degrees(g)
@@ -157,7 +167,12 @@ def _topk_engine(g, k, side, p_max, m, exclude_degree_one, tie_tol):
     members, ties_note = _select_members(candidates, pool, k, tie_tol)
     min_member_lower = min(pool.bounds[v].lower for v in members)
     member_set = set(members)
-    # a pruned node is never stepped again: the pool holds the bracket that pruned it
+    # A pruned node keeps the bracket that pruned it, and as lower bounds only
+    # rise its upper bound lies below the final cut C.  With more than k
+    # candidates, a non-member candidate has upper >= C and sets the maximum.
+    # With exactly k, the members hold the k largest lower bounds (none at or
+    # above the k-th is pruned), so a pruned upper sits below the worst member's
+    # lower bound less its slack.  So this equals the certificate over candidates.
     outside_upper = max((pool.bounds[v].upper for v in eligible if v not in member_set), default=-np.inf)
     certified = bool(min_member_lower >= outside_upper - tie_slack(min_member_lower, tie_tol))
 
@@ -181,7 +196,7 @@ def _topk_engine(g, k, side, p_max, m, exclude_degree_one, tie_tol):
         members=members,
         certified=certified,
         fully_ordered=fully_ordered,
-        iterations={v: pool.steps[v] for v in eligible},
+        iterations={v: pool.bounds[v].p for v in eligible},
         bounds={v: pool.bounds[v] for v in eligible},
         candidates=candidates,
         excluded_zero_degree=len(zero_degree),
@@ -190,28 +205,3 @@ def _topk_engine(g, k, side, p_max, m, exclude_degree_one, tie_tol):
         m=m,
         params={"p_max": p_max, "exclude_degree_one": exclude_degree_one},
     )
-
-
-def identify_top_k(g, k, side="hub", p_max=64, exclude_degree_one=False, tie_tol=TIE_REL_TOL):
-    """Certified top-k nodes on one side, refining brackets only where needed.
-
-    Every node is bracketed at order 1 from its sparse Gram column; then
-    each round raises the order of the nodes that can still reach the top k
-    (to 3, then by two) and prunes those whose upper bound sits below the
-    k-th largest lower bound.  Stops when exactly k candidates survive
-    (certified), or when no bracket can improve, in which case near-identical scores are resolved by
-    ascending node id and flagged in ``ties_note``.  The members are then
-    refined until their brackets are ordered (``fully_ordered``) or stuck.
-    """
-    return _topk_engine(g, k, side, p_max, None, exclude_degree_one, tie_tol)
-
-
-def rank_in_top_m(g, k, m, side="hub", p_max=64, exclude_degree_one=False, tie_tol=TIE_REL_TOL):
-    """Relaxed selection: stop once the true top-k provably lies within top-m.
-
-    Identical machinery to ``identify_top_k`` but rounds stop as soon as at
-    most m candidates remain, which typically takes fewer Lanczos steps per
-    node.  With m == k it selects ``identify_top_k``'s members but does not
-    refine them further to certify their order.
-    """
-    return _topk_engine(g, k, side, p_max, m, exclude_degree_one, tie_tol)

@@ -83,8 +83,8 @@ def reference_top_k(g, k, m=None, side="hub", p_max=64, exclude_degree_one=False
     Every eligible node with edges goes straight to order P_START, and each
     round then steps every survivor: no order-1 pass and no running cut.
     The cut after each round, the members, the certificate and the member
-    refinement follow the rules ``identify_top_k`` (``m`` None) and
-    ``rank_in_top_m`` document.
+    refinement follow the rules ``identify_top_k`` documents, with and
+    without ``m``.
     """
     out_deg, in_deg = degrees(g)
     degree_one = (out_deg == 1) & (in_deg == 1)
@@ -130,7 +130,7 @@ def reference_top_k(g, k, m=None, side="hub", p_max=64, exclude_degree_one=False
         members=members,
         certified=certified,
         fully_ordered=fully_ordered,
-        iterations={v: pool.steps[v] for v in eligible},
+        iterations={v: pool.bounds[v].p for v in eligible},
         bounds={v: pool.bounds[v] for v in eligible},
         candidates=candidates,
         excluded_zero_degree=len(zero_degree),

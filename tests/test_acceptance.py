@@ -24,7 +24,6 @@ from hubauth import (
     load_matrix_market,
     pagerank,
     power_singular_pair,
-    rank_in_top_m,
     rank_table,
     resolvent_bipartite,
     spectrum_interval,
@@ -167,6 +166,8 @@ def test_criterion_07_topk_soundness(random_suite, ex1, ex2, ex3):
                     continue
                 report = identify_top_k(g, k, side=side)
                 assert report.members == expected_order[:k], (g.n, side, k)
+                # an order-p bracket read p Lanczos steps
+                assert report.iterations == {v: nb.p for v, nb in report.bounds.items()}
                 runs += 1
     print(f"\n[criterion 7] PASS - {runs} top-k selections match dense-exact rankings")
 
@@ -273,7 +274,7 @@ def test_criterion_12_stanford_dataset():
     assert abs(est.sigma1 - 38.38) <= 0.05
     assert abs(est.sigma2 - 32.12) <= 0.05
     assert abs(symmetry_fraction(g) - 0.4763) <= 0.001
-    report = rank_in_top_m(g, 10, 30, side="hub")
+    report = identify_top_k(g, 10, side="hub", m=30)
     # Gram steps: s steps on A A^T span the hub part of 2s - 1 steps on the
     # bipartite operator, so this is the former bound of 9 bipartite steps
     assert report.max_iterations <= 5

@@ -263,9 +263,11 @@ def test_bracket_pool_schedule_tightens_to_the_exact_value():
             assert nb.exact and nb.lower == nb.upper
             assert nb.lower == pytest.approx(truth[index], rel=1e-12)
             scheduled = [P_START + P_STEP * j for j in range(len(orders))]
-            # every order follows the schedule, except a final exact step at the run's length
+            # every order follows the schedule, except a final exact step at the run's
+            # length, which the last scheduled order's steps reach and the one before does not
             assert orders[:-1] == scheduled[:-1]
-            assert orders[-1] == pool.steps[index] <= scheduled[-1] + 1
+            assert orders[-1] == LanczosRun(op, [index]).extend(64).lengths[0]
+            assert scheduled[-2] < orders[-1] <= scheduled[-1]
 
 
 def test_bracket_pool_takes_order_one_then_goes_on_to_the_schedule():
@@ -280,15 +282,14 @@ def test_bracket_pool_takes_order_one_then_goes_on_to_the_schedule():
         pool = BracketPool(op, iv, COSH_SQRT)
         coarse = pool.first_pass(nodes)
         assert [nb.node for nb in coarse] == list(nodes) and all(nb.p == 1 for nb in coarse)
-        assert pool.bounds == coarse and pool.steps == [1] * g.n
+        assert pool.bounds == coarse
         run = LanczosRun(op, nodes)
-        # radau_bounds_from_run at order 1 also reads step 2, so it makes exact
-        # the runs that break down there; none does on this graph
+        # radau_bounds_from_run at order 1 reads the one step first_pass takes
         assert coarse == radau_bounds_from_run(run, 1, iv, COSH_SQRT)
-        assert not (run.broken & (run.lengths == 2)).any()
+        assert run.steps == 1
         pool.advance(nodes, 64)
         fine = pool.bounds
-        assert all(nb.p == P_START for nb in fine) and pool.steps == [P_START + 1] * g.n
+        assert all(nb.p == P_START and not nb.exact for nb in fine)
         direct = BracketPool(op, iv, COSH_SQRT)
         direct.advance(nodes, 64)
         assert fine == direct.bounds
@@ -322,14 +323,15 @@ def test_bracket_pool_intersects_brackets_through_the_module_radau(ex1, monkeypa
 
 def test_bracket_pool_stops_at_p_max():
     # every run on this graph breaks down only at step 11 or later, so p_max = 4
-    # ends it at order 4 after two steps, however many ``done`` lets go on
+    # ends it at order 4 (4 Lanczos steps) after two schedule steps, however
+    # many ``done`` lets go on
     g = zipf_offset_graph(12, 3, 0)
     iv = spectrum_interval(g)
     for side in SIDES:
         pool = BracketPool(GramOperator(g, side), iv, COSH_SQRT)
         pool.advance(range(g.n), 4, done=lambda b: False)
         assert all(nb.p == 4 and not nb.exact for nb in pool.bounds)
-        assert pool.steps == [5] * g.n
+        assert not LanczosRun(GramOperator(g, side), np.arange(g.n)).extend(10).broken.any()
 
 
 # ----------------------------------------------------------- bilinear_estimate

@@ -12,10 +12,10 @@ from hubauth import (
     from_edges,
     identify_top_k,
     quadrature,
-    rank_in_top_m,
     rank_table,
     topk,
 )
+from hubauth.rankers import TIE_REL_TOL, tie_slack
 
 from conftest import benchmark_zipf_offset_graph, edgeless_graph, reference_top_k, zipf_offset_graph
 
@@ -92,47 +92,47 @@ def test_degree_one_exclusion_policy(ex2):
         identify_top_k(ex2, 2, side="hub", exclude_degree_one=True)
 
 
-def test_rank_in_top_m_equals_identify_when_m_is_k(ex1):
+def test_top_m_equals_identify_when_m_is_k(ex1):
     a = identify_top_k(ex1, 2, side="hub")
-    b = rank_in_top_m(ex1, 2, 2, side="hub")
+    b = identify_top_k(ex1, 2, side="hub", m=2)
     assert a.members == b.members
     assert a.iterations == b.iterations
     assert a.certified == b.certified
 
 
-def test_rank_in_top_m_certifies_at_small_p(ex1):
-    report = rank_in_top_m(ex1, 1, 2, side="hub")
+def test_top_m_certifies_at_small_p(ex1):
+    report = identify_top_k(ex1, 1, side="hub", m=2)
     assert 0 in report.members
-    assert report.max_iterations <= 4  # Gram steps: the order-3 first round
+    assert report.max_iterations <= 3  # Gram steps: the order-3 first round
 
 
-def test_rank_in_top_m_full_relaxation_stops_immediately(ex1):
-    report = rank_in_top_m(ex1, 1, ex1.n, side="hub")
-    assert report.max_iterations <= 4  # Gram steps of the first round: nothing to prune when m = n
+def test_top_m_full_relaxation_stops_immediately(ex1):
+    report = identify_top_k(ex1, 1, side="hub", m=ex1.n)
+    assert report.max_iterations <= 3  # Gram steps of the first round: nothing to prune when m = n
 
 
-def test_rank_in_top_m_contains_true_topk(random_suite):
+def test_top_m_contains_true_topk(random_suite):
     for g in random_suite[:12]:
         k = min(3, g.n)
         m = min(2 * k, g.n)
-        report = rank_in_top_m(g, k, m, side="authority")
+        report = identify_top_k(g, k, side="authority", m=m)
         assert len(report.candidates) <= m
         true_top = exact_top(g, k, "authority")
         assert set(true_top) <= set(report.candidates)
 
 
-def test_rank_in_top_m_work_is_antimonotone_in_m(ex1):
-    tight = rank_in_top_m(ex1, 1, 1, side="hub")
-    loose = rank_in_top_m(ex1, 1, 3, side="hub")
+def test_top_m_work_is_antimonotone_in_m(ex1):
+    tight = identify_top_k(ex1, 1, side="hub", m=1)
+    loose = identify_top_k(ex1, 1, side="hub", m=3)
     for v in tight.iterations:
         assert loose.iterations[v] <= tight.iterations[v]
 
 
 def test_m_range_validated(ex1):
     with pytest.raises(ParameterError):
-        rank_in_top_m(ex1, 3, 2, side="hub")
+        identify_top_k(ex1, 3, side="hub", m=2)
     with pytest.raises(ParameterError):
-        rank_in_top_m(ex1, 1, 10, side="hub")
+        identify_top_k(ex1, 1, side="hub", m=10)
 
 
 def test_k_and_m_are_checked_before_the_spectrum_bound(ex1, monkeypatch):
@@ -144,7 +144,7 @@ def test_k_and_m_are_checked_before_the_spectrum_bound(ex1, monkeypatch):
     with pytest.raises(ParameterError, match="k must be"):
         identify_top_k(ex1, 0, side="authority")
     with pytest.raises(ParameterError, match="m must be"):
-        rank_in_top_m(ex1, 3, 2, side="hub")
+        identify_top_k(ex1, 3, side="hub", m=2)
 
 
 def test_certification_separates_members_from_rest(ex1):
@@ -160,17 +160,25 @@ def test_side_validated(ex1):
         identify_top_k(ex1, 1, side="both")
 
 
-def test_breakdown_one_step_past_p_max_takes_the_exact_step():
-    # the A A^T runs of hubs 0, 1, 2 and 4 break down at step 4 = p_max + 1: the
-    # exact full-Krylov bracket costs no further product, so it is taken
+def test_breakdown_one_step_past_p_max_keeps_the_order_p_bracket():
+    # the A A^T runs of hubs 0, 1, 2 and 4 break down at step 4 = p_max + 1: an
+    # order-3 bracket reads 3 steps, so at p_max = 3 they keep Radau brackets
+    # around the exact value, and at p_max = 5 they are exact after 4 steps
     g = from_edges([(0, 1), (0, 3), (1, 2), (2, 3), (4, 1), (4, 2)], n=5)
-    report = identify_top_k(g, 3, side="hub", p_max=3)
     hub = exp_centrality_exact(g, "hub")
-    for v in (0, 1, 2, 4):
-        assert report.bounds[v].exact
-        assert report.bounds[v].lower == report.bounds[v].upper
-        assert report.bounds[v].lower == pytest.approx(hub.scores[v], rel=1e-12, abs=1e-12)
-    assert {v: report.iterations[v] for v in (0, 1, 2, 4)} == {0: 4, 1: 4, 2: 4, 4: 4}
+    for p_max, order, exact in ((3, 3, False), (5, 4, True)):
+        report = identify_top_k(g, 3, side="hub", p_max=p_max)
+        for v in (0, 1, 2, 4):
+            nb = report.bounds[v]
+            assert (nb.p, nb.exact) == (order, exact)
+            assert nb.lower - 1e-12 <= hub.scores[v] <= nb.upper + 1e-12
+            if exact:
+                assert nb.lower == nb.upper
+                assert nb.lower == pytest.approx(hub.scores[v], rel=1e-12, abs=1e-12)
+        assert {v: report.iterations[v] for v in (0, 1, 2, 4)} == dict.fromkeys((0, 1, 2, 4), order)
+        assert report.members == [0, 4, 1]
+        assert report.certified and report.fully_ordered
+        assert report.ties_note == "2 candidates tied at the rank-3 boundary; admitted lowest node ids"
 
 
 def test_overlapping_brackets_at_the_boundary_are_not_certified():
@@ -236,8 +244,13 @@ def test_order_one_pass_changes_only_the_dropped_nodes(monkeypatch, random_suite
         monkeypatch.setattr(quadrature, "block_width", lambda dim: width)
     for g in random_suite[:12] + [zipf_offset_graph(150, 5, 1)]:
         for k in {1, min(4, g.n)}:
-            for select, args in ((identify_top_k, (g, k)), (rank_in_top_m, (g, k, min(2 * k, g.n)))):
-                _assert_same_outcome(select(*args, side=side), reference_top_k(*args, side=side), bool(width))
+            for m in (None, min(2 * k, g.n)):
+                report = identify_top_k(g, k, side=side, m=m)
+                _assert_same_outcome(report, reference_top_k(g, k, m, side=side), bool(width))
+                # the certificate over every eligible non-member is the one over the candidates
+                worst = min(report.bounds[v].lower for v in report.members)
+                rest = [report.bounds[v].upper for v in report.candidates if v not in report.members]
+                assert report.certified == (worst >= max(rest, default=-math.inf) - tie_slack(worst, TIE_REL_TOL))
 
 
 @pytest.mark.parametrize("side", ["hub", "authority"])
