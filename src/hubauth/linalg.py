@@ -269,7 +269,7 @@ class SpectralEstimate:
     """Leading two singular values of A with convergence diagnostics.
 
     ``vector`` is the last iterate for the leading right singular vector
-    (None for an edgeless graph).
+    (None when A = 0: no edges, or every weight 0).
     """
 
     sigma1: float
@@ -296,7 +296,7 @@ def _ramp_start(n):
 
 class LeadingPair(NamedTuple):
     """sigma_1 of A, the power iterate for its right singular vector (None
-    for an edgeless graph), the iterations taken and whether they converged."""
+    when A = 0), the iterations taken and whether they converged."""
 
     sigma1: float
     vector: np.ndarray
@@ -307,23 +307,22 @@ class LeadingPair(NamedTuple):
 def leading_singular_pair(g, tol=1e-10, max_iter=5000):
     """sigma_1 of A by power iteration on A^T A from the normalized constant vector.
 
-    This is the first half of ``power_singular_pair``, for callers that read
-    only sigma_1 and the iterate; both give them bit for bit alike.
+    A product of norm 0 stops the iteration.  When |A x| = 0 for the start
+    x > 0, sigma_1 = 0, converged, with no vector: A = 0 (no edges, or every
+    weight 0), or its weights lie below about 1e-154, where the norm
+    underflows.  Otherwise only underflow stops it, unconverged (weights
+    below about 1e-77: |A^T A x| >= |Ax|^2 > 0 after a nonzero product).
+    The first half of ``power_singular_pair``, for callers that read only
+    sigma_1 and the iterate; both give them bit for bit alike.
     """
-    n = g.n
-    if g.m == 0:
-        return LeadingPair(0.0, None, 0, True)
-    x = np.ones(n) / math.sqrt(n)
+    x = np.ones(g.n) / math.sqrt(g.n)
     iterations = 0
     converged = False
     for _ in range(max_iter):
         y = spmv(g, spmv(g, x), transpose=True)
         ny = np.linalg.norm(y)
         if ny == 0.0:
-            # start vector lies in the null space; fall back to the ramp
-            x = _ramp_start(n)
-            iterations += 1
-            continue
+            break
         y /= ny
         iterations += 1
         if np.linalg.norm(y - x, np.inf) < tol:
@@ -331,7 +330,10 @@ def leading_singular_pair(g, tol=1e-10, max_iter=5000):
             converged = True
             break
         x = y
-    return LeadingPair(float(np.linalg.norm(spmv(g, x))), x, iterations, converged)
+    sigma1 = float(np.linalg.norm(spmv(g, x)))
+    if sigma1 == 0.0 and iterations == 0:
+        return LeadingPair(0.0, None, 0, True)
+    return LeadingPair(sigma1, x, iterations, converged)
 
 
 def power_singular_pair(g, tol=1e-10, max_iter=5000):
@@ -343,13 +345,12 @@ def power_singular_pair(g, tol=1e-10, max_iter=5000):
     ramp vector, which keeps a component in the secondary eigenspace even
     when the constant vector is orthogonal to it).
     """
-    n = g.n
-    if g.m == 0:
-        return SpectralEstimate(0.0, 0.0, 0, True)
     sigma1, x, iterations, converged = leading_singular_pair(g, tol, max_iter)
+    if x is None:
+        return SpectralEstimate(0.0, 0.0, 0, True)
 
     # one-shot deflation for the gap diagnostic
-    z = _ramp_start(n)
+    z = _ramp_start(g.n)
     z -= (x @ z) * x
     nz = np.linalg.norm(z)
     sigma2 = 0.0

@@ -10,15 +10,17 @@ Lanczos step (its column of the Gram matrix).  Then each round takes the
 nodes the cut keeps one step along the bracket schedule (order 1 to 3,
 then two orders a step, each one product with A and one with A^T, or the
 exact value once a run has broken down), strongest first, taking the cut
-again before each block, and prunes on the cut after it.  Nodes with no
+again before each block, and prunes on the cut after it; without m, the
+rounds that order the members are the loop's last.  Nodes with no
 out-edges (hub side) or no in-edges (authority side) score exactly
 cosh(0) = 1 and never enter Lanczos at all.
 
 The brackets live in one ``quadrature.BracketPool``, the engine behind
 exp-quad and resolvent-quad too, and are this module's only state; it
-adds only the policy: which nodes are eligible, the rounds and the
-members.  The pool rebuilds each step's runs block by block and keeps
-only brackets, so memory stays at one block's basis whatever n is.
+adds only the policy: which nodes are eligible, the rounds, and the
+members, chosen once after them.  The pool rebuilds each step's runs block
+by block and keeps only brackets, so memory stays at one block's basis
+whatever n is.
 """
 
 from dataclasses import dataclass, field
@@ -38,14 +40,11 @@ __all__ = ["TopKReport", "identify_top_k"]
 class TopKReport:
     """Outcome of a top-k (or top-k-within-top-m) selection run.
 
-    ``iterations`` maps each eligible node to the Lanczos steps its bracket
-    read on A A^T or A^T A, which is the bracket's order ``p``: p steps for
-    a Radau bracket, the run's length for an exact one, 0 for a zero-degree
-    node, which never enters a run.  A node the cut drops keeps the bracket
-    it had, so one ruled out by its order-1 bracket reports 1 step.
-    ``certified``: the worst member's lower bound reaches every other
-    eligible node's upper bound, less the tie slack.  ``fully_ordered``: so
-    do the members' brackets pairwise, in member order.
+    ``bounds`` maps each eligible node to its final bracket; a node the cut
+    drops keeps the one it had.  ``certified``: the worst member's lower
+    bound reaches every other eligible node's upper bound, less the tie
+    slack.  ``fully_ordered`` (never with ``m``): so do the members'
+    brackets pairwise, in member order.
     """
 
     k: int
@@ -53,7 +52,6 @@ class TopKReport:
     members: list
     certified: bool
     fully_ordered: bool
-    iterations: dict
     bounds: dict
     candidates: list = field(default_factory=list)
     excluded_zero_degree: int = 0
@@ -61,6 +59,11 @@ class TopKReport:
     ties_note: str = None
     m: int = None
     params: dict = field(default_factory=dict)
+
+    @property
+    def iterations(self):
+        """Each eligible node's Lanczos steps, its bracket's order ``p`` (0 for a zero-degree node)."""
+        return {v: b.p for v, b in self.bounds.items()}
 
     @property
     def max_iterations(self):
@@ -76,23 +79,20 @@ def _cut(threshold, tie_tol):
     return threshold - tie_slack(threshold, tie_tol)
 
 
-def _steppable(pool, nodes, p_max):
-    """The ``nodes`` whose bracket can still tighten: not exact and below p_max."""
-    return [v for v in nodes if not pool.bounds[v].exact and pool.bounds[v].p < p_max]
-
-
 def _round(pool, nodes, lower, k, tie_tol, p_max):
     """Take one schedule step on each of ``nodes`` that the cut keeps; whether any took one.
 
     ``lower`` holds every eligible node's lower bound known so far (-inf
-    elsewhere).  The steppable nodes go in blocks of ``pool.width``, largest
-    upper bound first (ties by id).  Before each block the cut is taken again
-    at the k-th largest entry of ``lower``, and queued nodes below it are
-    dropped.  Lower bounds only rise, so a dropped node is one the cut after
-    the round prunes anyway, and the steppable nodes of each round share one
-    order, as ``BracketPool.advance`` needs.
+    elsewhere).  The nodes whose bracket can still tighten (not exact, below
+    p_max) go in blocks of ``pool.width``, largest upper bound first (ties by
+    id).  Before each block the cut is taken again at the k-th largest entry
+    of ``lower``, and queued nodes below it are dropped.  Lower bounds only
+    rise, so a dropped node is one the cut after the round prunes anyway, and
+    the steppable nodes of each round share one order, as
+    ``BracketPool.advance`` needs.
     """
-    queue = sorted((pool.bounds[v] for v in _steppable(pool, nodes, p_max)), key=lambda b: (-b.upper, b.node))
+    steppable = (pool.bounds[v] for v in nodes if not pool.bounds[v].exact and pool.bounds[v].p < p_max)
+    queue = sorted(steppable, key=lambda b: (-b.upper, b.node))
     falling = np.array([-b.upper for b in queue])
     done = 0
     while done < len(queue):
@@ -124,17 +124,23 @@ def _select_members(candidates, pool, k, tie_tol):
     return members, None
 
 
+def _ordered(pool, members, tie_tol):
+    """Whether each member's lower bound reaches the next one's upper bound, less the tie slack."""
+    pairs = zip(members, members[1:])
+    return all(pool.bounds[a].lower >= pool.bounds[b].upper - tie_slack(pool.bounds[a].lower, tie_tol) for a, b in pairs)
+
+
 def identify_top_k(g, k, side="hub", p_max=64, exclude_degree_one=False, tie_tol=TIE_REL_TOL, m=None):
     """Certified top-k nodes on one side, refining brackets only where needed.
 
     Every node is bracketed at order 1 from its sparse Gram column; then
     each round raises the order of the nodes that can still reach the top k
     (to 3, then by two) and prunes those whose upper bound sits below the
-    k-th largest lower bound.  Stops when at most ``m`` (default k)
-    candidates survive, or when no bracket can improve, in which case
-    near-identical scores are resolved by ascending node id and flagged in
-    ``ties_note``.  Without ``m``, the members are then refined until their
-    brackets are ordered (``fully_ordered``) or stuck.
+    k-th largest lower bound.  Stops when at most ``m`` candidates survive,
+    or without m, when k do and the members chosen from them have pairwise
+    ordered brackets (``fully_ordered``): ordering them is the last rounds.
+    It also stops when no bracket can improve; near-identical scores are
+    then resolved by ascending node id and flagged in ``ties_note``.
     """
     _check_side(side)
     check_p_max(p_max)
@@ -161,7 +167,10 @@ def identify_top_k(g, k, side="hub", p_max=64, exclude_degree_one=False, tie_tol
         stepped = _round(pool, candidates, lower, k, tie_tol, p_max)
         cut = _cut(np.partition(lower, -k)[-k], tie_tol)
         candidates = [v for v in candidates if pool.bounds[v].upper >= cut]
-        if len(candidates) <= m_eff or not stepped:
+        settled = len(candidates) <= m_eff
+        if settled and m is None:  # k candidates hold the k largest lower bounds: the next round steps them all
+            settled = _ordered(pool, _select_members(candidates, pool, k, tie_tol)[0], tie_tol)
+        if settled or not stepped:
             break  # not stepped: every survivor is exact or at p_max, so the tie rule decides
 
     members, ties_note = _select_members(candidates, pool, k, tie_tol)
@@ -176,27 +185,12 @@ def identify_top_k(g, k, side="hub", p_max=64, exclude_degree_one=False, tie_tol
     outside_upper = max((pool.bounds[v].upper for v in eligible if v not in member_set), default=-np.inf)
     certified = bool(min_member_lower >= outside_upper - tie_slack(min_member_lower, tie_tol))
 
-    fully_ordered = False
-    if m is None:
-        while True:
-            fully_ordered = all(
-                pool.bounds[a].lower >= pool.bounds[b].upper - tie_slack(pool.bounds[a].lower, tie_tol)
-                for a, b in zip(members, members[1:])
-            )
-            todo = _steppable(pool, members, p_max)
-            if fully_ordered or not todo:
-                break
-            pool.advance(todo, p_max)
-        members, extra_note = _select_members(members, pool, k, tie_tol)
-        ties_note = ties_note or extra_note
-
     return TopKReport(
         k=k,
         side=side,
         members=members,
         certified=certified,
-        fully_ordered=fully_ordered,
-        iterations={v: pool.bounds[v].p for v in eligible},
+        fully_ordered=m is None and _ordered(pool, members, tie_tol),
         bounds={v: pool.bounds[v] for v in eligible},
         candidates=candidates,
         excluded_zero_degree=len(zero_degree),

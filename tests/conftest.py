@@ -82,9 +82,9 @@ def reference_top_k(g, k, m=None, side="hub", p_max=64, exclude_degree_one=False
 
     Every eligible node with edges goes straight to order P_START, and each
     round then steps every survivor: no order-1 pass and no running cut.
-    The cut after each round, the members, the certificate and the member
-    refinement follow the rules ``identify_top_k`` documents, with and
-    without ``m``.
+    The cut after each round, the member refinement, the members (chosen
+    once, from the final candidates) and the certificate follow the rules
+    ``identify_top_k`` documents, with and without ``m``.
     """
     out_deg, in_deg = degrees(g)
     degree_one = (out_deg == 1) & (in_deg == 1)
@@ -109,28 +109,27 @@ def reference_top_k(g, k, m=None, side="hub", p_max=64, exclude_degree_one=False
         todo = steppable(candidates)
         if len(candidates) <= (k if m is None else m) or not todo:
             break
-    members, ties_note = topk._select_members(candidates, pool, k, tie_tol)
-    member_lower = min(pool.bounds[v].lower for v in members)
-    outside = [pool.bounds[v].upper for v in eligible if v not in members]
+    # the certificate over the members chosen before the member refinement, which cannot change it
+    first = topk._select_members(candidates, pool, k, tie_tol)[0]
+    member_lower = min(pool.bounds[v].lower for v in first)
+    outside = [pool.bounds[v].upper for v in eligible if v not in first]
     certified = all(member_lower >= upper - slack(member_lower) for upper in outside)
 
     def ordered(members):
         pairs = zip(members, members[1:])
         return all(pool.bounds[a].lower >= pool.bounds[b].upper - slack(pool.bounds[a].lower) for a, b in pairs)
 
-    fully_ordered = False
-    if m is None:
-        while not (fully_ordered := ordered(members)) and steppable(members):
-            pool.advance(steppable(members), p_max)
-        members, extra_note = topk._select_members(members, pool, k, tie_tol)
-        ties_note = ties_note or extra_note
+    if m is None:  # step the k members until the k chosen from the candidates are ordered
+        while not ordered(topk._select_members(candidates, pool, k, tie_tol)[0]) and steppable(candidates):
+            pool.advance(steppable(candidates), p_max)
+    members, ties_note = topk._select_members(candidates, pool, k, tie_tol)
+    fully_ordered = m is None and ordered(members)
     return topk.TopKReport(
         k=k,
         side=side,
         members=members,
         certified=certified,
         fully_ordered=fully_ordered,
-        iterations={v: pool.bounds[v].p for v in eligible},
         bounds={v: pool.bounds[v] for v in eligible},
         candidates=candidates,
         excluded_zero_degree=len(zero_degree),

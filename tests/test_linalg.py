@@ -345,6 +345,24 @@ def test_power_singular_pair_zero_matrix():
     assert est.converged
 
 
+def test_zero_weight_graph_stops_the_power_iteration_at_once():
+    # every stored weight is 0, so A = 0 although m > 0: sigma_1 = 0 exactly, no vector
+    g = from_edges([(0, 1, 0.0), (1, 2, 0.0), (2, 0, 0.0)])
+    assert g.m == 3
+    assert hubauth.linalg.leading_singular_pair(g) == (0.0, None, 0, True)
+    est = power_singular_pair(g)
+    assert (est.sigma1, est.sigma2, est.iterations, est.converged, est.vector) == (0.0, 0.0, 0, True, None)
+
+
+def test_underflowing_product_stops_the_power_iteration_unconverged():
+    # weights 1e-90: the norm of A^T A x underflows to 0 at the first product, that of A x does not
+    g = from_edges([(0, 1, 1e-90), (1, 0, 1e-90)])
+    lead = hubauth.linalg.leading_singular_pair(g)
+    assert (lead.iterations, lead.converged) == (0, False)
+    assert lead.sigma1 == pytest.approx(1e-90, rel=1e-12)
+    assert lead.vector is not None
+
+
 def test_power_singular_pair_matches_svd(random_suite):
     for g in random_suite[:10]:
         if g.m == 0:

@@ -61,6 +61,24 @@ def test_tie_group_admitted_by_ascending_id(ex3):
     assert report.ties_note is not None
 
 
+def test_members_of_a_chained_tie_group_keep_the_candidates_id_order():
+    # A^T A is rank one (hub 0 alone), so authority j scores 1 + c w_j^2 with c ~ 0.64,
+    # exactly from order 3 on.  Authorities 2, 3 and 1 fall 7e-9 apart relative: one
+    # chained tie group, though 2 and 1 are 1.4e-8 apart.  The members come from the
+    # rank of all three candidates, as rank_table ranks the exact scores, not from a
+    # rank of the two members alone
+    g = from_edges([(0, 1, 1.0), (0, 2, math.sqrt(1 + 3.6e-8)), (0, 3, math.sqrt(1 + 1.8e-8))])
+    report = identify_top_k(g, 2, side="authority")
+    assert report.members == [1, 2] == exact_top(g, 2, "authority")
+    assert report.candidates == [1, 2, 3]
+    assert report.ties_note == "3 candidates tied at the rank-1 boundary; admitted lowest node ids"
+    assert report.certified and not report.fully_ordered
+    assert all(report.bounds[v].exact for v in report.candidates)
+    reference = reference_top_k(g, 2, side="authority")
+    assert (reference.members, reference.ties_note) == (report.members, report.ties_note)
+    assert reference.certified and not reference.fully_ordered
+
+
 def test_zero_degree_nodes_skip_lanczos(ex3):
     report = identify_top_k(ex3, 2, side="authority")
     # node 5 has no in-edges: exact score 1 without any Lanczos work
@@ -179,6 +197,30 @@ def test_breakdown_one_step_past_p_max_keeps_the_order_p_bracket():
         assert report.members == [0, 4, 1]
         assert report.certified and report.fully_ordered
         assert report.ties_note == "2 candidates tied at the rank-3 boundary; admitted lowest node ids"
+
+
+@pytest.mark.parametrize("side, v", [("authority", 106), ("hub", 27)])
+def test_a_near_twin_in_the_top_10_is_ordered_by_the_last_rounds(side, v):
+    # node 300 copies v's in-edges (authorities) or out-edges (hubs), the first
+    # weighing 1 + 1e-6: the twins' order-3 brackets overlap, so the members
+    # take one more round, to order 5, before they are ordered
+    g = zipf_offset_graph(300, 5, 0)
+    assert rank_table(exp_centrality_exact(g, side)).order[3] == v
+    edges = [(a, b, 1.0) for a, b, _ in g.edges()]
+    if side == "authority":
+        twin = [(a, 300, 1.0) for a, b, _ in edges if b == v]
+    else:
+        twin = [(300, b, 1.0) for a, b, _ in edges if a == v]
+    twin[0] = twin[0][:2] + (1.0 + 1e-6,)
+    g = from_edges(edges + twin, n=301)
+    report = identify_top_k(g, 10, side=side)
+    assert report.members == exact_top(g, 10, side)
+    assert report.certified and report.fully_ordered
+    assert [report.bounds[u].p for u in report.members] == [5] * 10
+    reference = reference_top_k(g, 10, side=side)
+    assert report.members == reference.members
+    assert [report.bounds[u] for u in report.members] == [reference.bounds[u] for u in reference.members]
+    assert (reference.certified, reference.fully_ordered) == (True, True)
 
 
 def test_overlapping_brackets_at_the_boundary_are_not_certified():

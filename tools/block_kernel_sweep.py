@@ -4,8 +4,9 @@ For each command and node count, builds a zipf-offset digraph (5 out-edges
 per node, the benchmark's generator) and times fresh ``hubauth`` processes
 with every block product forced onto SciPy's kernel (limit 0) and onto the
 NumPy kernel (limit n * nnz), alternating which runs first.  It checks
-that both print the same bytes and prints one JSON line per point with the
-median wall times.
+that both print the same bytes and prints one JSON line per point with each
+kernel's median wall time, its quartiles, and how many of the runs' pairs it
+won (a pair of equal times counts for neither).
 
     python3 tools/block_kernel_sweep.py --sizes 250,500,1000,1500 --runs 5
 """
@@ -13,7 +14,6 @@ median wall times.
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -23,6 +23,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import graphs  # noqa: E402  (perfbench's generator; numpy only)
+import numpy as np  # noqa: E402
 
 COMMANDS = {
     "topk": ["topk", "--k", "10", "--side", "authority", "--json"],
@@ -65,9 +66,13 @@ def main():
                         wall, out = run(kernels[kernel], argv)
                         times[kernel].append(wall)
                         outputs.add(out)
-                medians = {k: round(statistics.median(v), 3) for k, v in times.items()}
                 point = {"command": name, "n": n, "n_nnz": n * src.size, "runs": args.runs}
-                print(json.dumps(dict(point, same_bytes=len(outputs) == 1, wall_s=medians)), flush=True)
+                point["same_bytes"] = len(outputs) == 1
+                for key, q in (("wall_s", 50), ("q1_s", 25), ("q3_s", 75)):
+                    point[key] = {k: round(float(np.percentile(v, q)), 3) for k, v in times.items()}
+                pairs = list(zip(times["scipy"], times["numpy"]))
+                point["pairs_won"] = {"scipy": sum(s < t for s, t in pairs), "numpy": sum(t < s for s, t in pairs)}
+                print(json.dumps(point), flush=True)
 
 
 if __name__ == "__main__":
